@@ -71,50 +71,57 @@ class StandardForm:
 
 
 def standard_form(prog: ConicProgram) -> StandardForm:
-    """Rewrite a ConicProgram with bounds and balls as cone rows."""
+    """Rewrite a ConicProgram with bounds and balls as cone rows.
+
+    G stacks, in this order: the rows of A_in, one +e_k row per finite upper
+    bound, one -e_k row per finite lower bound, then three rows per ball
+    (i, j) with -1 at (1, i) and (2, j) of the block, so that h - G x is
+    (1, x_i, x_j). A program with no cone rows gets one empty placeholder
+    row with h = 1. G is assembled directly in CSR, row by row.
+    """
     n = prog.n
-    rows = [prog.A_in]
-    rhs = [prog.b_in]
-
+    A_in = prog.A_in.tocsr()
     finite_ub = np.flatnonzero(np.isfinite(prog.ub))
-    if finite_ub.size:
-        data = np.ones(finite_ub.size)
-        rows.append(
-            sp.csr_matrix((data, (np.arange(finite_ub.size), finite_ub)), shape=(finite_ub.size, n))
-        )
-        rhs.append(prog.ub[finite_ub])
     finite_lb = np.flatnonzero(np.isfinite(prog.lb))
-    if finite_lb.size:
-        data = -np.ones(finite_lb.size)
-        rows.append(
-            sp.csr_matrix((data, (np.arange(finite_lb.size), finite_lb)), shape=(finite_lb.size, n))
-        )
-        rhs.append(-prog.lb[finite_lb])
+    n_balls = len(prog.balls)
 
-    orthant = sum(r.shape[0] for r in rows)
-    if orthant == 0 and not prog.balls:
-        # keep the cone block nonempty so the embedding stays uniform
-        rows.append(sp.csr_matrix((1, n)))
-        rhs.append(np.array([1.0]))
-        orthant = 1
+    orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
+    # keep the cone block nonempty so the embedding stays uniform
+    placeholder = int(orthant == 0 and n_balls == 0)
+    orthant += placeholder
 
-    socs = []
-    for i, j in prog.balls:
-        block = sp.csr_matrix(
-            (np.array([-1.0, -1.0]), (np.array([1, 2]), np.array([i, j]))), shape=(3, n)
-        )
-        rows.append(block)
-        rhs.append(np.array([1.0, 0.0, 0.0]))
-        socs.append(3)
-
-    G = sp.vstack(rows).tocsr() if len(rows) > 1 else rows[0].tocsr()
+    # entries per appended row: one per bound row, none in the placeholder,
+    # (0, 1, 1) per ball block
+    row_nnz = np.concatenate(
+        [
+            np.ones(finite_ub.size + finite_lb.size, dtype=np.int64),
+            np.zeros(placeholder, dtype=np.int64),
+            np.tile(np.array([0, 1, 1]), n_balls),
+        ]
+    )
+    indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
+    ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
+    indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
+    data = np.concatenate(
+        [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
+    )
+    G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
+    h = np.concatenate(
+        [
+            prog.b_in,
+            prog.ub[finite_ub],
+            -prog.lb[finite_lb],
+            np.ones(placeholder),
+            np.tile(np.array([1.0, 0.0, 0.0]), n_balls),
+        ]
+    )
     return StandardForm(
         c=prog.c.astype(float),
         A=prog.A_eq.tocsr(),
         b=prog.b_eq.astype(float),
         G=G,
-        h=np.concatenate(rhs) if rhs else np.zeros(0),
-        dims=ConeDims(orthant=orthant, socs=tuple(socs)),
+        h=h,
+        dims=ConeDims(orthant=orthant, socs=(3,) * n_balls),
     )
 
 
@@ -190,50 +197,39 @@ def jmineig(dims: ConeDims, u: np.ndarray) -> float:
     return min(vals) if vals else math.inf
 
 
-def _soc_steps(u: np.ndarray, du: np.ndarray) -> float:
-    """Max step for stacked (B, q) SOC blocks."""
-    a = du[:, 0] ** 2 - np.einsum("ij,ij->i", du[:, 1:], du[:, 1:])
-    b = 2.0 * (u[:, 0] * du[:, 0] - np.einsum("ij,ij->i", u[:, 1:], du[:, 1:]))
-    c = u[:, 0] ** 2 - np.einsum("ij,ij->i", u[:, 1:], u[:, 1:])
-    alpha = math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = np.abs(a) > 1e-300
-        disc = b * b - 4.0 * a * c
-        ok = quad & (disc >= 0.0)
-        if np.any(ok):
-            r = np.sqrt(disc[ok])
-            for roots in ((-b[ok] - r) / (2.0 * a[ok]), (-b[ok] + r) / (2.0 * a[ok])):
-                head = u[ok, 0] + roots * du[ok, 0]
-                valid = (roots > 0.0) & (head >= -1e-14)
-                if np.any(valid):
-                    alpha = min(alpha, float(np.min(roots[valid])))
-        lin = (~quad) & (b < 0.0)
-        if np.any(lin):
-            roots = -c[lin] / b[lin]
-            head = u[lin, 0] + roots * du[lin, 0]
-            valid = (roots > 0.0) & (head >= -1e-14)
-            if np.any(valid):
-                alpha = min(alpha, float(np.min(roots[valid])))
-    return alpha
+def _soc_rates(u: np.ndarray, du: np.ndarray) -> float:
+    """Largest 1/alpha over stacked (B, q) SOC blocks, alpha the max step.
+
+    The hyperbolic rotation that maps u to sqrt(det u) * e maps du to
+    sqrt(det u) * rho, and e + alpha * rho stays in the cone exactly while
+    alpha * (|rho_1| - rho_0) <= 1 (the line search of ECOS: Domahidi, Chu
+    and Boyd 2013). With s = sqrt(det u) and j = u' J du that rate is
+    (|du_1 - c u_1| - j / s) / s, c = (j + s du_0) / (s (u_0 + s)). det u
+    uses the difference form, as NTScaling does, so that points grazing the
+    boundary keep their relative accuracy.
+    """
+    u0, u1 = u[:, 0], u[:, 1:]
+    d0, d1 = du[:, 0], du[:, 1:]
+    n1 = np.sqrt(np.einsum("ij,ij->i", u1, u1))
+    s = np.sqrt(np.maximum(u0 - n1, 1e-15 * u0) * (u0 + n1))
+    j = u0 * d0 - np.einsum("ij,ij->i", u1, d1)
+    c = (j + s * d0) / (s * (u0 + s))
+    v = d1 - c[:, None] * u1
+    return float(np.max((np.sqrt(np.einsum("ij,ij->i", v, v)) - j / s) / s))
 
 
 def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
     """Largest alpha with u + alpha*du still in the cone (u interior)."""
-    alpha = math.inf
+    rate = 0.0
     l = dims.orthant
     if l:
-        neg = du[:l] < 0.0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-u[:l][neg] / du[:l][neg])))
-    if not dims.socs:
-        return alpha
+        rate = max(rate, float(np.max(-du[:l] / u[:l])))
     if dims.uniform_q is not None:
-        return min(alpha, _soc_steps(dims.soc_view(u), dims.soc_view(du)))
-    for sl in dims.soc_slices():
-        blk_u = u[sl][None, :]
-        blk_d = du[sl][None, :]
-        alpha = min(alpha, _soc_steps(blk_u, blk_d))
-    return alpha
+        rate = max(rate, _soc_rates(dims.soc_view(u), dims.soc_view(du)))
+    else:
+        for sl in dims.soc_slices():
+            rate = max(rate, _soc_rates(u[None, sl], du[None, sl]))
+    return 1.0 / rate if rate > 0.0 else math.inf
 
 
 class NTScaling:
@@ -354,8 +350,12 @@ class KktSolver:
     """Factor/solve of the 3x3 block system [0 A' G'; A 0 0; G 0 -W^2].
 
     Static regularization (+reg on the x block, -reg on y and z) keeps the
-    factorization stable; one round of iterative refinement against the
-    unregularized operator removes its effect.
+    factorization stable; iterative refinement against the unregularized
+    operator removes its effect.
+
+    Every matrix one solver factors has the same sparsity pattern. The sparse
+    path therefore orders the columns once, with COLAMD on the first matrix,
+    and factors every later matrix in that column order with no reordering.
     """
 
     _REG_MAX = 1e-4
@@ -367,6 +367,8 @@ class KktSolver:
         self.n, self.p, self.m = n, p, m
         self.dim = n + p + m
         self.dense = self.dim <= _DENSE_LIMIT
+        # sign of the regularization on each diagonal entry
+        self._reg_sign = np.concatenate([np.ones(n), -np.ones(p + m)])
 
         if self.dense:
             # tiny systems: numpy matvecs beat scipy.sparse call overhead
@@ -390,22 +392,23 @@ class KktSolver:
         # variable entries: regularized x/y diagonals plus the -W^2 block
         w_rows = [np.arange(n + p)]
         w_cols = [np.arange(n + p)]
-        l = form.dims.orthant
-        w_rows.append(np.arange(n + p, n + p + l))
-        w_cols.append(np.arange(n + p, n + p + l))
-        for sl in form.dims.soc_slices():
-            q = sl.stop - sl.start
-            base = n + p + sl.start
-            rr, cc = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
-            w_rows.append(base + rr.ravel())
-            w_cols.append(base + cc.ravel())
+        dims = form.dims
+        w_rows.append(np.arange(n + p, n + p + dims.orthant))
+        w_cols.append(np.arange(n + p, n + p + dims.orthant))
+        if dims.socs:
+            # dense q x q blocks, block after block, each row-major
+            q = dims.uniform_q
+            starts = n + p + dims.orthant + q * np.arange(dims.n_socs)
+            rr, cc = np.divmod(np.arange(q * q), q)
+            w_rows.append((starts[:, None] + rr).ravel())
+            w_cols.append((starts[:, None] + cc).ravel())
         w_rows = np.concatenate(w_rows).astype(np.int64)
         w_cols = np.concatenate(w_cols).astype(np.int64)
 
         if self.dense:
             self._base = np.zeros((self.dim, self.dim))
             np.add.at(self._base, (fixed_rows, fixed_cols), self._fixed_vals)
-            self._w_rows, self._w_cols = w_rows, w_cols
+            self._w_flat = w_rows * self.dim + w_cols
             self._lu = None
         else:
             all_rows = np.concatenate([fixed_rows, w_rows])
@@ -417,7 +420,11 @@ class KktSolver:
             self._mat = sp.csc_matrix(
                 (np.zeros(all_rows.size), indices, indptr), shape=(self.dim, self.dim)
             )
+            # column order of _mat once the first factorization has chosen
+            # it: _mat[:, j] holds column _cols[j] of the KKT matrix
+            self._cols = None
             self._splu = None
+            self._splu_cols = None
 
     def _w_values(self, scaling: NTScaling, reg: float) -> np.ndarray:
         n, p = self.n, self.p
@@ -436,7 +443,8 @@ class KktSolver:
         w_vals = self._w_values(self.scaling, reg)
         if self.dense:
             mat = self._base.copy()
-            mat[self._w_rows, self._w_cols] += w_vals
+            mat.ravel()[self._w_flat] += w_vals
+            self._kmat = mat
             with warnings.catch_warnings():
                 # singular factorizations are detected and retried in solve()
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -444,7 +452,27 @@ class KktSolver:
         else:
             raw = np.concatenate([self._fixed_vals, w_vals])
             self._mat.data[:] = raw[self._order]
-            self._splu = spla.splu(self._mat)
+            if self._cols is None:
+                self._splu = spla.splu(self._mat)
+                self._splu_cols = None
+                self._permute_columns(np.argsort(self._splu.perm_c))
+            else:
+                # the columns are already in COLAMD order (postordered by
+                # SuperLU): the fill is the same without reordering again
+                self._splu = spla.splu(self._mat, permc_spec="NATURAL")
+                self._splu_cols = self._cols
+
+    def _permute_columns(self, cols: np.ndarray) -> None:
+        """Rebuild _mat, and its scatter order, as KKT[:, cols]."""
+        mat = self._mat
+        lengths = np.diff(mat.indptr)[cols]
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        src = np.repeat(mat.indptr[cols] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        self._order = self._order[src]
+        self._mat = sp.csc_matrix(
+            (mat.data[src], mat.indices[src], indptr.astype(np.int32)), shape=mat.shape
+        )
+        self._cols = cols
 
     def factor(self, scaling: NTScaling) -> None:
         self.scaling = scaling
@@ -454,16 +482,23 @@ class KktSolver:
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.dense:
             return sla.lu_solve(self._lu, rhs, check_finite=False)
-        return self._splu.solve(rhs)
+        sol = self._splu.solve(rhs)
+        if self._splu_cols is None:
+            return sol
+        out = np.empty_like(sol)
+        out[self._splu_cols] = sol
+        return out
 
     def _exact_matvec(self, sol: np.ndarray) -> np.ndarray:
-        n, p = self.n, self.p
-        x, y, z = sol[:n], sol[n : n + p], sol[n + p :]
-        out = np.empty_like(sol)
-        out[:n] = self.A_T @ y + self.G_T @ z
-        out[n : n + p] = self.mat_A @ x
-        out[n + p :] = self.mat_G @ x - self.scaling.apply_W2(z)
-        return out
+        """Unregularized KKT operator times sol, from the matrix just factored.
+
+        One matvec on the assembled matrix, less its regularization diagonal.
+        """
+        if self.dense:
+            kv = self._kmat @ sol
+        else:
+            kv = self._mat @ sol[self._cols]
+        return kv - (self._current_reg * self._reg_sign) * sol
 
     def solve(self, rx: np.ndarray, ry: np.ndarray, rz: np.ndarray):
         """Solve against the exact operator via the regularized factorization.

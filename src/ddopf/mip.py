@@ -9,6 +9,7 @@ assignments resolve to the lexicographically smallest binary vector.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import math
@@ -136,12 +137,24 @@ def _branch_and_bound(
     incumbent_obj = math.inf
     incumbent_assign: tuple[float, ...] | None = None
     nodes_solved = 0
+    # (Solution, keep, offset) per fixed assignment solved in this call: the
+    # hint and a fully fixed leaf are solved again as incumbents otherwise
+    solved: dict[tuple, tuple[Solution, np.ndarray, float]] = {}
+
+    def solve_node(fixed: dict[int, float]):
+        """_solve_fixed, once per assignment; callers get a copy to modify."""
+        nonlocal nodes_solved
+        key = tuple(sorted(fixed.items()))
+        if key not in solved:
+            solved[key] = _solve_fixed(base, fixed, tol)
+            nodes_solved += 1
+        sol, keep, offset = solved[key]
+        return dataclasses.replace(sol), keep, offset
 
     def try_incumbent(assign: tuple[float, ...]) -> bool:
-        nonlocal incumbent, incumbent_obj, incumbent_assign, nodes_solved
+        nonlocal incumbent, incumbent_obj, incumbent_assign
         fixed = dict(zip(bidx, assign))
-        sol, keep, offset = _solve_fixed(base, fixed, tol)
-        nodes_solved += 1
+        sol, keep, offset = solve_node(fixed)
         if sol.status != "optimal":
             return False
         obj = sol.objective + offset
@@ -176,8 +189,7 @@ def _branch_and_bound(
         bound, _, fixed = heapq.heappop(heap)
         if bound >= incumbent_obj - prune_eps:
             break
-        sol, keep, offset = _solve_fixed(base, fixed, tol)
-        nodes_solved += 1
+        sol, keep, offset = solve_node(fixed)
         if sol.status == "infeasible":
             continue
         if sol.status == "unbounded":
@@ -203,8 +215,9 @@ def _branch_and_bound(
             free = [i for i in range(len(bidx)) if bidx[i] not in fixed]
             if not free or np.all(frac[free] <= _INT_TOL):
                 # integral relaxation: this assignment is the subtree optimum;
-                # re-solve with the binaries eliminated so the incumbent value
-                # is the same deterministic solve enumeration would report
+                # solve it with the binaries eliminated (or reuse that solve)
+                # so the incumbent value is the same deterministic solve
+                # enumeration would report
                 assign = tuple(float(round(relax_vals[i])) for i in range(len(bidx)))
                 if not try_incumbent(assign):
                     # fixed re-solve failed numerically; keep the relaxation point

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from ddopf.conic import ConicProgram, check_feasibility
 from ddopf.ipm import (
+    _DENSE_LIMIT,
     ConeDims,
     KktSolver,
     NTScaling,
@@ -73,9 +74,16 @@ class TestConeAlgebra:
             np.testing.assert_allclose(blk @ v[sl], sc.apply_W2(v)[sl], atol=1e-10)
 
     def test_max_step_is_boundary(self, rng):
-        for trial in range(50):
-            dims = self.dims if trial % 2 else self.mixed
+        # besides the two wider shapes, the 3-dimensional cones the package
+        # poses, with points as close as 1e-9 * u0 to the boundary
+        balls = ConeDims(orthant=6, socs=(3,) * 8)
+        for trial in range(150):
+            dims = (self.mixed, self.dims, balls)[trial % 3]
             u = random_cone_point(rng, dims)
+            if dims is balls:
+                for sl in dims.soc_slices():
+                    gap = 10.0 ** rng.uniform(-9.0, -1.0)
+                    u[sl.start] = np.linalg.norm(u[sl.start + 1 : sl.stop]) / (1.0 - gap)
             du = rng.normal(size=dims.total)
             alpha = max_step(dims, u, du)
             if math.isinf(alpha):
@@ -87,7 +95,12 @@ class TestConeAlgebra:
 
 
 class TestKktSolver:
-    @pytest.mark.parametrize("n,p,orth,socs", [(4, 2, 3, (3,)), (8, 3, 6, (5, 5))])
+    # the last case is above the dense limit: the sparse path, whose second
+    # factorization reuses the column order the first one chose
+    @pytest.mark.parametrize(
+        "n,p,orth,socs",
+        [(4, 2, 3, (3,)), (8, 3, 6, (5, 5)), (100, 30, 50, (3,) * 30)],
+    )
     def test_solve_matches_dense_assembly(self, rng, n, p, orth, socs):
         dims = ConeDims(orthant=orth, socs=socs)
         m = dims.total
@@ -97,23 +110,61 @@ class TestKktSolver:
         form.A, form.G, form.dims = A, G, dims
         form.b, form.h = np.zeros(p), np.zeros(m)
         form.c = np.zeros(n)
-        s = random_cone_point(rng, dims)
-        z = random_cone_point(rng, dims)
-        sc = NTScaling(dims, s, z)
         kkt = KktSolver(form, reg=1e-10)
-        kkt.factor(sc)
-        rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)
-        dx, dy, dz = kkt.solve(rx, ry, rz)
-        w2 = np.column_stack([sc.apply_W2(col) for col in np.eye(m)])
-        K = np.block(
-            [
-                [np.zeros((n, n)), A.toarray().T, G.toarray().T],
-                [A.toarray(), np.zeros((p, p)), np.zeros((p, m))],
-                [G.toarray(), np.zeros((m, p)), -w2],
-            ]
+        assert kkt.dense == (n + p + m <= _DENSE_LIMIT)
+        for _ in range(2):
+            s = random_cone_point(rng, dims)
+            z = random_cone_point(rng, dims)
+            sc = NTScaling(dims, s, z)
+            kkt.factor(sc)
+            rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)
+            dx, dy, dz = kkt.solve(rx, ry, rz)
+            w2 = np.column_stack([sc.apply_W2(col) for col in np.eye(m)])
+            K = np.block(
+                [
+                    [np.zeros((n, n)), A.toarray().T, G.toarray().T],
+                    [A.toarray(), np.zeros((p, p)), np.zeros((p, m))],
+                    [G.toarray(), np.zeros((m, p)), -w2],
+                ]
+            )
+            sol = np.linalg.solve(K, np.concatenate([rx, ry, rz]))
+            np.testing.assert_allclose(np.concatenate([dx, dy, dz]), sol, atol=1e-8)
+
+
+class TestStandardForm:
+    def test_row_layout(self):
+        # 1 inequality row, ub finite on x0 and x2, lb finite on x1, ball (2, 3)
+        prog = ConicProgram.build(
+            c=np.zeros(4),
+            A_in=[[1.0, 2.0, 0.0, 0.0]],
+            b_in=[5.0],
+            lb=[-np.inf, -1.5, -np.inf, -np.inf],
+            ub=[0.5, np.inf, 0.25, np.inf],
+            balls=[(2, 3)],
         )
-        sol = np.linalg.solve(K, np.concatenate([rx, ry, rz]))
-        np.testing.assert_allclose(np.concatenate([dx, dy, dz]), sol, atol=1e-8)
+        form = standard_form(prog)
+        assert form.dims.orthant == 4
+        assert form.dims.socs == (3,)
+        np.testing.assert_array_equal(
+            form.G.toarray(),
+            [
+                [1.0, 2.0, 0.0, 0.0],  # A_in
+                [1.0, 0.0, 0.0, 0.0],  # ub of x0
+                [0.0, 0.0, 1.0, 0.0],  # ub of x2
+                [0.0, -1.0, 0.0, 0.0],  # lb of x1
+                [0.0, 0.0, 0.0, 0.0],  # ball head
+                [0.0, 0.0, -1.0, 0.0],
+                [0.0, 0.0, 0.0, -1.0],
+            ],
+        )
+        np.testing.assert_array_equal(form.h, [5.0, 0.5, 0.25, 1.5, 1.0, 0.0, 0.0])
+
+    def test_placeholder_row_without_cone_rows(self):
+        form = standard_form(ConicProgram.build(c=[1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=[2.0]))
+        assert form.dims.orthant == 1
+        assert form.dims.socs == ()
+        np.testing.assert_array_equal(form.G.toarray(), [[0.0, 0.0]])
+        np.testing.assert_array_equal(form.h, [1.0])
 
 
 def assert_optimal(sol, tol=1e-8):

@@ -93,6 +93,31 @@ class TestStrategyEquivalence:
         assert sols[0].binary_values == sols[1].binary_values
         np.testing.assert_array_equal(sols[0].x, sols[1].x)
 
+    def test_hinted_root_reuses_hint_solve(self):
+        # the relaxation is integral at the hint (1, 1). At tol=1e-6 its dual
+        # bound sits more than prune_eps below the hint's objective, so the
+        # root is expanded and its integral assignment offered as incumbent:
+        # that solve is the hint's, reused, and not counted again
+        from ddopf.ipm import solve_convex
+
+        prog = ConicProgram.build(
+            c=[-1.0, 0.0, -2.0, -1.0],
+            A_in=[[1.0, 0.0, -1.0, 0.0]],
+            b_in=[0.0],
+            lb=[-np.inf, -np.inf, 0.0, 0.0],
+            ub=[np.inf, np.inf, 1.0, 1.0],
+            balls=[(0, 1)],
+        )
+        mbp = MixedBinaryProgram(prog, (2, 3))
+        np.testing.assert_allclose(solve_convex(prog, tol=1e-6).x[2:], [1.0, 1.0], atol=1e-6)
+        hinted = solve_mixed_binary(
+            mbp, strategy="branch_and_bound", tol=1e-6, incumbent_hint=(1.0, 1.0)
+        )
+        enum = solve_mixed_binary(mbp, strategy="enumerate", tol=1e-6)
+        assert hinted.node_count == 2  # the hint's solve and the root relaxation
+        assert hinted.binary_values == enum.binary_values == (1.0, 1.0)
+        assert hinted.objective == pytest.approx(enum.objective, abs=1e-8)
+
     def test_hint_does_not_change_optimum(self, rng):
         mbp = random_mbp(rng, n_bin=6)
         plain = solve_mixed_binary(mbp, strategy="branch_and_bound")
