@@ -35,7 +35,7 @@ from .microgrid import (
     save_results,
     save_solve_times,
 )
-from .opf import demand_instance, solve_opf
+from .opf import VARIANTS, demand_instance, solve_opf
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,8 +43,6 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 EXIT_SCHEMA = 4
 EXIT_DIMENSION = 5
-
-VARIANT_FLAGS = ("reference", "dd", "dd-convex", "dd-generalized")
 
 
 def _model_from_trajectory(path, variant):
@@ -212,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-opf", help="solve one optimal power flow instance")
     p.add_argument("--grid", required=True)
     p.add_argument("--data", help="trajectory CSV (data-driven variants)")
-    p.add_argument("--variant", choices=VARIANT_FLAGS, default="dd-convex")
-    p.add_argument("--objective", choices=("losses",), default="losses")
+    p.add_argument("--variant", choices=VARIANTS, default="dd-convex")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument(
         "--demand",
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profiles", required=True, help="profiles CSV path, or seed:<int> to synthesize"
     )
-    p.add_argument("--variant", choices=VARIANT_FLAGS, default="dd-convex")
+    p.add_argument("--variant", choices=VARIANTS, default="dd-convex")
     p.add_argument("--steps", type=int, default=336)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_run_mpc)

@@ -5,8 +5,8 @@ self-dual embedding of
 
     min c'x  s.t.  A x = b,  G x + s = h,  s in K,
 
-where K is a product of a nonnegative orthant and small second-order cones
-(one 3-dimensional cone per unit-ball constraint). Nesterov-Todd scaling
+where K is a product of a nonnegative orthant and 3-dimensional second-order
+cones, one per unit-ball constraint. Nesterov-Todd scaling
 keeps the linearized complementarity symmetric; each iteration factors one
 quasidefinite KKT matrix (dense for small programs, sparse LU otherwise)
 and recovers the embedding variables (tau, kappa) from two extra solves.
@@ -36,28 +36,20 @@ _DENSE_LIMIT = 260
 
 
 class ConeDims:
-    """Cone layout of the inequality block: leading orthant, then SOC sizes."""
+    """Cone layout of the inequality block: leading orthant, then n_socs
+    3-dimensional second-order cones, one per unit ball."""
 
-    __slots__ = ("orthant", "socs", "total", "degree", "uniform_q", "n_socs")
+    __slots__ = ("orthant", "n_socs", "total", "degree")
 
-    def __init__(self, orthant: int, socs: tuple[int, ...]):
+    def __init__(self, orthant: int, n_socs: int):
         self.orthant = orthant
-        self.socs = tuple(socs)
-        self.total = orthant + sum(self.socs)
-        self.degree = orthant + len(self.socs)
-        self.n_socs = len(self.socs)
-        # common SOC dimension when all blocks match (enables vector paths)
-        self.uniform_q = self.socs[0] if self.socs and len(set(self.socs)) == 1 else None
-
-    def soc_slices(self):
-        start = self.orthant
-        for q in self.socs:
-            yield slice(start, start + q)
-            start += q
+        self.n_socs = n_socs
+        self.total = orthant + 3 * n_socs
+        self.degree = orthant + n_socs
 
     def soc_view(self, v: np.ndarray) -> np.ndarray:
-        """(n_blocks, q) view of the SOC region for uniform block sizes."""
-        return v[self.orthant :].reshape(self.n_socs, self.uniform_q)
+        """(n_socs, 3) view of the SOC region, one row per cone."""
+        return v[self.orthant :].reshape(self.n_socs, 3)
 
 
 @dataclass
@@ -121,7 +113,7 @@ def standard_form(prog: ConicProgram) -> StandardForm:
         b=prog.b_eq.astype(float),
         G=G,
         h=h,
-        dims=ConeDims(orthant=orthant, socs=(3,) * n_balls),
+        dims=ConeDims(orthant=orthant, n_socs=n_balls),
     )
 
 
@@ -131,8 +123,7 @@ def standard_form(prog: ConicProgram) -> StandardForm:
 def cone_e(dims: ConeDims) -> np.ndarray:
     e = np.zeros(dims.total)
     e[: dims.orthant] = 1.0
-    for sl in dims.soc_slices():
-        e[sl.start] = 1.0
+    dims.soc_view(e)[:, 0] = 1.0
     return e
 
 
@@ -140,19 +131,10 @@ def jprod(dims: ConeDims, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     l = dims.orthant
     out[:l] = u[:l] * v[:l]
-    if not dims.socs:
-        return out
-    if dims.uniform_q is not None:
-        ub, vb = dims.soc_view(u), dims.soc_view(v)
-        ob = dims.soc_view(out)
-        ob[:, 0] = np.einsum("ij,ij->i", ub, vb)
-        ob[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-        return out
-    for sl in dims.soc_slices():
-        u0, u1 = u[sl.start], u[sl.start + 1 : sl.stop]
-        v0, v1 = v[sl.start], v[sl.start + 1 : sl.stop]
-        out[sl.start] = u0 * v0 + u1 @ v1
-        out[sl.start + 1 : sl.stop] = u0 * v1 + v0 * u1
+    ub, vb = dims.soc_view(u), dims.soc_view(v)
+    ob = dims.soc_view(out)
+    ob[:, 0] = np.einsum("ij,ij->i", ub, vb)
+    ob[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
     return out
 
 
@@ -161,44 +143,24 @@ def jdiv(dims: ConeDims, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     l = dims.orthant
     out[:l] = w[:l] / lam[:l]
-    if not dims.socs:
-        return out
-    if dims.uniform_q is not None:
-        lb, wb = dims.soc_view(lam), dims.soc_view(w)
-        ob = dims.soc_view(out)
-        n1 = np.linalg.norm(lb[:, 1:], axis=1)
-        det = np.maximum(lb[:, 0] - n1, 1e-15 * np.maximum(lb[:, 0], 1e-30)) * (lb[:, 0] + n1)
-        x0 = (lb[:, 0] * wb[:, 0] - np.einsum("ij,ij->i", lb[:, 1:], wb[:, 1:])) / det
-        ob[:, 0] = x0
-        ob[:, 1:] = (wb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
-        return out
-    for sl in dims.soc_slices():
-        l0, l1 = lam[sl.start], lam[sl.start + 1 : sl.stop]
-        w0, w1 = w[sl.start], w[sl.start + 1 : sl.stop]
-        n1 = float(np.linalg.norm(l1))
-        det = max(l0 - n1, 1e-15 * max(l0, 1e-30)) * (l0 + n1)
-        x0 = (l0 * w0 - l1 @ w1) / det
-        out[sl.start] = x0
-        out[sl.start + 1 : sl.stop] = (w1 - x0 * l1) / l0
+    lb, wb = dims.soc_view(lam), dims.soc_view(w)
+    ob = dims.soc_view(out)
+    n1 = np.linalg.norm(lb[:, 1:], axis=1)
+    det = np.maximum(lb[:, 0] - n1, 1e-15 * np.maximum(lb[:, 0], 1e-30)) * (lb[:, 0] + n1)
+    x0 = (lb[:, 0] * wb[:, 0] - np.einsum("ij,ij->i", lb[:, 1:], wb[:, 1:])) / det
+    ob[:, 0] = x0
+    ob[:, 1:] = (wb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
     return out
 
 
 def jmineig(dims: ConeDims, u: np.ndarray) -> float:
-    vals = []
-    if dims.orthant:
-        vals.append(float(np.min(u[: dims.orthant])))
-    if dims.socs:
-        if dims.uniform_q is not None:
-            ub = dims.soc_view(u)
-            vals.append(float(np.min(ub[:, 0] - np.linalg.norm(ub[:, 1:], axis=1))))
-        else:
-            for sl in dims.soc_slices():
-                vals.append(float(u[sl.start] - np.linalg.norm(u[sl.start + 1 : sl.stop])))
-    return min(vals) if vals else math.inf
+    ub = dims.soc_view(u)
+    eig = np.concatenate([u[: dims.orthant], ub[:, 0] - np.linalg.norm(ub[:, 1:], axis=1)])
+    return float(np.min(eig, initial=math.inf))
 
 
-def _soc_rates(u: np.ndarray, du: np.ndarray) -> float:
-    """Largest 1/alpha over stacked (B, q) SOC blocks, alpha the max step.
+def _soc_rates(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """1/alpha of each of the stacked (B, 3) SOC blocks, alpha its max step.
 
     The hyperbolic rotation that maps u to sqrt(det u) * e maps du to
     sqrt(det u) * rho, and e + alpha * rho stays in the cone exactly while
@@ -215,20 +177,14 @@ def _soc_rates(u: np.ndarray, du: np.ndarray) -> float:
     j = u0 * d0 - np.einsum("ij,ij->i", u1, d1)
     c = (j + s * d0) / (s * (u0 + s))
     v = d1 - c[:, None] * u1
-    return float(np.max((np.sqrt(np.einsum("ij,ij->i", v, v)) - j / s) / s))
+    return (np.sqrt(np.einsum("ij,ij->i", v, v)) - j / s) / s
 
 
 def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
     """Largest alpha with u + alpha*du still in the cone (u interior)."""
-    rate = 0.0
     l = dims.orthant
-    if l:
-        rate = max(rate, float(np.max(-du[:l] / u[:l])))
-    if dims.uniform_q is not None:
-        rate = max(rate, _soc_rates(dims.soc_view(u), dims.soc_view(du)))
-    else:
-        for sl in dims.soc_slices():
-            rate = max(rate, _soc_rates(u[None, sl], du[None, sl]))
+    rates = np.concatenate([-du[:l] / u[:l], _soc_rates(dims.soc_view(u), dims.soc_view(du))])
+    rate = float(np.max(rates, initial=0.0))
     return 1.0 / rate if rate > 0.0 else math.inf
 
 
@@ -242,8 +198,6 @@ class NTScaling:
     """
 
     def __init__(self, dims: ConeDims, s: np.ndarray, z: np.ndarray):
-        if dims.socs and dims.uniform_q is None:
-            raise ValueError("NTScaling requires uniform SOC block sizes")
         self.dims = dims
         l = dims.orthant
         self.w2_orth = s[:l] / z[:l]
@@ -251,37 +205,33 @@ class NTScaling:
         lam = np.empty_like(s)
         lam[:l] = np.sqrt(s[:l] * z[:l])
 
-        if dims.socs:
-            sb = dims.soc_view(s)
-            zb = dims.soc_view(z)
+        sb = dims.soc_view(s)
+        zb = dims.soc_view(z)
 
-            def jdet_sqrt(u):
-                # u0^2 - |u1|^2 via the difference form; clamp roundoff
-                # negatives so near-boundary iterates keep a finite scaling
-                n1 = np.linalg.norm(u[:, 1:], axis=1)
-                d = np.maximum(u[:, 0] - n1, 1e-15 * np.maximum(u[:, 0], 1e-30))
-                return np.sqrt(d * (u[:, 0] + n1))
+        def jdet_sqrt(u):
+            # u0^2 - |u1|^2 via the difference form; clamp roundoff
+            # negatives so near-boundary iterates keep a finite scaling
+            n1 = np.linalg.norm(u[:, 1:], axis=1)
+            d = np.maximum(u[:, 0] - n1, 1e-15 * np.maximum(u[:, 0], 1e-30))
+            return np.sqrt(d * (u[:, 0] + n1))
 
-            a_s = jdet_sqrt(sb)
-            a_z = jdet_sqrt(zb)
-            sbar = sb / a_s[:, None]
-            zbar = zb / a_z[:, None]
-            gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
-            jz = zbar.copy()
-            jz[:, 1:] *= -1.0
-            self.soc_wbar = (sbar + jz) / (2.0 * gamma[:, None])
-            self.soc_eta = np.sqrt(a_s / a_z)
-            scale = np.sqrt(a_s * a_z)
-            lam_soc = dims.soc_view(lam)
-            lam_soc[:, 0] = scale * gamma
-            denom = sbar[:, 0] + zbar[:, 0] + 2.0 * gamma
-            lam_soc[:, 1:] = (scale / denom)[:, None] * (
-                (gamma + zbar[:, 0])[:, None] * sbar[:, 1:]
-                + (gamma + sbar[:, 0])[:, None] * zbar[:, 1:]
-            )
-        else:
-            self.soc_wbar = np.zeros((0, 0))
-            self.soc_eta = np.zeros(0)
+        a_s = jdet_sqrt(sb)
+        a_z = jdet_sqrt(zb)
+        sbar = sb / a_s[:, None]
+        zbar = zb / a_z[:, None]
+        gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
+        jz = zbar.copy()
+        jz[:, 1:] *= -1.0
+        self.soc_wbar = (sbar + jz) / (2.0 * gamma[:, None])
+        self.soc_eta = np.sqrt(a_s / a_z)
+        scale = np.sqrt(a_s * a_z)
+        lam_soc = dims.soc_view(lam)
+        lam_soc[:, 0] = scale * gamma
+        denom = sbar[:, 0] + zbar[:, 0] + 2.0 * gamma
+        lam_soc[:, 1:] = (scale / denom)[:, None] * (
+            (gamma + zbar[:, 0])[:, None] * sbar[:, 1:]
+            + (gamma + sbar[:, 0])[:, None] * zbar[:, 1:]
+        )
         self.lam = lam
 
     @staticmethod
@@ -297,50 +247,38 @@ class NTScaling:
         out = np.empty_like(v)
         l = self.dims.orthant
         out[:l] = self.w_orth * v[:l]
-        if self.dims.socs:
-            vb = self.dims.soc_view(v)
-            self.dims.soc_view(out)[:] = self.soc_eta[:, None] * self._m_apply_stack(
-                self.soc_wbar, vb
-            )
+        vb = self.dims.soc_view(v)
+        self.dims.soc_view(out)[:] = self.soc_eta[:, None] * self._m_apply_stack(self.soc_wbar, vb)
         return out
 
     def apply_Winv(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         l = self.dims.orthant
         out[:l] = v[:l] / self.w_orth
-        if self.dims.socs:
-            jw = self.soc_wbar.copy()
-            jw[:, 1:] *= -1.0
-            vb = self.dims.soc_view(v)
-            self.dims.soc_view(out)[:] = self._m_apply_stack(jw, vb) / self.soc_eta[:, None]
+        jw = self.soc_wbar.copy()
+        jw[:, 1:] *= -1.0
+        vb = self.dims.soc_view(v)
+        self.dims.soc_view(out)[:] = self._m_apply_stack(jw, vb) / self.soc_eta[:, None]
         return out
 
     def apply_W2(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
         l = self.dims.orthant
         out[:l] = self.w2_orth * v[:l]
-        if self.dims.socs:
-            vb = self.dims.soc_view(v)
-            dot = np.einsum("ij,ij->i", self.soc_wbar, vb)
-            jv = vb.copy()
-            jv[:, 1:] *= -1.0
-            self.dims.soc_view(out)[:] = (self.soc_eta**2)[:, None] * (
-                2.0 * dot[:, None] * self.soc_wbar - jv
-            )
+        vb = self.dims.soc_view(v)
+        dot = np.einsum("ij,ij->i", self.soc_wbar, vb)
+        jv = vb.copy()
+        jv[:, 1:] *= -1.0
+        self.dims.soc_view(out)[:] = (self.soc_eta**2)[:, None] * (
+            2.0 * dot[:, None] * self.soc_wbar - jv
+        )
         return out
 
     def w2_soc_stack(self) -> np.ndarray:
-        """Stacked dense W^2 blocks, shape (n_blocks, q, q)."""
-        if not self.dims.socs:
-            return np.zeros((0, 0, 0))
-        q = self.dims.uniform_q
-        j = np.diag(np.concatenate(([1.0], -np.ones(q - 1))))
+        """Dense W^2 blocks eta^2 (2 wbar wbar' - J), shape (n_socs, 3, 3)."""
+        j = np.diag([1.0, -1.0, -1.0])
         outer = self.soc_wbar[:, :, None] * self.soc_wbar[:, None, :]
         return (self.soc_eta**2)[:, None, None] * (2.0 * outer - j)
-
-    def w2_soc_blocks(self):
-        """Dense W^2 matrices of the SOC blocks (eta^2 * (2 wbar wbar' - J))."""
-        return list(self.w2_soc_stack())
 
 
 # --- KKT factorization -------------------------------------------------------
@@ -395,13 +333,11 @@ class KktSolver:
         dims = form.dims
         w_rows.append(np.arange(n + p, n + p + dims.orthant))
         w_cols.append(np.arange(n + p, n + p + dims.orthant))
-        if dims.socs:
-            # dense q x q blocks, block after block, each row-major
-            q = dims.uniform_q
-            starts = n + p + dims.orthant + q * np.arange(dims.n_socs)
-            rr, cc = np.divmod(np.arange(q * q), q)
-            w_rows.append((starts[:, None] + rr).ravel())
-            w_cols.append((starts[:, None] + cc).ravel())
+        # dense 3 x 3 blocks, block after block, each row-major
+        starts = n + p + dims.orthant + 3 * np.arange(dims.n_socs)
+        rr, cc = np.divmod(np.arange(9), 3)
+        w_rows.append((starts[:, None] + rr).ravel())
+        w_cols.append((starts[:, None] + cc).ravel())
         w_rows = np.concatenate(w_rows).astype(np.int64)
         w_cols = np.concatenate(w_cols).astype(np.int64)
 
@@ -427,17 +363,11 @@ class KktSolver:
             self._splu_cols = None
 
     def _w_values(self, scaling: NTScaling, reg: float) -> np.ndarray:
-        n, p = self.n, self.p
-        parts = [np.full(n, reg)]
-        if p:
-            parts.append(np.full(p, -reg))
-        parts.append(-(scaling.w2_orth + reg))
-        if self.form.dims.socs:
-            stack = -scaling.w2_soc_stack()
-            q = self.form.dims.uniform_q
-            stack[:, np.arange(q), np.arange(q)] -= reg
-            parts.append(stack.ravel())
-        return np.concatenate(parts)
+        stack = -scaling.w2_soc_stack()
+        stack[:, np.arange(3), np.arange(3)] -= reg
+        return np.concatenate(
+            [np.full(self.n, reg), np.full(self.p, -reg), -(scaling.w2_orth + reg), stack.ravel()]
+        )
 
     def _factor_at(self, reg: float) -> None:
         w_vals = self._w_values(self.scaling, reg)

@@ -38,13 +38,15 @@ from .errors import (
 )
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
-from .opf import OpfLayout, PfTemplate, pf_template
-from .physics import injection_matrix
+from .opf import OpfLayout, PfTemplate, pf_template, project_onto_circles, tightness_report
 
 N_GEN = 2
 N_STO = 2
 N_RES = 2
 UNIT_BLOCKS = ("p_t", "p_s", "p_r", "delta", "sigma", "ps_pos", "ps_neg", "u_soft", "o_soft", "x_next")
+
+_SOLVER_TOL = 1e-8
+_RESTORE_THRESHOLD = 1e-9
 
 _CONFIG_KEYS = (
     "c0", "c1", "c2", "c3", "c4", "c5", "c6", "gamma", "horizon", "ts_hours",
@@ -641,16 +643,13 @@ def run_closed_loop(
     variant: str,
     steps: int,
     model: DataDrivenLineModel | None = None,
-    strategy: str = "branch_and_bound",
-    solver_tol: float = 1e-8,
-    use_hint: bool = True,
-    restore_threshold: float = 1e-9,
 ) -> ClosedLoopResult:
     """Receding-horizon simulation: build, solve, apply first move, record.
 
-    The plant is exactly the prediction physics. The circle-equality variant
-    ('dd') projects its first move onto the circles whenever the relaxation
-    left any residual above `restore_threshold`.
+    Each step runs branch & bound, seeded with the previous plan's shifted
+    commitments. The plant is exactly the prediction physics. The
+    circle-equality variant ('dd') projects its first move onto the circles
+    whenever the relaxation left any residual above _RESTORE_THRESHOLD.
     """
     if profiles.length < steps:
         raise ForecastTooShort(f"profiles cover {profiles.length} steps, run needs {steps}")
@@ -665,7 +664,7 @@ def run_closed_loop(
         prog, layout = build_mpc_step(config, grid, variant, state, window, model, template)
         t0 = time.perf_counter()
         sol = solve_mixed_binary(
-            prog, strategy=strategy, tol=solver_tol, incumbent_hint=hint if use_hint else None
+            prog, strategy="branch_and_bound", tol=_SOLVER_TOL, incumbent_hint=hint
         )
         if sol.status != "optimal":
             raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
@@ -675,17 +674,10 @@ def run_closed_loop(
         phi0 = x_full[layout.pf_slice("phi", 0)].copy()
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
         p_g0 = x_full[layout.pf_slice("p_g", 0)].copy()
-        resid = 1.0 - (
-            phi0[cos_indices(n_pairs)] ** 2 + phi0[sin_indices(n_pairs)] ** 2
-        )
-        tight = float(np.max(np.abs(resid))) if n_pairs else 0.0
-
-        if variant == "dd" and tight > restore_threshold:
-            phi0, p_e0, p_g0 = _project_first_move(grid, model, phi0)
-            resid = 1.0 - (
-                phi0[cos_indices(n_pairs)] ** 2 + phi0[sin_indices(n_pairs)] ** 2
-            )
-            tight = float(np.max(np.abs(resid)))
+        tight = tightness_report(phi0, n_pairs).max_residual
+        if variant == "dd" and tight > _RESTORE_THRESHOLD:
+            phi0, _, p_e0, p_g0 = project_onto_circles(variant, grid, model, phi0)
+            tight = tightness_report(phi0, n_pairs).max_residual
         # the restoration step belongs to the circle-equality variant's solve
         solve_time = time.perf_counter() - t0
 
@@ -727,10 +719,9 @@ def run_closed_loop(
             )
         )
 
-        if use_hint:
-            deltas = [np.round(x_full[layout.unit_slice("delta", h)]) for h in range(1, H)]
-            deltas.append(deltas[-1] if deltas else delta)
-            hint = tuple(float(v) for d in deltas for v in d)
+        deltas = [np.round(x_full[layout.unit_slice("delta", h)]) for h in range(1, H)]
+        deltas.append(deltas[-1] if deltas else delta)
+        hint = tuple(float(v) for d in deltas for v in d)
         state = step_plant(config, state, p_s, delta)
 
     return ClosedLoopResult(variant=variant, config=config, grid=grid, records=records, x_final=state.x)
@@ -743,22 +734,6 @@ def _edge_angles(grid: Grid, layout: MpcLayout, phi0: np.ndarray) -> np.ndarray:
     theta_pairs = np.arctan2(s, c)
     cols = [pairs.index(e) for e in grid.edges]
     return theta_pairs[cols]
-
-
-def _project_first_move(grid, model, phi):
-    phi = phi.copy()
-    n_pairs = (phi.size - 1) // 2
-    ci, si = cos_indices(n_pairs), sin_indices(n_pairs)
-    radius = np.hypot(phi[ci], phi[si])
-    fix = radius < 1e-12
-    phi[ci[fix]], phi[si[fix]] = 1.0, 0.0
-    phi[ci[~fix]] /= radius[~fix]
-    phi[si[~fix]] /= radius[~fix]
-    phi[0] = 1.0
-    alpha = model.phi_pinv() @ phi
-    p_e = model.H_pe @ alpha
-    p_g = injection_matrix(grid) @ p_e
-    return phi, p_e, p_g
 
 
 # --- audits ---------------------------------------------------------------------

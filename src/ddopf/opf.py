@@ -262,82 +262,67 @@ def pf_template(
     variant: str,
     model: DataDrivenLineModel | None = None,
 ) -> PfTemplate:
-    """Equality rows tying [alpha | phi | p_e | p_g] together for one time step."""
+    """Equality rows tying [alpha | phi | p_e | p_g] together for one time step.
+
+    Row blocks, top to bottom: the lifted Hankel rows H_phi alpha = phi (dd
+    variants); one flow row per line direction, H_pe alpha = p_e or the line
+    physics (reference); one injection row per node, H_pg alpha = p_g
+    (dd-generalized) or the nodal coupling p_g = M p_e; then phi_0 = 1.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n_pe = 2 * grid.n_edges
     n_pg = grid.n_nodes
-    m_inj = injection_matrix(grid)
-
-    if variant == "reference":
-        pairs = tuple(grid.edges)
-        layout = _make_layout(variant, grid, 0, pairs)
-        n_phi = 2 * len(pairs) + 1
-        cf, ct, cc, sc = edge_coeff_arrays(grid)
-        rows = sp.lil_matrix((n_pe + n_pg + 1, layout.n))
-        rhs = np.zeros(n_pe + n_pg + 1)
-        for l in range(grid.n_edges):
-            c_col = layout.phi.start + 1 + 2 * l
-            s_col = layout.phi.start + 2 + 2 * l
-            for d, (const, s_sign) in enumerate(((cf[l], 1.0), (ct[l], -1.0))):
-                r = 2 * l + d
-                rows[r, layout.p_e.start + r] = 1.0
-                rows[r, layout.phi.start] = -const
-                rows[r, c_col] = cc[l]
-                rows[r, s_col] = s_sign * sc[l]
-        _coupling_rows(rows, n_pe, m_inj, layout)
-        rows[n_pe + n_pg, layout.phi.start] = 1.0
-        rhs[n_pe + n_pg] = 1.0
-        return PfTemplate(variant, layout, rows.tocsr(), rhs, None)
-
-    if variant in ("dd", "dd-convex"):
-        pairs = tuple(grid.edges)
-        n_phi = 2 * len(pairs) + 1
-        _check_model(model, n_phi, n_pe, None)
-        n_alpha = model.n_columns
-        layout = _make_layout(variant, grid, n_alpha, pairs)
-        hank = sp.lil_matrix((n_phi + n_pe + n_pg + 1, layout.n))
-        rhs = np.zeros(n_phi + n_pe + n_pg + 1)
-        hank[:n_phi, layout.alpha] = model.H_phi
-        hank[n_phi : n_phi + n_pe, layout.alpha] = model.H_pe
-        for k in range(n_phi):
-            hank[k, layout.phi.start + k] = -1.0
-        for k in range(n_pe):
-            hank[n_phi + k, layout.p_e.start + k] = -1.0
-        _coupling_rows(hank, n_phi + n_pe, m_inj, layout)
-        hank[n_phi + n_pe + n_pg, layout.phi.start] = 1.0
-        rhs[n_phi + n_pe + n_pg] = 1.0
-        return PfTemplate(variant, layout, hank.tocsr(), rhs, model)
-
-    # dd-generalized
-    pairs = tuple(all_node_pairs(grid))
+    general = variant == "dd-generalized"
+    pairs = tuple(all_node_pairs(grid) if general else grid.edges)
     n_phi = 2 * len(pairs) + 1
-    _check_model(model, n_phi, n_pe, n_pg)
-    n_alpha = model.n_columns
-    layout = _make_layout(variant, grid, n_alpha, pairs)
-    hank = sp.lil_matrix((n_phi + n_pe + n_pg + 1, layout.n))
-    rhs = np.zeros(n_phi + n_pe + n_pg + 1)
-    hank[:n_phi, layout.alpha] = model.H_phi
-    hank[n_phi : n_phi + n_pe, layout.alpha] = model.H_pe
-    hank[n_phi + n_pe : n_phi + n_pe + n_pg, layout.alpha] = model.H_pg
-    for k in range(n_phi):
-        hank[k, layout.phi.start + k] = -1.0
-    for k in range(n_pe):
-        hank[n_phi + k, layout.p_e.start + k] = -1.0
-    for k in range(n_pg):
-        hank[n_phi + n_pe + k, layout.p_g.start + k] = -1.0
-    hank[n_phi + n_pe + n_pg, layout.phi.start] = 1.0
-    rhs[n_phi + n_pe + n_pg] = 1.0
-    return PfTemplate(variant, layout, hank.tocsr(), rhs, model)
+    if variant == "reference":
+        model = None
+    else:
+        _check_model(model, n_phi, n_pe, n_pg if general else None)
+    layout = _make_layout(variant, grid, 0 if model is None else model.n_columns, pairs)
+    rows, cols, vals = [], [], []
 
+    def add(row0: int, col0: int, block: np.ndarray) -> None:
+        # only the nonzeros are stored
+        r, c = np.nonzero(block)
+        rows.append(row0 + r)
+        cols.append(col0 + c)
+        vals.append(block[r, c])
 
-def _coupling_rows(mat, row0: int, m_inj: np.ndarray, layout: OpfLayout):
-    n_pg, n_pe = m_inj.shape
-    for i in range(n_pg):
-        mat[row0 + i, layout.p_g.start + i] = 1.0
-        for k in range(n_pe):
-            if m_inj[i, k]:
-                mat[row0 + i, layout.p_e.start + k] = -m_inj[i, k]
+    row = 0
+    if model is None:
+        # p_e = const - cc cos -/+ sc sin, from and to end of each line
+        cf, ct, cc, sc = edge_coeff_arrays(grid)
+        k = np.arange(n_pe)
+        line = k // 2
+        flow = np.zeros((n_pe, n_phi))
+        flow[:, 0] = -np.column_stack([cf, ct]).ravel()
+        flow[k, 1 + 2 * line] = cc[line]
+        flow[k, 2 + 2 * line] = np.tile([1.0, -1.0], grid.n_edges) * sc[line]
+        add(row, layout.phi.start, flow)
+        add(row, layout.p_e.start, np.eye(n_pe))
+        row += n_pe
+    else:
+        hankel = [(model.H_phi, layout.phi), (model.H_pe, layout.p_e)]
+        if general:
+            hankel.append((model.H_pg, layout.p_g))
+        for block, target in hankel:
+            add(row, layout.alpha.start, block)
+            add(row, target.start, -np.eye(block.shape[0]))
+            row += block.shape[0]
+    if not general:
+        add(row, layout.p_g.start, np.eye(n_pg))
+        add(row, layout.p_e.start, -injection_matrix(grid))
+        row += n_pg
+    add(row, layout.phi.start, np.ones((1, 1)))
+    row += 1
+    rhs = np.zeros(row)
+    rhs[-1] = 1.0
+    eq = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(row, layout.n)
+    )
+    return PfTemplate(variant, layout, eq, rhs, model)
 
 
 # --- program builders ----------------------------------------------------------
@@ -537,17 +522,17 @@ def solve_opf(
     return sol
 
 
-def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
-    """Project the (cos, sin) pairs onto their circles and re-derive the rest.
+def project_onto_circles(
+    variant: str, grid: Grid, model: DataDrivenLineModel | None, phi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Project the (cos, sin) pairs of phi onto their circles: (phi, alpha, p_e, p_g).
 
-    alpha is re-solved minimum-norm for the projected phi; p_e and p_g follow
-    from the variant's representation. Raises ProjectionInfeasible when the
-    projected point violates the application constraints beyond feas_tol.
+    alpha is the minimum-norm combination for the projected phi (None for
+    the reference variant); p_e and p_g follow from the variant's
+    representation. A (0, 0) pair has no direction and maps to angle 0.
     """
-    t0 = time.perf_counter()
-    layout = sol.layout
-    n_pairs = len(layout.pairs)
-    phi = sol.phi.copy()
+    phi = phi.copy()
+    n_pairs = (phi.size - 1) // 2
     ci, si = cos_indices(n_pairs), sin_indices(n_pairs)
     radius = np.hypot(phi[ci], phi[si])
     degenerate = radius < 1e-12
@@ -563,23 +548,30 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
     phi[si[ok]] /= radius[ok]
     phi[0] = 1.0
 
-    model = sol.model
-    if sol.variant == "reference":
-        cf, ct, cc, sc = edge_coeff_arrays(sol.grid)
+    if variant == "reference":
+        cf, ct, cc, sc = edge_coeff_arrays(grid)
         c, s = phi[ci], phi[si]
-        p_e = np.empty(2 * sol.grid.n_edges)
+        p_e = np.empty(2 * grid.n_edges)
         p_e[0::2] = cf - cc * c - sc * s
         p_e[1::2] = ct - cc * c + sc * s
-        p_g = injection_matrix(sol.grid) @ p_e
-        alpha = None
+        return phi, None, p_e, injection_matrix(grid) @ p_e
+    alpha = model.phi_pinv() @ phi
+    p_e = model.H_pe @ alpha
+    if variant == "dd-generalized":
+        p_g = model.H_pg @ alpha
     else:
-        alpha = model.phi_pinv() @ phi
-        p_e = model.H_pe @ alpha
-        if sol.variant == "dd-generalized":
-            p_g = model.H_pg @ alpha
-        else:
-            p_g = injection_matrix(sol.grid) @ p_e
+        p_g = injection_matrix(grid) @ p_e
+    return phi, alpha, p_e, p_g
 
+
+def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
+    """Project the (cos, sin) pairs onto their circles and re-derive the rest.
+
+    See project_onto_circles. Raises ProjectionInfeasible when the projected
+    point violates the application constraints beyond feas_tol.
+    """
+    t0 = time.perf_counter()
+    phi, alpha, p_e, p_g = project_onto_circles(sol.variant, sol.grid, sol.model, sol.phi)
     if sol.app is not None:
         violation = sol.app.max_violation(phi, p_e, p_g)
         if violation > feas_tol:
@@ -587,6 +579,7 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
                 f"projected point violates application constraints by {violation:.3e}"
             )
 
+    n_pairs = len(sol.layout.pairs)
     return OpfSolution(
         variant=sol.variant,
         p_e=p_e,
@@ -600,10 +593,10 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
         tightness=tightness_report(phi, n_pairs, sol.tightness.tol),
         solve_time=sol.solve_time + (time.perf_counter() - t0),
         grid=sol.grid,
-        model=model,
+        model=sol.model,
         app=sol.app,
         objective_spec=sol.objective_spec,
-        layout=layout,
+        layout=sol.layout,
         raw=sol.raw,
         restored=True,
     )

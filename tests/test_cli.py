@@ -1,9 +1,12 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from ddopf.cli import main
+from ddopf.cli import build_parser, main
 from ddopf.grid import save_grid
 from ddopf.microgrid import default_config, default_grid, save_config
+from ddopf.opf import VARIANTS
 
 
 @pytest.fixture()
@@ -57,6 +60,23 @@ def make_data(grid_file, tmp_path, mode="per-edge", n=9):
         "--mode", mode, "--out", out,
     ]) == 0
     return out
+
+
+class TestParser:
+    def test_variant_choices_are_the_package_variants(self):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in ("solve-opf", "run-mpc"):
+            flag = next(a for a in sub.choices[command]._actions if a.dest == "variant")
+            assert tuple(flag.choices) == VARIANTS
+
+    def test_no_objective_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["solve-opf", "--grid", "g.yaml", "--out", "o.csv", "--objective", "losses"]
+            )
+        assert "unrecognized arguments: --objective" in capsys.readouterr().err
 
 
 class TestSolveOpf:

@@ -25,24 +25,23 @@ def random_cone_point(rng, dims, margin=0.5):
     """Random strictly interior point of the cone."""
     v = np.empty(dims.total)
     v[: dims.orthant] = rng.uniform(margin, 3.0, size=dims.orthant)
-    for sl in dims.soc_slices():
-        tail = rng.normal(size=sl.stop - sl.start - 1)
-        v[sl.start + 1 : sl.stop] = tail
-        v[sl.start] = np.linalg.norm(tail) + rng.uniform(margin, 2.0)
+    for cone in dims.soc_view(v):
+        cone[1:] = rng.normal(size=2)
+        cone[0] = np.linalg.norm(cone[1:]) + rng.uniform(margin, 2.0)
     return v
 
 
 class TestConeAlgebra:
-    dims = ConeDims(orthant=4, socs=(5, 5))
-    mixed = ConeDims(orthant=2, socs=(3, 5))
+    dims = ConeDims(orthant=4, n_socs=2)
+    cones_only = ConeDims(orthant=0, n_socs=3)
 
     def test_jordan_identity_element(self, rng):
-        for dims in (self.dims, self.mixed):
+        for dims in (self.dims, self.cones_only):
             u = random_cone_point(rng, dims)
             np.testing.assert_allclose(jprod(dims, cone_e(dims), u), u, atol=1e-14)
 
     def test_division_inverts_product(self, rng):
-        for dims in (self.dims, self.mixed):
+        for dims in (self.dims, self.cones_only):
             lam = random_cone_point(rng, dims)
             w = rng.normal(size=dims.total)
             x = jdiv(dims, lam, w)
@@ -68,22 +67,22 @@ class TestConeAlgebra:
         s = random_cone_point(rng, self.dims)
         z = random_cone_point(rng, self.dims)
         sc = NTScaling(self.dims, s, z)
-        blocks = sc.w2_soc_blocks()
-        for blk, sl in zip(blocks, self.dims.soc_slices()):
+        for k, blk in enumerate(sc.w2_soc_stack()):
             v = rng.normal(size=self.dims.total)
-            np.testing.assert_allclose(blk @ v[sl], sc.apply_W2(v)[sl], atol=1e-10)
+            np.testing.assert_allclose(
+                blk @ self.dims.soc_view(v)[k], self.dims.soc_view(sc.apply_W2(v))[k], atol=1e-10
+            )
 
     def test_max_step_is_boundary(self, rng):
-        # besides the two wider shapes, the 3-dimensional cones the package
-        # poses, with points as close as 1e-9 * u0 to the boundary
-        balls = ConeDims(orthant=6, socs=(3,) * 8)
+        # the third shape has points as close as 1e-9 * u0 to the boundary
+        balls = ConeDims(orthant=6, n_socs=8)
         for trial in range(150):
-            dims = (self.mixed, self.dims, balls)[trial % 3]
+            dims = (self.cones_only, self.dims, balls)[trial % 3]
             u = random_cone_point(rng, dims)
             if dims is balls:
-                for sl in dims.soc_slices():
+                for cone in dims.soc_view(u):
                     gap = 10.0 ** rng.uniform(-9.0, -1.0)
-                    u[sl.start] = np.linalg.norm(u[sl.start + 1 : sl.stop]) / (1.0 - gap)
+                    cone[0] = np.linalg.norm(cone[1:]) / (1.0 - gap)
             du = rng.normal(size=dims.total)
             alpha = max_step(dims, u, du)
             if math.isinf(alpha):
@@ -98,11 +97,11 @@ class TestKktSolver:
     # the last case is above the dense limit: the sparse path, whose second
     # factorization reuses the column order the first one chose
     @pytest.mark.parametrize(
-        "n,p,orth,socs",
-        [(4, 2, 3, (3,)), (8, 3, 6, (5, 5)), (100, 30, 50, (3,) * 30)],
+        "n,p,orth,n_socs",
+        [(4, 2, 3, 1), (8, 3, 6, 3), (100, 30, 50, 30)],
     )
-    def test_solve_matches_dense_assembly(self, rng, n, p, orth, socs):
-        dims = ConeDims(orthant=orth, socs=socs)
+    def test_solve_matches_dense_assembly(self, rng, n, p, orth, n_socs):
+        dims = ConeDims(orthant=orth, n_socs=n_socs)
         m = dims.total
         A = sp.csr_matrix(rng.normal(size=(p, n)))
         G = sp.csr_matrix(rng.normal(size=(m, n)))
@@ -144,7 +143,7 @@ class TestStandardForm:
         )
         form = standard_form(prog)
         assert form.dims.orthant == 4
-        assert form.dims.socs == (3,)
+        assert form.dims.n_socs == 1
         np.testing.assert_array_equal(
             form.G.toarray(),
             [
@@ -162,7 +161,7 @@ class TestStandardForm:
     def test_placeholder_row_without_cone_rows(self):
         form = standard_form(ConicProgram.build(c=[1.0, -1.0], A_eq=[[1.0, 1.0]], b_eq=[2.0]))
         assert form.dims.orthant == 1
-        assert form.dims.socs == ()
+        assert form.dims.n_socs == 0
         np.testing.assert_array_equal(form.G.toarray(), [[0.0, 0.0]])
         np.testing.assert_array_equal(form.h, [1.0])
 

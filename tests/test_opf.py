@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddopf.behavior import DataDrivenLineModel, cos_indices, sin_indices
+from ddopf.behavior import DataDrivenLineModel, cos_indices, lift_grid, sin_indices
 from ddopf.errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from ddopf.excitation import generate_excitation
 from ddopf.grid import Grid, LineParams
@@ -12,11 +12,12 @@ from ddopf.opf import (
     build_generalized_dd_opf,
     build_reference_opf,
     demand_instance,
+    pf_template,
     restore_tightness,
     solve_opf,
     tightness_report,
 )
-from ddopf.physics import solve_radial_pf
+from ddopf.physics import grid_line_powers, injections_from_flows, solve_radial_pf
 
 
 def five_bus():
@@ -78,6 +79,37 @@ class TestBuilders:
         for k in phantom:
             np.testing.assert_allclose(gain[:, 1 + 2 * k], 0.0, atol=1e-7)
             np.testing.assert_allclose(gain[:, 2 + 2 * k], 0.0, atol=1e-7)
+
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_template_rows_hold_at_consistent_points(self, variant, rng):
+        # reference: random angles through the line physics; dd variants:
+        # every training column, alpha = e_j
+        model = model_for(variant)
+        tpl = pf_template(GRID, variant, model)
+        layout = tpl.layout
+        points = []
+        if model is None:
+            for _ in range(5):
+                theta = rng.uniform(-0.5, 0.5, size=GRID.n_edges)
+                x = np.zeros(layout.n)
+                x[layout.phi] = lift_grid(GRID, theta)
+                x[layout.p_e] = grid_line_powers(GRID, theta)
+                x[layout.p_g] = injections_from_flows(GRID, x[layout.p_e])
+                points.append(x)
+        else:
+            for j in range(model.n_columns):
+                x = np.zeros(layout.n)
+                x[layout.alpha.start + j] = 1.0
+                x[layout.phi] = model.H_phi[:, j]
+                x[layout.p_e] = model.H_pe[:, j]
+                if variant == "dd-generalized":
+                    x[layout.p_g] = model.H_pg[:, j]
+                else:
+                    x[layout.p_g] = injections_from_flows(GRID, model.H_pe[:, j])
+                points.append(x)
+        for x in points:
+            np.testing.assert_allclose(tpl.eq @ x, tpl.eq_rhs, rtol=0.0, atol=1e-12)
 
 
 PAIR_MODEL_PAIRS = tuple(
