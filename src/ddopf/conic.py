@@ -168,6 +168,22 @@ class MixedBinaryProgram:
 
 
 @dataclass
+class SolveStats:
+    """Work counts of one convex solve; they never change a computed number.
+
+    factorizations counts LU factorizations, retries at a larger
+    regularization included; kkt_solves counts KKT solve calls, refinements
+    the iterative-refinement passes over all of them, and reg_bumps the
+    retries at a larger regularization after a non-finite solve.
+    """
+
+    factorizations: int = 0
+    kkt_solves: int = 0
+    refinements: int = 0
+    reg_bumps: int = 0
+
+
+@dataclass
 class Solution:
     """Solver output; status 'optimal' certifies the KKT residuals <= tol."""
 
@@ -180,6 +196,7 @@ class Solution:
     dual_objective: float | None = None
     binary_values: tuple[float, ...] | None = None
     node_count: int | None = None
+    stats: SolveStats | None = None  # of the convex solve that produced x
 
 
 def check_feasibility(prog: ConicProgram, x: np.ndarray, include_equalities: bool = True) -> float:

@@ -21,18 +21,21 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .conic import ConicProgram, Solution
+from .conic import ConicProgram, Solution, SolveStats
 from .errors import NumericalBreakdown
 
 _STEP = 0.99
 _DENSE_LIMIT = 260
+# static KKT regularization, and the cap of its retry ladder (x1e3 per retry)
+_REG = 1e-14
+_REG_MAX = 1e-4
 
 
 class ConeDims:
@@ -287,20 +290,19 @@ class NTScaling:
 class KktSolver:
     """Factor/solve of the 3x3 block system [0 A' G'; A 0 0; G 0 -W^2].
 
-    Static regularization (+reg on the x block, -reg on y and z) keeps the
-    factorization stable; iterative refinement against the unregularized
-    operator removes its effect.
+    Both LU paths pivot, so a nonsingular KKT matrix needs no diagonal
+    shift. The static regularization _REG (+ on the x block, - on y and z)
+    only keeps structurally singular systems factorizable, such as redundant
+    equalities or a variable in no row; iterative refinement against the
+    unregularized operator removes its effect.
 
     Every matrix one solver factors has the same sparsity pattern. The sparse
     path therefore orders the columns once, with COLAMD on the first matrix,
     and factors every later matrix in that column order with no reordering.
     """
 
-    _REG_MAX = 1e-4
-
-    def __init__(self, form: StandardForm, reg: float = 1e-10):
+    def __init__(self, form: StandardForm):
         self.form = form
-        self.reg = reg
         n, p, m = form.c.size, form.b.size, form.h.size
         self.n, self.p, self.m = n, p, m
         self.dim = n + p + m
@@ -361,6 +363,9 @@ class KktSolver:
             self._cols = None
             self._splu = None
             self._splu_cols = None
+        # counts of LU factorizations, solve calls, refinement passes and
+        # regularization bumps over the solver's lifetime
+        self.stats = SolveStats()
 
     def _w_values(self, scaling: NTScaling, reg: float) -> np.ndarray:
         stack = -scaling.w2_soc_stack()
@@ -370,6 +375,7 @@ class KktSolver:
         )
 
     def _factor_at(self, reg: float) -> None:
+        self.stats.factorizations += 1
         w_vals = self._w_values(self.scaling, reg)
         if self.dense:
             mat = self._base.copy()
@@ -406,7 +412,7 @@ class KktSolver:
 
     def factor(self, scaling: NTScaling) -> None:
         self.scaling = scaling
-        self._current_reg = self.reg
+        self._current_reg = _REG
         self._factor_at(self._current_reg)
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -433,16 +439,19 @@ class KktSolver:
     def solve(self, rx: np.ndarray, ry: np.ndarray, rz: np.ndarray):
         """Solve against the exact operator via the regularized factorization.
 
-        A singular or non-finite factorization bumps the regularization and
-        refactors; iterative refinement then removes the perturbation.
+        A singular or non-finite factorization bumps the regularization
+        (x1e3 per retry, at most _REG_MAX) and refactors; iterative
+        refinement then removes the perturbation.
         """
+        self.stats.kkt_solves += 1
         rhs = np.concatenate([rx, ry, rz])
         scale = max(1.0, float(np.max(np.abs(rhs))))
         sol = self._raw_solve(rhs)
         while not np.all(np.isfinite(sol)):
-            if self._current_reg >= self._REG_MAX:
+            if self._current_reg >= _REG_MAX:
                 raise FloatingPointError("KKT factorization unusable at maximum regularization")
-            self._current_reg *= 1e3
+            self._current_reg = min(self._current_reg * 1e3, _REG_MAX)
+            self.stats.reg_bumps += 1
             self._factor_at(self._current_reg)
             sol = self._raw_solve(rhs)
         best_resid = math.inf
@@ -452,6 +461,7 @@ class KktSolver:
             if err <= 1e-12 * scale or err >= best_resid:
                 break
             best_resid = err
+            self.stats.refinements += 1
             sol = sol + self._raw_solve(resid)
         n, p = self.n, self.p
         return sol[:n], sol[n : n + p], sol[n + p :]
@@ -480,7 +490,6 @@ def solve_convex(
     prog: ConicProgram,
     tol: float = 1e-8,
     max_iter: int = 100,
-    reg: float = 1e-10,
 ) -> Solution:
     """Solve the conic program; see Solution.status for the outcome class.
 
@@ -496,7 +505,7 @@ def solve_convex(
     n, p, m = form.c.size, form.b.size, form.h.size
     nu = dims.degree + 1
 
-    kkt = KktSolver(form, reg=reg)
+    kkt = KktSolver(form)
     x, y, z, s = _initial_point(kkt, form)
     tau, kappa = 1.0, 1.0
 
@@ -526,6 +535,7 @@ def solve_convex(
             solve_time=time.perf_counter() - t0,
             iterations=iters,
             dual_objective=dcost,
+            stats=replace(kkt.stats),
         )
 
     for it in range(max_iter + 1):

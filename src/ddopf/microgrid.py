@@ -46,7 +46,6 @@ N_RES = 2
 UNIT_BLOCKS = ("p_t", "p_s", "p_r", "delta", "sigma", "ps_pos", "ps_neg", "u_soft", "o_soft", "x_next")
 
 _SOLVER_TOL = 1e-8
-_RESTORE_THRESHOLD = 1e-9
 
 _CONFIG_KEYS = (
     "c0", "c1", "c2", "c3", "c4", "c5", "c6", "gamma", "horizon", "ts_hours",
@@ -648,8 +647,8 @@ def run_closed_loop(
 
     Each step runs branch & bound, seeded with the previous plan's shifted
     commitments. The plant is exactly the prediction physics. The
-    circle-equality variant ('dd') projects its first move onto the circles
-    whenever the relaxation left any residual above _RESTORE_THRESHOLD.
+    circle-equality variant ('dd') projects every first move onto the
+    circles, as opf.solve_opf does.
     """
     if profiles.length < steps:
         raise ForecastTooShort(f"profiles cover {profiles.length} steps, run needs {steps}")
@@ -674,10 +673,9 @@ def run_closed_loop(
         phi0 = x_full[layout.pf_slice("phi", 0)].copy()
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
         p_g0 = x_full[layout.pf_slice("p_g", 0)].copy()
-        tight = tightness_report(phi0, n_pairs).max_residual
-        if variant == "dd" and tight > _RESTORE_THRESHOLD:
+        if variant == "dd":
             phi0, _, p_e0, p_g0 = project_onto_circles(variant, grid, model, phi0)
-            tight = tightness_report(phi0, n_pairs).max_residual
+        tight = tightness_report(phi0, n_pairs).max_residual
         # the restoration step belongs to the circle-equality variant's solve
         solve_time = time.perf_counter() - t0
 

@@ -131,7 +131,6 @@ def _branch_and_bound(
 ) -> Solution:
     base = prog.base
     bidx = list(prog.binary_indices)
-    pos = {v: k for k, v in enumerate(bidx)}
 
     incumbent: Solution | None = None
     incumbent_obj = math.inf

@@ -5,9 +5,12 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
+from ddopf.behavior import DataDrivenLineModel
 from ddopf.conic import ConicProgram, check_feasibility
+from ddopf.excitation import generate_excitation
 from ddopf.ipm import (
     _DENSE_LIMIT,
+    _REG_MAX,
     ConeDims,
     KktSolver,
     NTScaling,
@@ -18,6 +21,13 @@ from ddopf.ipm import (
     max_step,
     solve_convex,
     standard_form,
+)
+from ddopf.microgrid import (
+    build_mpc_step,
+    default_config,
+    default_grid,
+    generate_profiles,
+    initial_state,
 )
 
 
@@ -93,41 +103,117 @@ class TestConeAlgebra:
                 assert jmineig(dims, u + 1.01 * alpha * du + 1e-9 * du) <= 1e-7
 
 
-class TestKktSolver:
-    # the last case is above the dense limit: the sparse path, whose second
-    # factorization reuses the column order the first one chose
-    @pytest.mark.parametrize(
-        "n,p,orth,n_socs",
-        [(4, 2, 3, 1), (8, 3, 6, 3), (100, 30, 50, 30)],
+def random_kkt(rng, n, p, orth, n_socs):
+    """KktSolver over random dense A and G with the given cone layout."""
+    dims = ConeDims(orthant=orth, n_socs=n_socs)
+    m = dims.total
+    form = standard_form(ConicProgram.build(c=np.zeros(n)))
+    form.A = sp.csr_matrix(rng.normal(size=(p, n)))
+    form.G = sp.csr_matrix(rng.normal(size=(m, n)))
+    form.dims = dims
+    form.b, form.h = np.zeros(p), np.zeros(m)
+    form.c = np.zeros(n)
+    kkt = KktSolver(form)
+    assert kkt.dense == (n + p + m <= _DENSE_LIMIT)
+    return kkt
+
+
+def assert_matches_dense_assembly(rng, kkt, s, z):
+    """Factor at NT(s, z), solve one random right-hand side and compare
+    with np.linalg.solve on the explicitly assembled KKT matrix."""
+    form, dims = kkt.form, kkt.form.dims
+    n, p, m = kkt.n, kkt.p, kkt.m
+    sc = NTScaling(dims, s, z)
+    kkt.factor(sc)
+    rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)
+    dx, dy, dz = kkt.solve(rx, ry, rz)
+    A, G = form.A.toarray(), form.G.toarray()
+    w2 = np.column_stack([sc.apply_W2(col) for col in np.eye(m)])
+    K = np.block(
+        [
+            [np.zeros((n, n)), A.T, G.T],
+            [A, np.zeros((p, p)), np.zeros((p, m))],
+            [G, np.zeros((m, p)), -w2],
+        ]
     )
+    sol = np.linalg.solve(K, np.concatenate([rx, ry, rz]))
+    np.testing.assert_allclose(np.concatenate([dx, dy, dz]), sol, atol=1e-8)
+
+
+# the last case is above the dense limit: the sparse path, whose second
+# factorization reuses the column order the first one chose
+KKT_SHAPES = [(4, 2, 3, 1), (8, 3, 6, 3), (100, 30, 50, 30)]
+
+
+class TestKktSolver:
+    @pytest.mark.parametrize("n,p,orth,n_socs", KKT_SHAPES)
     def test_solve_matches_dense_assembly(self, rng, n, p, orth, n_socs):
-        dims = ConeDims(orthant=orth, n_socs=n_socs)
-        m = dims.total
-        A = sp.csr_matrix(rng.normal(size=(p, n)))
-        G = sp.csr_matrix(rng.normal(size=(m, n)))
-        form = standard_form(ConicProgram.build(c=np.zeros(n)))
-        form.A, form.G, form.dims = A, G, dims
-        form.b, form.h = np.zeros(p), np.zeros(m)
-        form.c = np.zeros(n)
-        kkt = KktSolver(form, reg=1e-10)
-        assert kkt.dense == (n + p + m <= _DENSE_LIMIT)
+        kkt = random_kkt(rng, n, p, orth, n_socs)
+        dims = kkt.form.dims
+        for _ in range(2):
+            assert_matches_dense_assembly(
+                rng, kkt, random_cone_point(rng, dims), random_cone_point(rng, dims)
+            )
+
+    @pytest.mark.parametrize("n,p,orth,n_socs", KKT_SHAPES[1:])
+    def test_ill_scaled_solve_matches_dense_assembly(self, rng, n, p, orth, n_socs):
+        # late-iteration scaling: orthant s/z spans 1e-8 to 1e8 and every
+        # SOC point lies within 1e-9 (relative) of the cone boundary
+        kkt = random_kkt(rng, n, p, orth, n_socs)
+        dims = kkt.form.dims
         for _ in range(2):
             s = random_cone_point(rng, dims)
             z = random_cone_point(rng, dims)
-            sc = NTScaling(dims, s, z)
-            kkt.factor(sc)
-            rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)
-            dx, dy, dz = kkt.solve(rx, ry, rz)
-            w2 = np.column_stack([sc.apply_W2(col) for col in np.eye(m)])
-            K = np.block(
-                [
-                    [np.zeros((n, n)), A.toarray().T, G.toarray().T],
-                    [A.toarray(), np.zeros((p, p)), np.zeros((p, m))],
-                    [G.toarray(), np.zeros((m, p)), -w2],
-                ]
-            )
-            sol = np.linalg.solve(K, np.concatenate([rx, ry, rz]))
-            np.testing.assert_allclose(np.concatenate([dx, dy, dz]), sol, atol=1e-8)
+            s[:orth] = 10.0 ** rng.uniform(-4.0, 4.0, size=orth)
+            z[:orth] = 10.0 ** rng.uniform(-4.0, 4.0, size=orth)
+            s[:2], z[:2] = [1e-4, 1e4], [1e4, 1e-4]
+            for u in (s, z):
+                for cone in dims.soc_view(u):
+                    cone[0] = np.linalg.norm(cone[1:]) / (1.0 - 10.0 ** rng.uniform(-12.0, -9.0))
+            ratio = s[:orth] / z[:orth]
+            assert ratio.min() == pytest.approx(1e-8) and ratio.max() == pytest.approx(1e8)
+            assert_matches_dense_assembly(rng, kkt, s, z)
+
+    @pytest.mark.parametrize("n_rows", [2, 200])
+    def test_structurally_singular_kkt_factors(self, rng, n_rows):
+        # the last variable is in no row and has zero cost: its KKT column
+        # holds only the static regularization (dense path, then sparse)
+        n = n_rows + 1
+        A_eq = np.hstack([rng.normal(size=(n_rows // 2, n_rows)), np.zeros((n_rows // 2, 1))])
+        prog = ConicProgram.build(
+            c=np.append(rng.normal(size=n_rows), 0.0),
+            A_eq=A_eq,
+            b_eq=np.zeros(n_rows // 2),
+            lb=np.append(-np.ones(n_rows), -np.inf),
+            ub=np.append(np.ones(n_rows), np.inf),
+        )
+        form = standard_form(prog)
+        kkt = KktSolver(form)
+        assert kkt.dense == (n_rows == 2)
+        e = cone_e(form.dims)
+        kkt.factor(NTScaling(form.dims, 2.0 * e, 2.0 * e))
+        parts = kkt.solve(rng.normal(size=n), rng.normal(size=form.b.size), rng.normal(size=form.h.size))
+        assert all(np.all(np.isfinite(v)) for v in parts)
+        assert kkt.stats.reg_bumps == 0
+        assert_optimal(solve_convex(prog))
+
+    def test_non_finite_solve_climbs_capped_ladder(self, rng, monkeypatch):
+        kkt = random_kkt(rng, 8, 3, 6, 3)
+        regs = []
+
+        def non_finite(rhs):
+            regs.append(kkt._current_reg)
+            return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(kkt, "_raw_solve", non_finite)
+        dims = kkt.form.dims
+        kkt.factor(NTScaling(dims, random_cone_point(rng, dims), random_cone_point(rng, dims)))
+        with pytest.raises(FloatingPointError):
+            kkt.solve(np.zeros(kkt.n), np.zeros(kkt.p), np.zeros(kkt.m))
+        assert regs == pytest.approx([1e-14, 1e-11, 1e-8, 1e-5, 1e-4], rel=1e-12)
+        assert max(regs) == _REG_MAX
+        assert kkt.stats.reg_bumps == 4
+        assert kkt.stats.factorizations == 5
 
 
 class TestStandardForm:
@@ -301,6 +387,31 @@ class TestKnownSocp:
         prog, _ = random_known_socp(rng)
         sol = solve_convex(prog, tol=1e-9)
         assert sol.dual_objective == pytest.approx(sol.objective, abs=1e-7)
+
+
+class TestSolveStats:
+    def test_counts_of_optimal_solve(self, rng):
+        prog, _ = random_known_socp(rng)
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        st = sol.stats
+        # one factorization for the initial point plus one per iteration;
+        # two initial solves plus three per iteration
+        assert st.factorizations == sol.iterations + 1
+        assert st.kkt_solves == 3 * sol.iterations + 2
+        assert st.reg_bumps == 0
+        assert 0 <= st.refinements <= 4 * st.kkt_solves
+
+    def test_case_study_node_refines_rarely(self):
+        # the root node of the case study's first dd-convex MPC step
+        grid, config = default_grid(), default_config()
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
+        window = generate_profiles(2024, 12, config).window(0, config.horizon)
+        prog, _ = build_mpc_step(config, grid, "dd-convex", initial_state(config), window, model)
+        sol = solve_convex(prog.base, tol=1e-8)
+        assert_optimal(sol)
+        assert sol.stats.factorizations == sol.iterations + 1
+        assert sol.stats.refinements <= 0.2 * sol.stats.kkt_solves
 
 
 def test_tolerance_not_met_reported():

@@ -226,6 +226,13 @@ class TestClosedLoop:
         assert audit.passed, audit.violations
         assert res.column("tightness").max() <= 1e-6
 
+    def test_dd_steps_are_projected_onto_circles(self):
+        # every dd first move is projected, as solve_opf projects every dd OPF
+        profiles = generate_profiles(7, 20, CFG)
+        res = run_closed_loop(CFG, GRID, profiles, "dd", steps=2, model=EDGE_MODEL)
+        assert res.steps == 2
+        assert res.column("tightness").max() <= 1e-12
+
     def test_energy_accounting_telescopes(self):
         profiles = generate_profiles(3, 20, CFG)
         res = run_closed_loop(CFG, GRID, profiles, "reference", steps=10)
