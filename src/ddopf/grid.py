@@ -264,28 +264,31 @@ def load_grid(path) -> Grid:
     entries = raw["lines"]
     if not isinstance(entries, list):
         raise SchemaError("grid config key 'lines' must be a list", column="lines")
-    edges = []
-    lines = {}
-    for k, entry in enumerate(entries):
-        if "nodes" not in entry:
-            raise SchemaError(f"line entry {k} missing 'nodes'", column="lines.nodes")
-        for req in ("g", "b"):
-            if req not in entry:
-                raise SchemaError(f"line entry {k} missing {req!r}", column=f"lines.{req}")
-        pair = normalize_edge(entry["nodes"])
-        edges.append(pair)
-        lines[pair] = LineParams(
-            g=float(entry["g"]),
-            b=float(entry["b"]),
-            g_shunt_from=float(entry.get("g_shunt_from", 0.0)),
-            b_shunt_from=float(entry.get("b_shunt_from", 0.0)),
-            g_shunt_to=float(entry.get("g_shunt_to", 0.0)),
-            b_shunt_to=float(entry.get("b_shunt_to", 0.0)),
-        )
-    voltages = raw.get("voltages")
-    if voltages is not None:
-        voltages = {int(k): float(v) for k, v in voltages.items()}
-    return Grid(raw["nodes"], canonical_edge_order(edges), lines, voltages)
+    try:
+        edges = []
+        lines = {}
+        for k, entry in enumerate(entries):
+            if "nodes" not in entry:
+                raise SchemaError(f"line entry {k} missing 'nodes'", column="lines.nodes")
+            for req in ("g", "b"):
+                if req not in entry:
+                    raise SchemaError(f"line entry {k} missing {req!r}", column=f"lines.{req}")
+            pair = normalize_edge(entry["nodes"])
+            edges.append(pair)
+            lines[pair] = LineParams(
+                g=float(entry["g"]),
+                b=float(entry["b"]),
+                g_shunt_from=float(entry.get("g_shunt_from", 0.0)),
+                b_shunt_from=float(entry.get("b_shunt_from", 0.0)),
+                g_shunt_to=float(entry.get("g_shunt_to", 0.0)),
+                b_shunt_to=float(entry.get("b_shunt_to", 0.0)),
+            )
+        voltages = raw.get("voltages")
+        if voltages is not None:
+            voltages = {int(k): float(v) for k, v in voltages.items()}
+        return Grid(raw["nodes"], canonical_edge_order(edges), lines, voltages)
+    except ValueError as exc:
+        raise SchemaError(f"invalid grid config: {exc}") from exc
 
 
 def save_grid(grid: Grid, path) -> None:

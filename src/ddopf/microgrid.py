@@ -1,10 +1,12 @@
 """Microgrid energy management: constraints, costs, MPC variants, closed loop.
 
 The plant has two committable generators, two storage units with integrator
-dynamics, two curtailable renewable units and one fixed load. Each MPC step
-builds one mixed-binary conic program over the horizon: unit constraints and
-pre-linearized stage costs around a per-step power-flow block shared with
-the single-step OPF builders. The closed loop applies the first move,
+dynamics, two curtailable renewable units and one fixed load. Each
+closed-loop run builds one mixed-binary conic program over the horizon
+(MpcTemplate): unit constraints and pre-linearized stage costs around a
+per-step power-flow block shared with the single-step OPF builders. Each MPC
+step then writes only the measured state and the forecasts, into copies of
+the three vectors that carry them. The closed loop applies the first move,
 steps the stored energy, and records everything needed to replay the hard
 constraints independently.
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import yaml
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
-from .opf import OpfLayout, PfTemplate, pf_template, project_onto_circles, tightness_report
+from .opf import OpfLayout, pf_template, project_onto_circles, tightness_report
 
 N_GEN = 2
 N_STO = 2
@@ -207,7 +209,10 @@ def load_config(path) -> MicrogridConfig:
     missing = [k for k in _CONFIG_KEYS if k not in raw]
     if missing:
         raise SchemaError(f"microgrid config missing required key(s)", column=", ".join(missing))
-    return MicrogridConfig(**{k: raw[k] for k in _CONFIG_KEYS})
+    try:
+        return MicrogridConfig(**{k: raw[k] for k in _CONFIG_KEYS})
+    except ValueError as exc:
+        raise SchemaError(f"invalid microgrid config: {exc}") from exc
 
 
 def save_config(config: MicrogridConfig, path) -> None:
@@ -319,11 +324,14 @@ def load_profiles(path) -> Profiles:
             raise SchemaError("empty profiles file") from None
         if header[:2] != ["k", "wd_1"] or not all(h.startswith("wr_") for h in header[2:]):
             raise SchemaError("profiles header must be k, wd_1, wr_*...", column=header[0])
-        rows = [list(map(float, row[1:])) for row in reader if row]
+        rows = [row[1:] for row in reader if row]
     if not rows:
         raise SchemaError("profiles file has no rows")
-    data = np.asarray(rows)
-    return Profiles(w_r=data[:, 1:], w_d=data[:, 0])
+    try:
+        data = np.asarray([list(map(float, row)) for row in rows])
+        return Profiles(w_r=data[:, 1:], w_d=data[:, 0])
+    except ValueError as exc:
+        raise SchemaError(f"invalid profiles: {exc}") from exc
 
 
 # --- MPC step program -----------------------------------------------------------
@@ -348,30 +356,6 @@ class MpcLayout:
         s = getattr(self.pf, name)
         return slice(h * self.stride + s.start, h * self.stride + s.stop)
 
-    def cos_cols(self, h: int) -> np.ndarray:
-        return h * self.stride + self.pf.cos_cols()
-
-    def sin_cols(self, h: int) -> np.ndarray:
-        return h * self.stride + self.pf.sin_cols()
-
-
-class _Coo:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, row, col, val):
-        self.rows.append(int(row))
-        self.cols.append(int(col))
-        self.vals.append(float(val))
-
-    def add_block(self, row0: int, col0: int, block: sp.coo_matrix):
-        self.rows.extend((block.row + row0).tolist())
-        self.cols.extend((block.col + col0).tolist())
-        self.vals.extend(block.data.tolist())
-
-    def matrix(self, shape) -> sp.csr_matrix:
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)), shape=shape)
-
 
 @dataclass
 class PlantState:
@@ -388,6 +372,143 @@ def initial_state(config: MicrogridConfig) -> PlantState:
     return PlantState(x=config.x0.copy(), delta_prev=config.delta_init.copy(), k=0)
 
 
+class MpcTemplate:
+    """The receding-horizon program of one closed-loop run, built once.
+
+    Unit constraints, pre-linearized stage costs and the variant's power-flow
+    block repeated over the horizon. States x(k+1|k)..x(k+H|k) carry the hard
+    and soft energy bounds, so the final storage move stays accountable. The
+    relaxation term -beta * cos enters undiscounted, matching the convex
+    variant's objective.
+
+    One stage's rows are small dense blocks, plus a second pair for the terms
+    on the previous stage (-A_s on x_next, -sign on delta); the horizon
+    stacks them as kron(I_H, stage) + kron(eye(H, k=-1), previous). Only the
+    measured state and the forecasts change between steps, so program()
+    copies b_eq, b_in and ub and writes them; every step shares c, A_eq,
+    A_in, lb, the balls and the binaries, which no solver layer writes into.
+    """
+
+    def __init__(
+        self,
+        config: MicrogridConfig,
+        grid: Grid,
+        variant: str,
+        model: DataDrivenLineModel | None = None,
+    ):
+        H = config.horizon
+        pf_tpl = pf_template(grid, variant, model)
+        pf = pf_tpl.layout
+        offsets = {name: pf.n + 2 * k for k, name in enumerate(UNIT_BLOCKS)}
+        stride = pf.n + 2 * len(UNIT_BLOCKS)
+        cols = {name: slice(ofs, ofs + 2) for name, ofs in offsets.items()}
+        cols.update(pf=slice(0, pf.n), p_g=pf.p_g)
+
+        def rows(height: int, **terms) -> np.ndarray:
+            out = np.zeros((height, stride))
+            for name, block in terms.items():
+                out[:, cols[name]] = block
+            return out
+
+        def pair(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+            # the two rows of unit 0, then those of unit 1
+            return np.stack([first, second], axis=1).reshape(-1, *first.shape[1:])
+
+        def horizon(idx, step: int) -> np.ndarray:
+            # idx in every stage, one row per stage
+            return np.arange(H)[:, None] * step + np.asarray(idx)
+
+        i2 = np.eye(2)
+        u_map = config.unit_map(grid)
+        n_pf, n_nodes = pf_tpl.eq.shape[0], grid.n_nodes
+        # power flow; p_g = U [p_t p_s p_r -w_d]; x_next = A_s x_prev + B_s p_s;
+        # p_s = ps_pos - ps_neg
+        eq = np.vstack([
+            rows(n_pf, pf=pf_tpl.eq.toarray()),
+            rows(n_nodes, p_g=np.eye(n_nodes), p_t=-u_map[:, 0:2], p_s=-u_map[:, 2:4],
+                 p_r=-u_map[:, 4:6]),
+            rows(2, x_next=i2, p_s=-config.b_s),
+            rows(2, p_s=i2, ps_pos=-i2, ps_neg=i2),
+        ])
+        eq_prev = np.vstack([rows(n_pf + n_nodes), rows(2, x_next=-config.a_s), rows(2)])
+        # pt_min delta <= p_t <= pt_max delta; sigma >= |delta - delta_prev|;
+        # soft energy-range epigraphs on x_next
+        ineq = np.vstack([
+            pair(rows(2, delta=np.diag(config.pt_min), p_t=-i2),
+                 rows(2, p_t=i2, delta=-np.diag(config.pt_max))),
+            pair(rows(2, delta=i2, sigma=-i2), rows(2, delta=-i2, sigma=-i2)),
+            pair(rows(2, x_next=-i2, u_soft=-i2), rows(2, x_next=i2, o_soft=-i2)),
+        ])
+        ineq_prev = np.vstack([rows(4), pair(rows(2, delta=-i2), rows(2, delta=i2)), rows(4)])
+
+        def stack(stage: np.ndarray, previous: np.ndarray) -> sp.csr_matrix:
+            return sp.kron(sp.eye(H), sp.csr_matrix(stage), format="csr") + sp.kron(
+                sp.eye(H, k=-1), sp.csr_matrix(previous), format="csr"
+            )
+
+        # discounted stage cost + undiscounted relaxation term
+        gamma = np.array([config.gamma**h for h in range(H)])
+        cost = np.zeros((H, stride))
+        for name, coeff in (
+            ("sigma", config.c0), ("delta", config.c1), ("p_t", config.c2), ("p_r", config.c3),
+            ("ps_pos", config.c4), ("ps_neg", config.c4), ("u_soft", config.c5),
+            ("o_soft", config.c5),
+        ):
+            cost[:, cols[name]] += np.outer(gamma, coeff)
+        cost[:, pf.p_g] += (gamma * config.c6)[:, None]
+        cost[:, pf.cos_cols()] -= config.beta
+
+        # p_r's upper bound is the forecast, written per step
+        lb = np.full((H, stride), -np.inf)
+        ub = np.full((H, stride), np.inf)
+        for name, lo, hi in (
+            ("p_t", 0.0, config.pt_max), ("p_s", config.ps_min, config.ps_max),
+            ("p_r", 0.0, np.inf), ("delta", 0.0, 1.0), ("sigma", 0.0, np.inf),
+            ("ps_pos", 0.0, np.inf), ("ps_neg", 0.0, np.inf), ("u_soft", 0.0, np.inf),
+            ("o_soft", 0.0, np.inf), ("x_next", config.x_min, config.x_max),
+        ):
+            lb[:, cols[name]], ub[:, cols[name]] = lo, hi
+        lb[:, pf.p_e], ub[:, pf.p_e] = config.pe_bounds(grid)
+
+        self.base = ConicProgram.build(
+            c=cost.ravel(),
+            A_eq=stack(eq, eq_prev),
+            b_eq=np.tile(np.concatenate([pf_tpl.eq_rhs, np.zeros(n_nodes + 4)]), H),
+            A_in=stack(ineq, ineq_prev),
+            b_in=np.tile(
+                np.concatenate([np.zeros(8), pair(-config.x_soft_min, config.x_soft_max)]), H
+            ),
+            lb=lb.ravel(),
+            ub=ub.ravel(),
+            balls=horizon(np.reshape(pf.ball_pairs(), -1), stride).reshape(-1, 2),
+        )
+        binaries = horizon(offsets["delta"] + np.arange(2), stride).ravel()
+        self.layout = MpcLayout(variant, H, stride, pf, offsets, tuple(binaries.tolist()))
+        self._a_s = config.a_s
+        self._load = -u_map[:, 6]
+        # entries written per step: the h = 0 storage and switch rows, every
+        # stage's coupling rows and p_r upper bounds
+        self._load_rows = horizon(n_pf + np.arange(n_nodes), eq.shape[0])
+        self._storage_rows = n_pf + n_nodes + np.arange(2)
+        self._switch_rows = 4 + np.arange(4)
+        self._res_cols = horizon(offsets["p_r"] + np.arange(2), stride)
+
+    def program(
+        self, state: PlantState, window: Profiles
+    ) -> tuple[MixedBinaryProgram, MpcLayout]:
+        """This step's program: the template with x(k), delta(k-1) and the
+        window's first H forecasts written in."""
+        H = self.layout.horizon
+        base = self.base
+        b_eq, b_in, ub = base.b_eq.copy(), base.b_in.copy(), base.ub.copy()
+        b_eq[self._load_rows] = self._load * window.w_d[:H, None]
+        b_eq[self._storage_rows] = self._a_s @ state.x
+        b_in[self._switch_rows] = np.stack([state.delta_prev, -state.delta_prev], axis=1).ravel()
+        ub[self._res_cols] = window.w_r[:H]
+        prog = replace(base, b_eq=b_eq, b_in=b_in, ub=ub)
+        return MixedBinaryProgram(prog, self.layout.binary_indices), self.layout
+
+
 def build_mpc_step(
     config: MicrogridConfig,
     grid: Grid,
@@ -395,179 +516,20 @@ def build_mpc_step(
     state: PlantState,
     window: Profiles,
     model: DataDrivenLineModel | None = None,
-    template: PfTemplate | None = None,
+    template: MpcTemplate | None = None,
 ) -> tuple[MixedBinaryProgram, MpcLayout]:
-    """One receding-horizon program: unit constraints, pre-linearized stage
-    costs, and the variant's power-flow block repeated over the horizon.
+    """One receding-horizon program (see MpcTemplate) at `state` over `window`.
 
-    States x(k+1|k)..x(k+H|k) carry the hard and soft energy bounds, so the
-    final storage move stays accountable. The relaxation term -beta * cos
-    enters undiscounted, matching the convex variant's objective.
+    A closed-loop run passes its MpcTemplate, built once for (config, grid,
+    variant, model), so a step only writes the state and the forecasts;
+    without one, the step builds its own template.
     """
     H = config.horizon
     if window.length < H:
         raise ForecastTooShort(f"window has {window.length} steps, horizon needs {H}")
     if template is None:
-        template = pf_template(grid, variant, model)
-    pf = template.layout
-    n_pf = pf.n
-    unit_offsets = {}
-    ofs = n_pf
-    for name in UNIT_BLOCKS:
-        unit_offsets[name] = ofs
-        ofs += 2
-    stride = ofs
-    n = H * stride
-
-    layout = MpcLayout(
-        variant=variant,
-        horizon=H,
-        stride=stride,
-        pf=pf,
-        unit_offsets=unit_offsets,
-        binary_indices=(),
-    )
-
-    u_map = config.unit_map(grid)
-    template_coo = template.eq.tocoo()
-    n_eq_pf = template.eq.shape[0]
-
-    eq = _Coo()
-    eq_rhs = []
-    row = 0
-    lb = np.full(n, -np.inf)
-    ub = np.full(n, np.inf)
-    cost = np.zeros(n)
-    ineq = _Coo()
-    in_rhs = []
-    irow = 0
-    balls = []
-    binaries = []
-
-    pe_lo, pe_hi = config.pe_bounds(grid)
-
-    for h in range(H):
-        base = h * stride
-        # power-flow block
-        eq.add_block(row, base, template_coo)
-        eq_rhs.extend(template.eq_rhs.tolist())
-        row += n_eq_pf
-        for pair in pf.ball_pairs():
-            balls.append((base + pair[0], base + pair[1]))
-
-        sl = {name: layout.unit_slice(name, h) for name in UNIT_BLOCKS}
-        pg = layout.pf_slice("p_g", h)
-
-        # unit-to-node coupling: p_g = U [p_t p_s p_r p_d], load fixed at -w_d
-        for i in range(grid.n_nodes):
-            eq.add(row + i, pg.start + i, 1.0)
-            for u_col, block in ((0, "p_t"), (2, "p_s"), (4, "p_r")):
-                for j in range(2):
-                    if u_map[i, u_col + j]:
-                        eq.add(row + i, sl[block].start + j, -u_map[i, u_col + j])
-            eq_rhs.append(-u_map[i, 6] * window.w_d[h])
-        row += grid.n_nodes
-
-        # storage dynamics: x_next(h) = A_s x_prev + B_s p_s(h)
-        for i in range(2):
-            eq.add(row + i, sl["x_next"].start + i, 1.0)
-            for j in range(2):
-                if config.b_s[i, j]:
-                    eq.add(row + i, sl["p_s"].start + j, -config.b_s[i, j])
-            if h == 0:
-                eq_rhs.append(float(config.a_s[i] @ state.x))
-            else:
-                prev = layout.unit_slice("x_next", h - 1)
-                for j in range(2):
-                    if config.a_s[i, j]:
-                        eq.add(row + i, prev.start + j, -config.a_s[i, j])
-                eq_rhs.append(0.0)
-        row += 2
-
-        # |p_s| split
-        for i in range(2):
-            eq.add(row + i, sl["p_s"].start + i, 1.0)
-            eq.add(row + i, sl["ps_pos"].start + i, -1.0)
-            eq.add(row + i, sl["ps_neg"].start + i, 1.0)
-            eq_rhs.append(0.0)
-        row += 2
-
-        # generator limits tied to commitment
-        for i in range(2):
-            ineq.add(irow, sl["delta"].start + i, config.pt_min[i])
-            ineq.add(irow, sl["p_t"].start + i, -1.0)
-            in_rhs.append(0.0)
-            irow += 1
-            ineq.add(irow, sl["p_t"].start + i, 1.0)
-            ineq.add(irow, sl["delta"].start + i, -config.pt_max[i])
-            in_rhs.append(0.0)
-            irow += 1
-
-        # commitment-switch epigraph: sigma >= |delta_h - delta_{h-1}|
-        for i in range(2):
-            for sign in (1.0, -1.0):
-                ineq.add(irow, sl["delta"].start + i, sign)
-                ineq.add(irow, sl["sigma"].start + i, -1.0)
-                if h == 0:
-                    in_rhs.append(sign * state.delta_prev[i])
-                else:
-                    prev = layout.unit_slice("delta", h - 1)
-                    ineq.add(irow, prev.start + i, -sign)
-                    in_rhs.append(0.0)
-                irow += 1
-
-        # soft energy-range epigraphs on x(k+h+1|k)
-        for i in range(2):
-            ineq.add(irow, sl["x_next"].start + i, -1.0)
-            ineq.add(irow, sl["u_soft"].start + i, -1.0)
-            in_rhs.append(-config.x_soft_min[i])
-            irow += 1
-            ineq.add(irow, sl["x_next"].start + i, 1.0)
-            ineq.add(irow, sl["o_soft"].start + i, -1.0)
-            in_rhs.append(config.x_soft_max[i])
-            irow += 1
-
-        # bounds
-        lb[sl["p_t"]], ub[sl["p_t"]] = 0.0, config.pt_max
-        lb[sl["p_s"]], ub[sl["p_s"]] = config.ps_min, config.ps_max
-        lb[sl["p_r"]], ub[sl["p_r"]] = 0.0, window.w_r[h]
-        lb[sl["delta"]], ub[sl["delta"]] = 0.0, 1.0
-        lb[sl["sigma"]] = 0.0
-        lb[sl["ps_pos"]] = 0.0
-        lb[sl["ps_neg"]] = 0.0
-        lb[sl["u_soft"]] = 0.0
-        lb[sl["o_soft"]] = 0.0
-        lb[sl["x_next"]], ub[sl["x_next"]] = config.x_min, config.x_max
-        pe = layout.pf_slice("p_e", h)
-        lb[pe], ub[pe] = pe_lo, pe_hi
-
-        # discounted stage cost + undiscounted relaxation term
-        g = config.gamma**h
-        cost[sl["sigma"]] += g * config.c0
-        cost[sl["delta"]] += g * config.c1
-        cost[sl["p_t"]] += g * config.c2
-        cost[sl["p_r"]] += g * config.c3
-        cost[sl["ps_pos"]] += g * config.c4
-        cost[sl["ps_neg"]] += g * config.c4
-        cost[sl["u_soft"]] += g * config.c5
-        cost[sl["o_soft"]] += g * config.c5
-        cost[pg] += g * config.c6
-        cost[layout.cos_cols(h)] -= config.beta
-
-        binaries.extend(range(sl["delta"].start, sl["delta"].stop))
-
-    prog = ConicProgram.build(
-        c=cost,
-        A_eq=eq.matrix((row, n)),
-        b_eq=np.asarray(eq_rhs),
-        A_in=ineq.matrix((irow, n)),
-        b_in=np.asarray(in_rhs),
-        lb=lb,
-        ub=ub,
-        balls=balls,
-    )
-    layout.binary_indices = tuple(binaries)
-    return MixedBinaryProgram(prog, layout.binary_indices), layout
+        template = MpcTemplate(config, grid, variant, model)
+    return template.program(state, window)
 
 
 # --- plant and closed loop -------------------------------------------------------
@@ -656,7 +618,7 @@ def run_closed_loop(
     records: list[StepRecord] = []
     hint = None
     H = config.horizon
-    template = pf_template(grid, variant, model)
+    template = MpcTemplate(config, grid, variant, model)
 
     for k in range(steps):
         window = profiles.window(k, H)

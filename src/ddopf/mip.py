@@ -23,6 +23,8 @@ from .ipm import solve_convex
 
 _INT_TOL = 1e-6
 _TIE_TOL = 1e-9
+_PRUNE_EPS = 1e-8  # a node is pruned when its bound reaches the incumbent less this
+_ENUMERATE_CAP = 4096  # most assignments enumeration solves
 
 
 def _full_x(base_n: int, keep: np.ndarray, x_reduced: np.ndarray, fixed: dict[int, float]):
@@ -51,14 +53,12 @@ def solve_mixed_binary(
     prog: MixedBinaryProgram,
     strategy: str = "auto",
     tol: float = 1e-9,
-    enumerate_cap: int = 4096,
     incumbent_hint=None,
-    prune_eps: float = 1e-8,
 ) -> Solution:
     """Globally optimize over binary assignments of the convex base program.
 
-    strategy 'auto' enumerates when 2^n_binaries <= 4096, otherwise runs
-    branch & bound. `incumbent_hint` (a binary assignment) seeds branch &
+    strategy 'auto' enumerates up to _ENUMERATE_CAP (4096) assignments and runs
+    branch & bound above it. `incumbent_hint` (a binary assignment) seeds branch &
     bound with an initial incumbent; it never changes the returned optimum.
     """
     t0 = time.perf_counter()
@@ -68,22 +68,22 @@ def solve_mixed_binary(
         sol.binary_values = ()
         return sol
     if strategy == "auto":
-        strategy = "enumerate" if 2 ** len(bidx) <= 4096 else "branch_and_bound"
+        strategy = "enumerate" if 2 ** len(bidx) <= _ENUMERATE_CAP else "branch_and_bound"
     if strategy == "enumerate":
-        out = _enumerate(prog, tol, enumerate_cap)
+        out = _enumerate(prog, tol)
     elif strategy == "branch_and_bound":
-        out = _branch_and_bound(prog, tol, incumbent_hint, prune_eps)
+        out = _branch_and_bound(prog, tol, incumbent_hint)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     out.solve_time = time.perf_counter() - t0
     return out
 
 
-def _enumerate(prog: MixedBinaryProgram, tol: float, cap: int) -> Solution:
+def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
     bidx = prog.binary_indices
-    if 2 ** len(bidx) > cap:
+    if 2 ** len(bidx) > _ENUMERATE_CAP:
         raise TooManyBinaries(
-            f"{len(bidx)} binaries give {2 ** len(bidx)} combinations, cap is {cap}"
+            f"{len(bidx)} binaries give {2 ** len(bidx)} combinations, cap is {_ENUMERATE_CAP}"
         )
     base = prog.base
     best: Solution | None = None
@@ -126,9 +126,7 @@ def _enumerate(prog: MixedBinaryProgram, tol: float, cap: int) -> Solution:
     return best
 
 
-def _branch_and_bound(
-    prog: MixedBinaryProgram, tol: float, incumbent_hint, prune_eps: float
-) -> Solution:
+def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint) -> Solution:
     base = prog.base
     bidx = list(prog.binary_indices)
 
@@ -186,7 +184,7 @@ def _branch_and_bound(
 
     while heap:
         bound, _, fixed = heapq.heappop(heap)
-        if bound >= incumbent_obj - prune_eps:
+        if bound >= incumbent_obj - _PRUNE_EPS:
             break
         sol, keep, offset = solve_node(fixed)
         if sol.status == "infeasible":
@@ -204,7 +202,7 @@ def _branch_and_bound(
         else:
             dual = sol.dual_objective if sol.dual_objective is not None else sol.objective
             node_bound = max(bound, dual + offset)
-            if node_bound >= incumbent_obj - prune_eps:
+            if node_bound >= incumbent_obj - _PRUNE_EPS:
                 continue
             full = _full_x(base.n, keep, sol.x, fixed)
             relax_vals = np.array([full[i] for i in bidx])

@@ -224,3 +224,45 @@ class TestCompare:
         a, b = self.run_pair(grid_file, config_file, tmp_path, steps_b=4)
         code = run(["compare", "--runs", a, b])
         assert code == 5
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("config", "gamma must lie in (0, 1)"),
+            ("profile-cell", "could not convert string to float: 'abc'"),
+            ("profile-demand", "profiles must be nonnegative"),
+            ("grid", "series admittance must be nonzero"),
+        ],
+        ids=["config", "profile-cell", "profile-demand", "grid"],
+    )
+    def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
+        # values that parse as YAML or CSV but break the documented schema
+        # exit with the schema code and a message, not a traceback
+        import yaml
+
+        rows = ["k,wd_1,wr_1,wr_2"] + [f"{k},0.3,0.1,0.1" for k in range(8)]
+        if kind == "profile-cell":
+            rows[3] = "2,abc,0.1,0.1"
+        elif kind == "profile-demand":
+            rows[3] = "2,-0.3,0.1,0.1"
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("\n".join(rows) + "\n")
+        if kind == "config":
+            doc = yaml.safe_load(config_file.read_text())
+            doc["gamma"] = 1.5
+            config_file.write_text(yaml.safe_dump(doc))
+        if kind == "grid":
+            doc = yaml.safe_load(grid_file.read_text())
+            doc["lines"][0].update(g=0.0, b=0.0)
+            grid_file.write_text(yaml.safe_dump(doc))
+            argv = ["solve-opf", "--grid", grid_file, "--variant", "reference",
+                    "--out", tmp_path / "x.csv"]
+        else:
+            argv = ["run-mpc", "--config", config_file, "--grid", grid_file,
+                    "--profiles", profiles, "--variant", "reference", "--steps", 1,
+                    "--out-dir", tmp_path / "run"]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

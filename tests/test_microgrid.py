@@ -11,6 +11,7 @@ from ddopf.errors import (
 from ddopf.excitation import generate_excitation
 from ddopf.microgrid import (
     MicrogridConfig,
+    MpcTemplate,
     PlantState,
     Profiles,
     audit_closed_loop,
@@ -181,6 +182,64 @@ class TestBuildMpcStep:
         delta = sol.x[layout.unit_slice("delta", 0)]
         sigma = sol.x[layout.unit_slice("sigma", 0)]
         np.testing.assert_allclose(sigma, np.abs(delta - state.delta_prev), atol=1e-6)
+
+    @pytest.mark.parametrize("variant", ["reference", "dd-convex"])
+    @pytest.mark.parametrize(
+        "x, start, held", [([3.5, 2.0], 22, False), ([6.0, 3.0], 36, True)],
+        ids=["mid-band", "near-full"],
+    )
+    def test_whole_plan_replays_the_model_equations(self, variant, x, start, held):
+        # every stage of the H=6 plan, not only the first move, satisfies the
+        # unit model; the cross-stage terms exist only at h >= 1. Near the top
+        # of the band a generator stays committed over consecutive stages,
+        # which exercises the previous-stage switch terms.
+        state = PlantState(x=x, delta_prev=[1.0, 0.0])
+        window = generate_profiles(7, 96, CFG).window(start, CFG.horizon)
+        assert np.all(window.w_d > 0) and np.any(window.w_r > 0)
+        prog, layout = build_mpc_step(CFG, GRID, variant, state, window, model_for(variant))
+        sol = solve_mixed_binary(prog, strategy="branch_and_bound", tol=1e-8)
+        assert sol.status == "optimal"
+        u_map = CFG.unit_map(GRID)
+        x_prev, delta_prev = state.x, state.delta_prev
+        moved, stayed_on = 0.0, False
+        for h in range(CFG.horizon):
+            unit = {
+                name: sol.x[layout.unit_slice(name, h)]
+                for name in ("p_t", "p_s", "p_r", "delta", "sigma", "x_next")
+            }
+            x_next = unit["x_next"]
+            np.testing.assert_allclose(x_next, CFG.a_s @ x_prev + CFG.b_s @ unit["p_s"], atol=1e-6)
+            units = np.concatenate([unit["p_t"], unit["p_s"], unit["p_r"], [-window.w_d[h]]])
+            np.testing.assert_allclose(sol.x[layout.pf_slice("p_g", h)], u_map @ units, atol=1e-6)
+            delta = unit["delta"]
+            assert np.all(CFG.pt_min * delta <= unit["p_t"] + 1e-6)
+            assert np.all(unit["p_t"] <= CFG.pt_max * delta + 1e-6)
+            # sigma >= |delta - delta_prev|, tight because c0 > 0
+            np.testing.assert_allclose(unit["sigma"], np.abs(delta - delta_prev), atol=1e-6)
+            assert np.all(unit["p_r"] >= -1e-6) and np.all(unit["p_r"] <= window.w_r[h] + 1e-6)
+            moved = max(moved, float(np.max(np.abs(x_next - x_prev))))
+            stayed_on = stayed_on or (h > 0 and bool(np.any(delta * delta_prev > 0.5)))
+            x_prev, delta_prev = x_next, delta
+        assert moved > 1e-3  # the storage plan is not trivially flat
+        if held:  # the previous-stage switch terms were exercised
+            assert stayed_on
+
+    def test_steps_from_one_template_do_not_share_data(self):
+        template = MpcTemplate(CFG, GRID, "reference")
+        profiles = generate_profiles(4, 48, CFG)
+        first, _ = build_mpc_step(
+            CFG, GRID, "reference", PlantState(x=[1.0, 2.0], delta_prev=[1.0, 0.0]),
+            profiles.window(20, 6), None, template,
+        )
+        kept = {name: getattr(first.base, name).copy() for name in ("b_eq", "b_in", "ub")}
+        second, _ = build_mpc_step(
+            CFG, GRID, "reference", PlantState(x=[3.0, 0.5], delta_prev=[0.0, 1.0]),
+            profiles.window(30, 6), None, template,
+        )
+        for name, before in kept.items():
+            np.testing.assert_array_equal(getattr(first.base, name), before)
+            assert not np.array_equal(getattr(second.base, name), before)
+        assert second.base.A_eq is first.base.A_eq  # the fixed part is shared
 
 
 class TestPlantStep:

@@ -95,9 +95,10 @@ class TestStrategyEquivalence:
 
     def test_hinted_root_reuses_hint_solve(self):
         # the relaxation is integral at the hint (1, 1). At tol=1e-6 its dual
-        # bound sits more than prune_eps below the hint's objective, so the
-        # root is expanded and its integral assignment offered as incumbent:
-        # that solve is the hint's, reused, and not counted again
+        # bound sits more than the pruning margin (mip._PRUNE_EPS, 1e-8) below
+        # the hint's objective, so the root is expanded and its integral
+        # assignment offered as incumbent: that solve is the hint's, reused,
+        # and not counted again
         from ddopf.ipm import solve_convex
 
         prog = ConicProgram.build(
