@@ -285,9 +285,11 @@ def load_grid(path) -> Grid:
             )
         voltages = raw.get("voltages")
         if voltages is not None:
+            if not isinstance(voltages, dict):
+                raise SchemaError("grid config key 'voltages' must be a mapping", column="voltages")
             voltages = {int(k): float(v) for k, v in voltages.items()}
         return Grid(raw["nodes"], canonical_edge_order(edges), lines, voltages)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid grid config: {exc}") from exc
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +35,11 @@ _DENSE_LIMIT = 260
 # static KKT regularization, and the cap of its retry ladder (x1e3 per retry)
 _REG = 1e-14
 _REG_MAX = 1e-4
+# SuperLU supernode panel width and relaxation: the KKT matrices have tiny
+# supernodes, so the library's wider defaults cost more in per-panel work
+# arrays than they save in arithmetic
+_PANEL_SIZE = 1
+_RELAX = 1
 
 
 class ConeDims:
@@ -191,11 +195,16 @@ def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
     return 1.0 / rate if rate > 0.0 else math.inf
 
 
+_J = np.diag([1.0, -1.0, -1.0])
+_J_OUTER = np.outer(np.diag(_J), np.diag(_J))
+
+
 class NTScaling:
     """Nesterov-Todd scaling W with lambda = W z = W^{-T} s.
 
-    SOC blocks are held stacked (one row per block) so the scaling applies
-    to all of them at once; the scaled point lambda uses the cancellation-
+    SOC blocks are held stacked: each scaling builds the dense (n_socs, 3, 3)
+    blocks of W, W^{-1} and W^2 once, so every apply is one orthant multiply
+    and one stacked matmul. The scaled point lambda uses the cancellation-
     free closed form, which stays strictly interior even when the iterate
     grazes the cone boundary.
     """
@@ -225,8 +234,8 @@ class NTScaling:
         gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
         jz = zbar.copy()
         jz[:, 1:] *= -1.0
-        self.soc_wbar = (sbar + jz) / (2.0 * gamma[:, None])
-        self.soc_eta = np.sqrt(a_s / a_z)
+        wbar = (sbar + jz) / (2.0 * gamma[:, None])
+        eta = np.sqrt(a_s / a_z)
         scale = np.sqrt(a_s * a_z)
         lam_soc = dims.soc_view(lam)
         lam_soc[:, 0] = scale * gamma
@@ -237,51 +246,40 @@ class NTScaling:
         )
         self.lam = lam
 
-    @staticmethod
-    def _m_apply_stack(wbar: np.ndarray, v: np.ndarray) -> np.ndarray:
-        w0 = wbar[:, 0]
-        dot = np.einsum("ij,ij->i", wbar[:, 1:], v[:, 1:])
+        # dense 3 x 3 blocks of each cone: W = eta M, W^{-1} = J M J / eta
+        # and W^2 = eta^2 (2 wbar wbar' - J), where
+        # M = [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]]
+        w0, w1 = wbar[:, 0], wbar[:, 1:]
+        m = np.empty((dims.n_socs, 3, 3))
+        m[:, 0, 0] = w0
+        m[:, 0, 1:] = w1
+        m[:, 1:, 0] = w1
+        m[:, 1:, 1:] = w1[:, :, None] * (w1 / (1.0 + w0)[:, None])[:, None, :] + np.eye(2)
+        self.soc_w = eta[:, None, None] * m
+        self.soc_winv = (m * _J_OUTER) / eta[:, None, None]
+        self.soc_w2 = (eta**2)[:, None, None] * (2.0 * wbar[:, :, None] * wbar[:, None, :] - _J)
+
+    def _apply(self, orth: np.ndarray, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        out[:, 0] = w0 * v[:, 0] + dot
-        out[:, 1:] = v[:, 1:] + (v[:, 0] + dot / (1.0 + w0))[:, None] * wbar[:, 1:]
+        l = self.dims.orthant
+        np.multiply(orth, v[:l], out=out[:l])
+        np.matmul(blocks, self.dims.soc_view(v)[:, :, None], out=out[l:].reshape(-1, 3, 1))
         return out
 
     def apply_W(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        l = self.dims.orthant
-        out[:l] = self.w_orth * v[:l]
-        vb = self.dims.soc_view(v)
-        self.dims.soc_view(out)[:] = self.soc_eta[:, None] * self._m_apply_stack(self.soc_wbar, vb)
-        return out
+        return self._apply(self.w_orth, self.soc_w, v)
 
     def apply_Winv(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        l = self.dims.orthant
-        out[:l] = v[:l] / self.w_orth
-        jw = self.soc_wbar.copy()
-        jw[:, 1:] *= -1.0
-        vb = self.dims.soc_view(v)
-        self.dims.soc_view(out)[:] = self._m_apply_stack(jw, vb) / self.soc_eta[:, None]
-        return out
+        return self._apply(1.0 / self.w_orth, self.soc_winv, v)
 
     def apply_W2(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        l = self.dims.orthant
-        out[:l] = self.w2_orth * v[:l]
-        vb = self.dims.soc_view(v)
-        dot = np.einsum("ij,ij->i", self.soc_wbar, vb)
-        jv = vb.copy()
-        jv[:, 1:] *= -1.0
-        self.dims.soc_view(out)[:] = (self.soc_eta**2)[:, None] * (
-            2.0 * dot[:, None] * self.soc_wbar - jv
-        )
-        return out
+        return self._apply(self.w2_orth, self.soc_w2, v)
 
     def w2_soc_stack(self) -> np.ndarray:
-        """Dense W^2 blocks eta^2 (2 wbar wbar' - J), shape (n_socs, 3, 3)."""
-        j = np.diag([1.0, -1.0, -1.0])
-        outer = self.soc_wbar[:, :, None] * self.soc_wbar[:, None, :]
-        return (self.soc_eta**2)[:, None, None] * (2.0 * outer - j)
+        """Dense W^2 blocks eta^2 (2 wbar wbar' - J), shape (n_socs, 3, 3).
+
+        The scaling's own array, not a copy."""
+        return self.soc_w2
 
 
 # --- KKT factorization -------------------------------------------------------
@@ -347,7 +345,10 @@ class KktSolver:
             self._base = np.zeros((self.dim, self.dim))
             np.add.at(self._base, (fixed_rows, fixed_cols), self._fixed_vals)
             self._w_flat = w_rows * self.dim + w_cols
-            self._lu = None
+            # LAPACK's LU called directly: the routines scipy.linalg's
+            # lu_factor/lu_solve wrap, without their per-call checks
+            self._getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self._base,))
+            self._lu = self._piv = None
         else:
             all_rows = np.concatenate([fixed_rows, w_rows])
             all_cols = np.concatenate([fixed_cols, w_cols])
@@ -381,21 +382,22 @@ class KktSolver:
             mat = self._base.copy()
             mat.ravel()[self._w_flat] += w_vals
             self._kmat = mat
-            with warnings.catch_warnings():
-                # singular factorizations are detected and retried in solve()
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                self._lu = sla.lu_factor(mat, check_finite=False)
+            # an exactly singular factor (info > 0) is kept: its solve is not
+            # finite, and solve() retries with more regularization
+            self._lu, self._piv, _ = self._getrf(mat)
         else:
             raw = np.concatenate([self._fixed_vals, w_vals])
             self._mat.data[:] = raw[self._order]
             if self._cols is None:
-                self._splu = spla.splu(self._mat)
+                self._splu = spla.splu(self._mat, relax=_RELAX, panel_size=_PANEL_SIZE)
                 self._splu_cols = None
                 self._permute_columns(np.argsort(self._splu.perm_c))
             else:
                 # the columns are already in COLAMD order (postordered by
                 # SuperLU): the fill is the same without reordering again
-                self._splu = spla.splu(self._mat, permc_spec="NATURAL")
+                self._splu = spla.splu(
+                    self._mat, permc_spec="NATURAL", relax=_RELAX, panel_size=_PANEL_SIZE
+                )
                 self._splu_cols = self._cols
 
     def _permute_columns(self, cols: np.ndarray) -> None:
@@ -417,7 +419,7 @@ class KktSolver:
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.dense:
-            return sla.lu_solve(self._lu, rhs, check_finite=False)
+            return self._getrs(self._lu, self._piv, rhs)[0]
         sol = self._splu.solve(rhs)
         if self._splu_cols is None:
             return sol
@@ -470,19 +472,24 @@ class KktSolver:
 # --- main loop ---------------------------------------------------------------
 
 
-def _initial_point(kkt: KktSolver, form: StandardForm):
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector, as np.linalg.norm computes it."""
+    return math.sqrt(v @ v)
+
+
+def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     dims = form.dims
-    eye = NTScaling(dims, cone_e(dims) * 2.0, cone_e(dims) * 2.0)  # W = I
+    eye = NTScaling(dims, e * 2.0, e * 2.0)  # W = I
     kkt.factor(eye)
     x, _, z_p = kkt.solve(np.zeros(form.c.size), form.b, form.h)
     s = -z_p
     shift = -jmineig(dims, s)
     if shift >= -1e-8:
-        s = s + (1.0 + shift) * cone_e(dims)
+        s = s + (1.0 + shift) * e
     _, y, z = kkt.solve(-form.c, np.zeros(form.b.size), np.zeros(form.h.size))
     shift = -jmineig(dims, z)
     if shift >= -1e-8:
-        z = z + (1.0 + shift) * cone_e(dims)
+        z = z + (1.0 + shift) * e
     return x, y, z, s
 
 
@@ -505,15 +512,16 @@ def solve_convex(
     n, p, m = form.c.size, form.b.size, form.h.size
     nu = dims.degree + 1
 
+    e = cone_e(dims)
     kkt = KktSolver(form)
-    x, y, z, s = _initial_point(kkt, form)
+    x, y, z, s = _initial_point(kkt, form, e)
     tau, kappa = 1.0, 1.0
 
     A_T, G_T = kkt.A_T, kkt.G_T
     A_op, G_op = kkt.mat_A, kkt.mat_G
-    norm_b = 1.0 + np.linalg.norm(form.b)
-    norm_h = 1.0 + np.linalg.norm(form.h)
-    norm_c = 1.0 + np.linalg.norm(form.c)
+    norm_b = 1.0 + _norm(form.b)
+    norm_h = 1.0 + _norm(form.h)
+    norm_c = 1.0 + _norm(form.c)
 
     best = None
     best_score = math.inf
@@ -547,11 +555,8 @@ def solve_convex(
 
         pcost = form.c @ x / tau
         dcost = -(form.b @ y + form.h @ z) / tau
-        pres = max(
-            np.linalg.norm(r2) / norm_b,
-            np.linalg.norm(r3) / norm_h,
-        ) / tau
-        dres = np.linalg.norm(r1) / norm_c / tau
+        pres = max(_norm(r2) / norm_b, _norm(r3) / norm_h) / tau
+        dres = _norm(r1) / norm_c / tau
         gap = s @ z / (tau * tau)
         relgap = gap / max(1.0, abs(pcost))
         score = max(pres, dres, relgap)
@@ -566,15 +571,12 @@ def solve_convex(
         # certificates (checked on the raw embedding variables)
         by_hz = -(form.b @ y + form.h @ z)
         if by_hz > tol:
-            pinf_res = np.linalg.norm(A_T @ y + G_T @ z) / by_hz / norm_c
+            pinf_res = _norm(A_T @ y + G_T @ z) / by_hz / norm_c
             if pinf_res <= tol:
                 return package("infeasible", x / tau, metrics, it)
         neg_cx = -(form.c @ x)
         if neg_cx > tol:
-            dinf_res = max(
-                np.linalg.norm(A_op @ x) / norm_b,
-                np.linalg.norm(G_op @ x + s) / norm_h,
-            ) / neg_cx
+            dinf_res = max(_norm(A_op @ x) / norm_b, _norm(G_op @ x + s) / norm_h) / neg_cx
             if dinf_res <= tol:
                 return package("unbounded", x / neg_cx, metrics, it)
 
@@ -599,12 +601,10 @@ def solve_convex(
         denom = form.c @ x1 + form.b @ y1 + form.h @ z1 - kappa / tau
 
         def direction(sigma, gamma_corr, tk_corr):
-            ds_rhs = jprod(dims, lam, lam) - sigma * mu * cone_e(dims) + gamma_corr
-            g = jdiv(dims, lam, -ds_rhs)
+            ds_rhs = jprod(dims, lam, lam) - sigma * mu * e + gamma_corr
+            wg = scaling.apply_W(jdiv(dims, lam, -ds_rhs))
             fac = 1.0 - sigma
-            dx0, dy0, dz0 = kkt.solve(
-                -fac * r1, -fac * r2, -fac * r3 - scaling.apply_W(g)
-            )
+            dx0, dy0, dz0 = kkt.solve(-fac * r1, -fac * r2, -fac * r3 - wg)
             rhs_kappa = -tau * kappa + sigma * mu - tk_corr
             num = (
                 -fac * r4
@@ -617,7 +617,7 @@ def solve_convex(
             dx = dx0 + dtau * x1
             dy = dy0 + dtau * y1
             dz = dz0 + dtau * z1
-            ds = scaling.apply_W(g) - scaling.apply_W2(dz)
+            ds = wg - scaling.apply_W2(dz)
             dkappa = (rhs_kappa - kappa * dtau) / tau
             return dx, dy, dz, ds, dtau, dkappa
 

@@ -211,7 +211,7 @@ def load_config(path) -> MicrogridConfig:
         raise SchemaError(f"microgrid config missing required key(s)", column=", ".join(missing))
     try:
         return MicrogridConfig(**{k: raw[k] for k in _CONFIG_KEYS})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid microgrid config: {exc}") from exc
 
 
@@ -323,14 +323,16 @@ def load_profiles(path) -> Profiles:
         except StopIteration:
             raise SchemaError("empty profiles file") from None
         if header[:2] != ["k", "wd_1"] or not all(h.startswith("wr_") for h in header[2:]):
-            raise SchemaError("profiles header must be k, wd_1, wr_*...", column=header[0])
+            raise SchemaError(
+                "profiles header must be k, wd_1, wr_*...", column=header[0] if header else None
+            )
         rows = [row[1:] for row in reader if row]
     if not rows:
         raise SchemaError("profiles file has no rows")
     try:
         data = np.asarray([list(map(float, row)) for row in rows])
         return Profiles(w_r=data[:, 1:], w_d=data[:, 0])
-    except ValueError as exc:
+    except (IndexError, ValueError) as exc:
         raise SchemaError(f"invalid profiles: {exc}") from exc
 
 
@@ -442,8 +444,23 @@ class MpcTemplate:
         ineq_prev = np.vstack([rows(4), pair(rows(2, delta=-i2), rows(2, delta=i2)), rows(4)])
 
         def stack(stage: np.ndarray, previous: np.ndarray) -> sp.csr_matrix:
-            return sp.kron(sp.eye(H), sp.csr_matrix(stage), format="csr") + sp.kron(
-                sp.eye(H, k=-1), sp.csr_matrix(previous), format="csr"
+            # CSR of kron(I_H, stage) + kron(eye(H, k=-1), previous): the rows
+            # of stage 0 hold stage's entries, those of every later stage h
+            # the entries of [previous | stage] from column (h - 1) * stride
+            height = stage.shape[0]
+            both = np.hstack([previous, stage])
+            r0, c0 = np.nonzero(stage)
+            r1, c1 = np.nonzero(both)
+            counts = np.concatenate([
+                np.bincount(r0, minlength=height),
+                np.tile(np.bincount(r1, minlength=height), H - 1),
+            ])
+            indptr = np.zeros(H * height + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
+            indices = np.concatenate([c0, (stride * np.arange(H - 1)[:, None] + c1).ravel()])
+            data = np.concatenate([stage[r0, c0], np.tile(both[r1, c1], H - 1)])
+            return sp.csr_matrix(
+                (data, indices.astype(np.int32), indptr), shape=(H * height, H * stride)
             )
 
         # discounted stage cost + undiscounted relaxation term

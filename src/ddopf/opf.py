@@ -148,12 +148,6 @@ class AppConstraints:
             self.add_ineq({"p_g": {k: -1.0}}, -lo)
         return self
 
-    def bound_flows(self, grid: Grid, limit: float) -> "AppConstraints":
-        for k in range(2 * grid.n_edges):
-            self.add_ineq({"p_e": {k: 1.0}}, limit)
-            self.add_ineq({"p_e": {k: -1.0}}, limit)
-        return self
-
     def fix_phi(self, values: Sequence[float]) -> "AppConstraints":
         for k, v in enumerate(values):
             self.add_eq({"phi": {k: 1.0}}, float(v))
@@ -433,10 +427,6 @@ class OpfSolution:
     layout: OpfLayout | None = field(repr=False, default=None)
     raw: Solution | None = field(repr=False, default=None)
     restored: bool = False
-
-
-def check_tightness(sol: OpfSolution, tol: float = 1e-6) -> TightnessReport:
-    return tightness_report(sol.phi, len(sol.layout.pairs), tol)
 
 
 def _recover_theta(phi: np.ndarray, n_pairs: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
+from ddopf import ipm
 from ddopf.cli import build_parser, main
 from ddopf.grid import save_grid
 from ddopf.microgrid import default_config, default_grid, save_config
@@ -226,6 +227,25 @@ class TestCompare:
         assert code == 5
 
 
+class TestSolverFailure:
+    def test_numerical_breakdown_exit_code(self, grid_file, tmp_path, capsys, monkeypatch):
+        # every factorization after the initial point's fails, far from any
+        # certificate: solve_convex raises NumericalBreakdown, the CLI exits 3
+        factor = ipm.KktSolver.factor
+
+        def failing(self, scaling):
+            if hasattr(self, "scaling"):  # set by the initial point's factor
+                raise FloatingPointError("injected factorization failure")
+            factor(self, scaling)
+
+        monkeypatch.setattr(ipm.KktSolver, "factor", failing)
+        code = run(["solve-opf", "--grid", grid_file, "--variant", "reference",
+                    "--demand", "5=0.4", "--out", tmp_path / "x.csv"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical breakdown at iteration 0: injected")
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize(
         "kind, message",
@@ -234,8 +254,16 @@ class TestMalformedFiles:
             ("profile-cell", "could not convert string to float: 'abc'"),
             ("profile-demand", "profiles must be nonnegative"),
             ("grid", "series admittance must be nonzero"),
+            ("config-type", "invalid microgrid config: '<' not supported"),
+            ("profile-no-values", "invalid profiles: index 0 is out of bounds"),
+            ("profile-blank-header", "profiles header must be k, wd_1, wr_*..."),
+            ("grid-line-type", "invalid grid config: argument of type 'int' is not iterable"),
+            ("grid-voltages-type", "grid config key 'voltages' must be a mapping"),
         ],
-        ids=["config", "profile-cell", "profile-demand", "grid"],
+        ids=[
+            "config", "profile-cell", "profile-demand", "grid", "config-type",
+            "profile-no-values", "profile-blank-header", "grid-line-type", "grid-voltages-type",
+        ],
     )
     def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
         # values that parse as YAML or CSV but break the documented schema
@@ -247,15 +275,24 @@ class TestMalformedFiles:
             rows[3] = "2,abc,0.1,0.1"
         elif kind == "profile-demand":
             rows[3] = "2,-0.3,0.1,0.1"
+        elif kind == "profile-no-values":
+            rows[1:] = [str(k) for k in range(8)]
+        elif kind == "profile-blank-header":
+            rows[0] = ""
         profiles = tmp_path / "profiles.csv"
         profiles.write_text("\n".join(rows) + "\n")
-        if kind == "config":
+        if kind.startswith("config"):
             doc = yaml.safe_load(config_file.read_text())
-            doc["gamma"] = 1.5
+            doc["gamma"] = 1.5 if kind == "config" else "abc"
             config_file.write_text(yaml.safe_dump(doc))
-        if kind == "grid":
+        if kind.startswith("grid"):
             doc = yaml.safe_load(grid_file.read_text())
-            doc["lines"][0].update(g=0.0, b=0.0)
+            if kind == "grid":
+                doc["lines"][0].update(g=0.0, b=0.0)
+            elif kind == "grid-line-type":
+                doc["lines"][0] = 5
+            else:
+                doc["voltages"] = [1.0, 1.0]
             grid_file.write_text(yaml.safe_dump(doc))
             argv = ["solve-opf", "--grid", grid_file, "--variant", "reference",
                     "--out", tmp_path / "x.csv"]

@@ -7,9 +7,11 @@ import scipy.sparse as sp
 
 from ddopf.behavior import DataDrivenLineModel
 from ddopf.conic import ConicProgram, check_feasibility
+from ddopf.errors import NumericalBreakdown
 from ddopf.excitation import generate_excitation
 from ddopf.ipm import (
     _DENSE_LIMIT,
+    _REG,
     _REG_MAX,
     ConeDims,
     KktSolver,
@@ -39,6 +41,47 @@ def random_cone_point(rng, dims, margin=0.5):
         cone[1:] = rng.normal(size=2)
         cone[0] = np.linalg.norm(cone[1:]) + rng.uniform(margin, 2.0)
     return v
+
+
+def closed_form_scaling(dims, s, z):
+    """W, W^{-1} and W^2 applied blockwise from the closed forms of the NT
+    scaling (Vandenberghe 2010, CVXOPT's coneqp): on each cone
+    W v = eta M(wbar) v, W^{-1} v = M(J wbar) v / eta and
+    W^2 v = eta^2 (2 (wbar' v) wbar - J v)."""
+    l = dims.orthant
+    sb, zb = dims.soc_view(s), dims.soc_view(z)
+
+    def jdet_sqrt(u):
+        n1 = np.linalg.norm(u[:, 1:], axis=1)
+        return np.sqrt(np.maximum(u[:, 0] - n1, 1e-15 * u[:, 0]) * (u[:, 0] + n1))
+
+    a_s, a_z = jdet_sqrt(sb), jdet_sqrt(zb)
+    sbar, zbar = sb / a_s[:, None], zb / a_z[:, None]
+    gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
+    wbar = (sbar + zbar * [1.0, -1.0, -1.0]) / (2.0 * gamma[:, None])
+    eta = np.sqrt(a_s / a_z)
+
+    def m_apply(w, v):
+        dot = np.einsum("ij,ij->i", w[:, 1:], v[:, 1:])
+        out = np.empty_like(v)
+        out[:, 0] = w[:, 0] * v[:, 0] + dot
+        out[:, 1:] = v[:, 1:] + (v[:, 0] + dot / (1.0 + w[:, 0]))[:, None] * w[:, 1:]
+        return out
+
+    def assemble(orth, soc):
+        return lambda v: np.concatenate([orth * v[:l], soc(dims.soc_view(v)).ravel()])
+
+    w_orth = np.sqrt(s[:l] / z[:l])
+    apply_w = assemble(w_orth, lambda vb: eta[:, None] * m_apply(wbar, vb))
+    apply_winv = assemble(
+        1.0 / w_orth, lambda vb: m_apply(wbar * [1.0, -1.0, -1.0], vb) / eta[:, None]
+    )
+    apply_w2 = assemble(
+        s[:l] / z[:l],
+        lambda vb: (eta**2)[:, None]
+        * (2.0 * np.einsum("ij,ij->i", wbar, vb)[:, None] * wbar - vb * [1.0, -1.0, -1.0]),
+    )
+    return apply_w, apply_winv, apply_w2
 
 
 class TestConeAlgebra:
@@ -82,6 +125,17 @@ class TestConeAlgebra:
             np.testing.assert_allclose(
                 blk @ self.dims.soc_view(v)[k], self.dims.soc_view(sc.apply_W2(v))[k], atol=1e-10
             )
+
+    @pytest.mark.parametrize("orthant,n_socs", [(4, 2), (0, 3), (5, 0)])
+    def test_stacked_blocks_match_closed_forms(self, rng, orthant, n_socs):
+        dims = ConeDims(orthant, n_socs)
+        for _ in range(10):
+            s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
+            sc = NTScaling(dims, s, z)
+            applies = (sc.apply_W, sc.apply_Winv, sc.apply_W2)
+            for stacked, closed in zip(applies, closed_form_scaling(dims, s, z)):
+                v = rng.normal(size=dims.total)
+                np.testing.assert_allclose(stacked(v), closed(v), rtol=1e-12, atol=1e-12)
 
     def test_max_step_is_boundary(self, rng):
         # the third shape has points as close as 1e-9 * u0 to the boundary
@@ -196,6 +250,39 @@ class TestKktSolver:
         assert all(np.all(np.isfinite(v)) for v in parts)
         assert kkt.stats.reg_bumps == 0
         assert_optimal(solve_convex(prog))
+
+    def test_exactly_singular_dense_kkt_climbs_ladder(self, rng):
+        # the last cone row holds no variable, and its W^2 entry cancels the
+        # static regularization exactly: at _REG that KKT row is all zero, so
+        # LAPACK's LU reports an exact zero pivot and the solve is not finite
+        n, p, orth = 4, 2, 4
+        G = np.vstack([rng.normal(size=(orth - 1, n)), np.zeros((1, n))])
+        form = random_kkt(rng, n, p, orth, 0).form
+        form.G = sp.csr_matrix(G)
+        kkt = KktSolver(form)
+        dims = kkt.form.dims
+        s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
+        s[-1], z[-1] = -_REG, 1.0
+        with np.errstate(invalid="ignore"):
+            scaling = NTScaling(dims, s, z)
+        kkt.factor(scaling)
+        assert kkt.dense and kkt._getrf(kkt._kmat)[2] > 0
+        # a right-hand side the exact operator reaches: K v with v = 0 on the
+        # empty row, whose exact entry -W^2 = _REG no rung of the ladder holds
+        A = kkt.form.A.toarray()
+        K = np.block(
+            [
+                [np.zeros((n, n)), A.T, G.T],
+                [A, np.zeros((p, p)), np.zeros((p, orth))],
+                [G, np.zeros((orth, p)), -np.diag(s / z)],
+            ]
+        )
+        v = rng.normal(size=n + p + orth)
+        v[-1] = 0.0
+        rhs = K @ v
+        sol = np.concatenate(kkt.solve(rhs[:n], rhs[n : n + p], rhs[n + p :]))
+        assert kkt.stats.reg_bumps == 1 and kkt.stats.factorizations == 2
+        np.testing.assert_allclose(sol, v, atol=1e-10)
 
     def test_non_finite_solve_climbs_capped_ladder(self, rng, monkeypatch):
         kkt = random_kkt(rng, 8, 3, 6, 3)
@@ -412,6 +499,23 @@ class TestSolveStats:
         assert_optimal(sol)
         assert sol.stats.factorizations == sol.iterations + 1
         assert sol.stats.refinements <= 0.2 * sol.stats.kkt_solves
+
+
+def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):
+    # every factorization after the initial point's fails, at iteration 0,
+    # where the residuals are far above 1e3 * tol
+    prog = random_lp(rng)
+    factor = KktSolver.factor
+
+    def failing(self, scaling):
+        if hasattr(self, "scaling"):  # set by the initial point's factor
+            raise FloatingPointError("injected factorization failure")
+        factor(self, scaling)
+
+    monkeypatch.setattr(KktSolver, "factor", failing)
+    with pytest.raises(NumericalBreakdown, match="at iteration 0: injected") as info:
+        solve_convex(prog)
+    assert info.value.iteration == 0
 
 
 def test_tolerance_not_met_reported():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ddopf.errors import AngleOutOfTrustRegion, DimensionMismatch, NonpositiveVoltage, UnknownNode
+from ddopf.errors import (
+    AngleOutOfTrustRegion,
+    DimensionMismatch,
+    NoConvergence,
+    NonpositiveVoltage,
+    UnknownNode,
+)
 from ddopf.grid import Grid, LineParams
 from ddopf.physics import (
     effective_coeffs,
@@ -180,6 +186,17 @@ class TestSolveRadialPf:
         g = Grid([1, 2], [(1, 2)], {(1, 2): TABLE_LINE})
         with pytest.raises(AngleOutOfTrustRegion):
             solve_radial_pf(g, {1: 50.0}, slack=2)
+
+    def test_sweep_limit_raises_no_convergence(self, five_bus_grid):
+        # one leaf-to-root sweep solves a radial grid up to roundoff, so the
+        # limit binds when no sweep may run or the tolerance is below roundoff
+        inj = {1: 0.6, 2: -0.3, 3: 0.5, 4: -0.4}
+        with pytest.raises(NoConvergence) as info:
+            solve_radial_pf(five_bus_grid, inj, slack=5, max_sweeps=0)
+        assert info.value.iterations == 0 and info.value.residual == math.inf
+        with pytest.raises(NoConvergence) as info:
+            solve_radial_pf(five_bus_grid, inj, slack=5, tol=1e-18, max_sweeps=3)
+        assert info.value.iterations == 3 and 1e-18 < info.value.residual < 1e-12
 
     def test_missing_injection_rejected(self, five_bus_grid):
         with pytest.raises(UnknownNode):
