@@ -25,6 +25,7 @@ from .errors import (
 from .excitation import export_trajectory, generate_excitation, import_trajectory
 from .grid import load_grid, validate_radial
 from .microgrid import (
+    WORK_COLUMNS,
     audit_closed_loop,
     compute_kpis,
     generate_profiles,
@@ -164,7 +165,10 @@ def cmd_compare(args) -> int:
     if len(lengths) != 1:
         print(f"step counts differ across runs: {sorted(lengths)}", file=sys.stderr)
         return EXIT_DIMENSION
-    names = [c for c in runs[0] if c not in ("k", "time_h", "solve_time_s")]
+    # timing and solver work may differ between agreeing runs, and results
+    # files written before the work columns existed lack them
+    skip = ("k", "time_h", "solve_time_s", *WORK_COLUMNS)
+    names = [c for c in runs[0] if c not in skip]
     worst_overall = 0.0
     failed = []
     for name in names:

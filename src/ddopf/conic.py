@@ -10,7 +10,7 @@ pre-linearized by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -169,23 +169,38 @@ class MixedBinaryProgram:
 
 @dataclass
 class SolveStats:
-    """Work counts of one convex solve; they never change a computed number.
+    """Work counts of convex solves; they never change a computed number.
 
-    factorizations counts LU factorizations, retries at a larger
+    iterations counts the IPM iterations run, those of a dropped warm
+    attempt and those after the best iterate of a 'tolerance_not_met' solve
+    included; factorizations counts LU factorizations, retries at a larger
     regularization included; kkt_solves counts KKT solve calls, refinements
-    the iterative-refinement passes over all of them, and reg_bumps the
-    retries at a larger regularization after a non-finite solve.
+    the iterative-refinement passes over all of them, reg_bumps the retries
+    at a larger regularization after a non-finite solve, and warm_restarts
+    the warm attempts dropped for a cold solve. The stats of a
+    solve_convex result count that one call; those of a solve_mixed_binary
+    result are the sum (+) over every convex solve of the call.
     """
 
+    iterations: int = 0
     factorizations: int = 0
     kkt_solves: int = 0
     refinements: int = 0
     reg_bumps: int = 0
+    warm_restarts: int = 0
+
+    def __add__(self, other: "SolveStats") -> "SolveStats":
+        return SolveStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass
 class Solution:
-    """Solver output; status 'optimal' certifies the KKT residuals <= tol."""
+    """Solver output; status 'optimal' certifies the KKT residuals <= tol.
+
+    On an 'optimal' convex solve y, z and s hold the final dual iterate of
+    the equalities and of the cone rows, and the cone slack, each scaled by
+    1/tau as x is; they are None otherwise.
+    """
 
     x: np.ndarray
     objective: float
@@ -196,7 +211,10 @@ class Solution:
     dual_objective: float | None = None
     binary_values: tuple[float, ...] | None = None
     node_count: int | None = None
-    stats: SolveStats | None = None  # of the convex solve that produced x
+    stats: SolveStats | None = None  # solver work, see SolveStats
+    y: np.ndarray | None = None
+    z: np.ndarray | None = None
+    s: np.ndarray | None = None
 
 
 def check_feasibility(prog: ConicProgram, x: np.ndarray, include_equalities: bool = True) -> float:
@@ -216,37 +234,3 @@ def check_feasibility(prog: ConicProgram, x: np.ndarray, include_equalities: boo
     for i, j in prog.balls:
         worst = max(worst, x[i] * x[i] + x[j] * x[j] - 1.0)
     return worst
-
-
-def dump(prog: ConicProgram) -> str:
-    """Plain-text rendering of a program, for debugging.
-
-    Format: header line, 'minimize' expression, one line per equality and
-    inequality row, one line per ball pair, then bounds.
-    """
-
-    def expr(row: sp.csr_matrix) -> str:
-        row = row.tocoo()
-        if row.nnz == 0:
-            return "0"
-        return " + ".join(f"{v:.12g} x{c}" for c, v in zip(row.col, row.data))
-
-    lines = [
-        f"conic program: {prog.n} vars, {prog.b_eq.size} eq, "
-        f"{prog.b_in.size} ineq, {len(prog.balls)} balls"
-    ]
-    lines.append("minimize: " + " + ".join(f"{v:.12g} x{k}" for k, v in enumerate(prog.c) if v != 0.0))
-    for r in range(prog.b_eq.size):
-        lines.append(f"  eq[{r}]: {expr(prog.A_eq.getrow(r))} = {prog.b_eq[r]:.12g}")
-    for r in range(prog.b_in.size):
-        lines.append(f"  in[{r}]: {expr(prog.A_in.getrow(r))} <= {prog.b_in[r]:.12g}")
-    for k, (i, j) in enumerate(prog.balls):
-        lines.append(f"  ball[{k}]: x{i}^2 + x{j}^2 <= 1")
-    bounds = []
-    for k in range(prog.n):
-        lo, hi = prog.lb[k], prog.ub[k]
-        if np.isneginf(lo) and np.isposinf(hi):
-            continue
-        bounds.append(f"{lo:.12g} <= x{k} <= {hi:.12g}")
-    lines.append("bounds: " + ("; ".join(bounds) if bounds else "all free"))
-    return "\n".join(lines)

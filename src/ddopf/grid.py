@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
 import yaml
 
 from .errors import (
     CycleDetected,
-    DimensionMismatch,
     Disconnected,
     EdgeOrderViolation,
     SchemaError,
@@ -145,30 +143,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
-
-
-@dataclass
-class EdgeVector:
-    """Edge-indexed vector tagged with its meaning.
-
-    kind "theta" holds one angle difference per edge; kind "p_e" holds two
-    directional line powers per edge, laid out [p_ij, p_ji] in edge order.
-    """
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.kind not in ("theta", "p_e"):
-            raise ValueError(f"unknown edge vector kind {self.kind!r}")
-
-    def validate(self, grid: Grid) -> None:
-        expected = grid.n_edges if self.kind == "theta" else 2 * grid.n_edges
-        if self.values.shape[-1] != expected:
-            raise DimensionMismatch(
-                f"{self.kind} vector has width {self.values.shape[-1]}, expected {expected}"
-            )
 
 
 def adjacent_nodes(grid: Grid, node: int) -> set[int]:

@@ -40,6 +40,10 @@ _REG_MAX = 1e-4
 # arrays than they save in arithmetic
 _PANEL_SIZE = 1
 _RELAX = 1
+# warm start: weight of the earlier optimum in the starting point, and the
+# iterations a warm attempt may run before the solve restarts cold
+_WARM_LAMBDA = 0.9
+_WARM_MAX_ITER = 30
 
 
 class ConeDims:
@@ -493,10 +497,29 @@ def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     return x, y, z, s
 
 
+def _warm_point(form: StandardForm, e: np.ndarray, warm: Solution | None):
+    """Starting point near an earlier optimum, or None when it does not fit.
+
+    The warm start of Skajaa, Andersen and Ye 2013 for this embedding:
+    x = lam x*, y = lam y*, s = lam s* + (1 - lam) e, z = lam z* + (1 - lam) e,
+    tau = 1 and kappa = s'z / degree, with lam = _WARM_LAMBDA. It needs the
+    dual iterate of an optimal solve whose x, y and z sizes match the program.
+    """
+    if warm is None or warm.y is None:
+        return None
+    if (warm.x.size, warm.y.size, warm.z.size) != (form.c.size, form.b.size, form.h.size):
+        return None
+    lam = _WARM_LAMBDA
+    s = lam * warm.s + (1.0 - lam) * e
+    z = lam * warm.z + (1.0 - lam) * e
+    return lam * warm.x, lam * warm.y, z, s, 1.0, (s @ z) / form.dims.degree
+
+
 def solve_convex(
     prog: ConicProgram,
     tol: float = 1e-8,
     max_iter: int = 100,
+    warm_start: Solution | None = None,
 ) -> Solution:
     """Solve the conic program; see Solution.status for the outcome class.
 
@@ -504,18 +527,49 @@ def solve_convex(
     below tol. 'infeasible' / 'unbounded' carry a certificate verified to the
     same tolerance. 'tolerance_not_met' returns the best iterate found.
     Raises NumericalBreakdown when steps collapse far from any certificate.
+
+    warm_start, an earlier optimal Solution of a program of the same sizes,
+    starts the iteration near its optimum (_warm_point) instead of at the
+    cold initial point. A warm attempt that ends without a certificate
+    within _WARM_MAX_ITER iterations, or breaks down, is dropped and the
+    program is solved cold; the result then counts the work of both
+    attempts and has stats.warm_restarts = 1.
     """
     t0 = time.perf_counter()
     prog.validate()
     form = standard_form(prog)
-    dims = form.dims
-    n, p, m = form.c.size, form.b.size, form.h.size
-    nu = dims.degree + 1
-
-    e = cone_e(dims)
+    e = cone_e(form.dims)
     kkt = KktSolver(form)
-    x, y, z, s = _initial_point(kkt, form, e)
-    tau, kappa = 1.0, 1.0
+    start = _warm_point(form, e, warm_start)
+    if start is None:
+        return _iterate(kkt, form, e, None, tol, max_iter, t0)
+    try:
+        sol = _iterate(kkt, form, e, start, tol, min(max_iter, _WARM_MAX_ITER), t0)
+        if sol.status != "tolerance_not_met":
+            return sol
+        ran = sol.stats.iterations
+    except NumericalBreakdown as exc:
+        ran = exc.iteration
+    warm_work = replace(kkt.stats, iterations=ran, warm_restarts=1)
+    # a fresh solver, so that the cold solve chooses its column order as a
+    # call without a warm start does and returns the same bytes
+    sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
+    sol.iterations += ran
+    sol.stats = sol.stats + warm_work
+    return sol
+
+
+def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_iter, t0):
+    """The predictor-corrector loop of solve_convex from start, an
+    (x, y, z, s, tau, kappa) tuple, or from _initial_point when it is None."""
+    dims = form.dims
+    m = form.h.size
+    nu = dims.degree + 1
+    if start is None:
+        x, y, z, s = _initial_point(kkt, form, e)
+        tau, kappa = 1.0, 1.0
+    else:
+        x, y, z, s, tau, kappa = start
 
     A_T, G_T = kkt.A_T, kkt.G_T
     A_op, G_op = kkt.mat_A, kkt.mat_G
@@ -527,7 +581,9 @@ def solve_convex(
     best_score = math.inf
     tiny_steps = 0
 
-    def package(status, xs, metrics, iters):
+    def package(status, xs, metrics, iters, ran):
+        """Solution of the solve; ran counts the iterations run, iters
+        those up to the iterate returned."""
         pres, dres, relgap, pcost, dcost = metrics
         if status == "infeasible":
             obj = math.nan
@@ -543,7 +599,7 @@ def solve_convex(
             solve_time=time.perf_counter() - t0,
             iterations=iters,
             dual_objective=dcost,
-            stats=replace(kkt.stats),
+            stats=replace(kkt.stats, iterations=ran),
         )
 
     for it in range(max_iter + 1):
@@ -566,23 +622,25 @@ def solve_convex(
             best = (x / tau, metrics, it)
 
         if pres <= tol and dres <= tol and relgap <= tol:
-            return package("optimal", x / tau, metrics, it)
+            sol = package("optimal", x / tau, metrics, it, it)
+            sol.y, sol.z, sol.s = y / tau, z / tau, s / tau
+            return sol
 
         # certificates (checked on the raw embedding variables)
         by_hz = -(form.b @ y + form.h @ z)
         if by_hz > tol:
             pinf_res = _norm(A_T @ y + G_T @ z) / by_hz / norm_c
             if pinf_res <= tol:
-                return package("infeasible", x / tau, metrics, it)
+                return package("infeasible", x / tau, metrics, it, it)
         neg_cx = -(form.c @ x)
         if neg_cx > tol:
             dinf_res = max(_norm(A_op @ x) / norm_b, _norm(G_op @ x + s) / norm_h) / neg_cx
             if dinf_res <= tol:
-                return package("unbounded", x / neg_cx, metrics, it)
+                return package("unbounded", x / neg_cx, metrics, it, it)
 
         if it == max_iter:
             xs, met, its = best
-            return package("tolerance_not_met", xs, met, its)
+            return package("tolerance_not_met", xs, met, its, it)
 
         scaling = NTScaling(dims, s, z)
         lam = scaling.lam
@@ -590,7 +648,7 @@ def solve_convex(
         def fallback(detail: str):
             if best_score <= 1e3 * tol:
                 xs, met, its = best
-                return package("tolerance_not_met", xs, met, its)
+                return package("tolerance_not_met", xs, met, its, it)
             raise NumericalBreakdown(it, detail)
 
         try:
@@ -657,7 +715,7 @@ def solve_convex(
             if tiny_steps >= 3:
                 if best_score <= 1e3 * tol:
                     xs, met, its = best
-                    return package("tolerance_not_met", xs, met, its)
+                    return package("tolerance_not_met", xs, met, its, it)
                 raise NumericalBreakdown(it, f"step length collapsed ({step:.2e})")
             step = max(step, 1e-10)
         else:

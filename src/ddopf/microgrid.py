@@ -554,7 +554,12 @@ def build_mpc_step(
 
 @dataclass
 class StepRecord:
-    """Realized quantities of one closed-loop step."""
+    """Realized quantities of one closed-loop step.
+
+    nodes, ipm_iterations and warm_restarts are the solver work of the
+    step's branch & bound call: convex solves, IPM iterations run over them,
+    and warm attempts dropped for a cold solve.
+    """
 
     delta: np.ndarray
     p_t: np.ndarray
@@ -572,6 +577,8 @@ class StepRecord:
     solve_time: float
     tightness: float
     nodes: int
+    ipm_iterations: int
+    warm_restarts: int
 
 
 def step_plant(
@@ -625,9 +632,12 @@ def run_closed_loop(
     """Receding-horizon simulation: build, solve, apply first move, record.
 
     Each step runs branch & bound, seeded with the previous plan's shifted
-    commitments. The plant is exactly the prediction physics. The
-    circle-equality variant ('dd') projects every first move onto the
-    circles, as opf.solve_opf does.
+    commitments. From step 1 on, each node starts from the last optimal
+    solve of the same node shape in this run (mip.solve_mixed_binary's
+    warm_starts): the hinted assignment from the previous step's, the root
+    relaxation from the previous root. The plant is exactly the prediction
+    physics. The circle-equality variant ('dd') projects every first move
+    onto the circles, as opf.solve_opf does.
     """
     if profiles.length < steps:
         raise ForecastTooShort(f"profiles cover {profiles.length} steps, run needs {steps}")
@@ -636,13 +646,18 @@ def run_closed_loop(
     hint = None
     H = config.horizon
     template = MpcTemplate(config, grid, variant, model)
+    warm_starts: dict = {}
 
     for k in range(steps):
         window = profiles.window(k, H)
         prog, layout = build_mpc_step(config, grid, variant, state, window, model, template)
         t0 = time.perf_counter()
         sol = solve_mixed_binary(
-            prog, strategy="branch_and_bound", tol=_SOLVER_TOL, incumbent_hint=hint
+            prog,
+            strategy="branch_and_bound",
+            tol=_SOLVER_TOL,
+            incumbent_hint=hint,
+            warm_starts=warm_starts,
         )
         if sol.status != "optimal":
             raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
@@ -693,6 +708,8 @@ def run_closed_loop(
                 solve_time=solve_time,
                 tightness=tight,
                 nodes=sol.node_count or 1,
+                ipm_iterations=sol.stats.iterations,
+                warm_restarts=sol.stats.warm_restarts,
             )
         )
 
@@ -792,6 +809,11 @@ def audit_closed_loop(
 # --- result files ----------------------------------------------------------------
 
 
+# trailing columns of results.csv: solver work, which differs between runs
+# that agree on every computed quantity
+WORK_COLUMNS = ("nodes", "ipm_iterations", "warm_restarts")
+
+
 def results_header(grid: Grid) -> list[str]:
     cols = [
         "k", "time_h", "conv1_power", "conv2_power", "bess1_power", "bess2_power",
@@ -800,6 +822,7 @@ def results_header(grid: Grid) -> list[str]:
     for i, j in grid.edges:
         cols += [f"pe_{i}{j}", f"pe_{j}{i}"]
     cols += ["cost_sw", "cost_p", "cost_x", "cost_loss", "solve_time_s"]
+    cols += list(WORK_COLUMNS)
     return cols
 
 
@@ -819,6 +842,7 @@ def save_results(result: ClosedLoopResult, path) -> None:
             row += [
                 f"{rec.cost_sw:.17g}", f"{rec.cost_p:.17g}", f"{rec.cost_x:.17g}",
                 f"{rec.cost_loss:.17g}", f"{rec.solve_time:.17g}",
+                rec.nodes, rec.ipm_iterations, rec.warm_restarts,
             ]
             writer.writerow(row)
 

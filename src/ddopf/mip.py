@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .conic import ConicProgram, MixedBinaryProgram, Solution
+from .conic import ConicProgram, MixedBinaryProgram, Solution, SolveStats
 from .errors import TooManyBinaries
 from .ipm import solve_convex
 
@@ -35,15 +35,27 @@ def _full_x(base_n: int, keep: np.ndarray, x_reduced: np.ndarray, fixed: dict[in
     return x
 
 
-def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float):
+def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float, warm_starts=None):
     """Solve a node subproblem; near-floor iterates count as solved.
 
     Degenerate subproblems can stall a shade above the requested tolerance;
     such iterates stay usable (their residuals are reported verbatim), so a
     node is accepted when its residuals reach max(100 * tol, 1e-7).
+
+    warm_starts, when given, maps the sorted fixed indices to the last
+    optimal solve of that node shape: the solve starts from it, and an
+    optimal result replaces it. The result is stored before a near-floor
+    iterate is relabelled 'optimal', so such an iterate never seeds a warm
+    start.
     """
     reduced, keep, offset = base.fix_variables(fixed)
-    sol = solve_convex(reduced, tol=tol)
+    if warm_starts is None:
+        sol = solve_convex(reduced, tol=tol)
+    else:
+        shape = tuple(sorted(fixed))
+        sol = solve_convex(reduced, tol=tol, warm_start=warm_starts.get(shape))
+        if sol.status == "optimal":
+            warm_starts[shape] = sol
     if sol.status == "tolerance_not_met" and max(sol.kkt_residuals) <= max(100.0 * tol, 1e-7):
         sol.status = "optimal"
     return sol, keep, offset
@@ -54,12 +66,17 @@ def solve_mixed_binary(
     strategy: str = "auto",
     tol: float = 1e-9,
     incumbent_hint=None,
+    warm_starts: dict | None = None,
 ) -> Solution:
     """Globally optimize over binary assignments of the convex base program.
 
     strategy 'auto' enumerates up to _ENUMERATE_CAP (4096) assignments and runs
     branch & bound above it. `incumbent_hint` (a binary assignment) seeds branch &
     bound with an initial incumbent; it never changes the returned optimum.
+    `warm_starts`, a dict the caller keeps across calls on programs of one
+    shape, lets branch & bound start each node from the last optimal solve
+    with the same fixed indices (_solve_fixed); enumeration ignores it. The
+    result's stats sum the work of every convex solve of the call.
     """
     t0 = time.perf_counter()
     bidx = prog.binary_indices
@@ -72,7 +89,7 @@ def solve_mixed_binary(
     if strategy == "enumerate":
         out = _enumerate(prog, tol)
     elif strategy == "branch_and_bound":
-        out = _branch_and_bound(prog, tol, incumbent_hint)
+        out = _branch_and_bound(prog, tol, incumbent_hint, warm_starts)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     out.solve_time = time.perf_counter() - t0
@@ -90,15 +107,18 @@ def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
     best_obj = math.inf
     best_assign: tuple[float, ...] | None = None
     count = 0
+    work = SolveStats()
     residuals = (math.inf, math.inf, math.inf)
     for assign in itertools.product((0.0, 1.0), repeat=len(bidx)):
         count += 1
         fixed = dict(zip(bidx, assign))
         sol, keep, offset = _solve_fixed(base, fixed, tol)
+        work = work + sol.stats
         if sol.status == "unbounded":
             sol.x = _full_x(base.n, keep, sol.x, fixed)
             sol.binary_values = assign
             sol.node_count = count
+            sol.stats = work
             return sol
         if sol.status != "optimal":
             continue
@@ -119,14 +139,16 @@ def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
             kkt_residuals=residuals,
             solve_time=0.0,
             node_count=count,
+            stats=work,
         )
     best.objective = best_obj
     best.binary_values = best_assign
     best.node_count = count
+    best.stats = work
     return best
 
 
-def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint) -> Solution:
+def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm_starts) -> Solution:
     base = prog.base
     bidx = list(prog.binary_indices)
 
@@ -143,10 +165,13 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint) -> S
         nonlocal nodes_solved
         key = tuple(sorted(fixed.items()))
         if key not in solved:
-            solved[key] = _solve_fixed(base, fixed, tol)
+            solved[key] = _solve_fixed(base, fixed, tol, warm_starts)
             nodes_solved += 1
         sol, keep, offset = solved[key]
         return dataclasses.replace(sol), keep, offset
+
+    def work() -> SolveStats:
+        return sum((sol.stats for sol, _, _ in solved.values()), SolveStats())
 
     def try_incumbent(assign: tuple[float, ...]) -> bool:
         nonlocal incumbent, incumbent_obj, incumbent_assign
@@ -194,6 +219,7 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint) -> S
                 sol.x = _full_x(base.n, keep, sol.x, fixed)
                 sol.binary_values = tuple(fixed[i] for i in bidx)
                 sol.node_count = nodes_solved
+                sol.stats = work()
                 return sol
             saw_unbounded_root = True
             # relaxation ray may not survive integrality; dive on both children
@@ -247,7 +273,9 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint) -> S
             kkt_residuals=(math.inf, math.inf, math.inf),
             solve_time=0.0,
             node_count=nodes_solved,
+            stats=work(),
         )
     incumbent.objective = incumbent_obj
     incumbent.node_count = nodes_solved
+    incumbent.stats = work()
     return incumbent

@@ -226,6 +226,37 @@ class TestCompare:
         code = run(["compare", "--runs", a, b])
         assert code == 5
 
+    @staticmethod
+    def rewrite(src, dst, edit):
+        """Copy src/results.csv to dst/results.csv with edit applied to each
+        row (the header included) as a list of cells."""
+        dst.mkdir()
+        lines = (src / "results.csv").read_text().splitlines()
+        rows = [edit(line.split(","), i) for i, line in enumerate(lines)]
+        (dst / "results.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+        return dst
+
+    def test_solver_work_columns_not_compared(self, grid_file, config_file, tmp_path, capsys):
+        a, _ = self.run_pair(grid_file, config_file, tmp_path)
+
+        def more_work(row, i):
+            return row if i == 0 else row[:-3] + [str(int(float(v)) + 7) for v in row[-3:]]
+
+        b = self.rewrite(a, tmp_path / "more_work", more_work)
+        assert (b / "results.csv").read_text() != (a / "results.csv").read_text()
+        code = run(["compare", "--runs", a, b, "--tol", "1e-12"])
+        out = capsys.readouterr().out
+        assert code == 0 and "PASS" in out
+        assert "ipm_iterations" not in out
+
+    def test_file_without_work_columns_compares(self, grid_file, config_file, tmp_path, capsys):
+        a, b = self.run_pair(grid_file, config_file, tmp_path)
+        old = self.rewrite(a, tmp_path / "old", lambda row, i: row[:-3])
+        assert (old / "results.csv").read_text().splitlines()[0].endswith(",solve_time_s")
+        assert run(["compare", "--runs", old, b, "--tol", "1e-4"]) == 0
+        assert run(["compare", "--runs", b, old, "--tol", "1e-4"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
+
 
 class TestSolverFailure:
     def test_numerical_breakdown_exit_code(self, grid_file, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility, dump
+from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility
 
 
 def small_program():
@@ -69,11 +69,3 @@ class TestFixVariables:
         assert check_feasibility(prog, x) <= 1e-12
         x_bad = np.array([0.4, 0.9, 0.9])
         assert check_feasibility(prog, x_bad) > 0.1
-
-
-def test_dump_mentions_every_section():
-    text = dump(small_program())
-    assert "minimize" in text
-    assert "eq[0]" in text and "in[0]" in text
-    assert "ball[0]: x1^2 + x2^2 <= 1" in text
-    assert "bounds:" in text

@@ -4,13 +4,11 @@ from hypothesis import given, strategies as st
 
 from ddopf.errors import (
     CycleDetected,
-    DimensionMismatch,
     Disconnected,
     EdgeOrderViolation,
     UnknownNode,
 )
 from ddopf.grid import (
-    EdgeVector,
     Grid,
     LineParams,
     adjacent_nodes,
@@ -142,15 +140,6 @@ def test_random_trees_are_radial(n_nodes, seed):
         bad = grid_of(nodes, canonical_edge_order(list(g.edges) + [chords[0]]))
         with pytest.raises(CycleDetected):
             validate_radial(bad)
-
-
-def test_edge_vector_validation(five_bus_grid):
-    EdgeVector(np.zeros(4), "theta").validate(five_bus_grid)
-    EdgeVector(np.zeros(8), "p_e").validate(five_bus_grid)
-    with pytest.raises(DimensionMismatch):
-        EdgeVector(np.zeros(5), "theta").validate(five_bus_grid)
-    with pytest.raises(ValueError):
-        EdgeVector(np.zeros(4), "power")
 
 
 def test_grid_yaml_roundtrip(tmp_path, five_bus_grid):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from ddopf.behavior import DataDrivenLineModel
+from ddopf import ipm
 from ddopf.conic import ConicProgram, check_feasibility
 from ddopf.errors import NumericalBreakdown
 from ddopf.excitation import generate_excitation
@@ -484,6 +486,7 @@ class TestSolveStats:
         st = sol.stats
         # one factorization for the initial point plus one per iteration;
         # two initial solves plus three per iteration
+        assert st.iterations == sol.iterations
         assert st.factorizations == sol.iterations + 1
         assert st.kkt_solves == 3 * sol.iterations + 2
         assert st.reg_bumps == 0
@@ -499,6 +502,130 @@ class TestSolveStats:
         assert_optimal(sol)
         assert sol.stats.factorizations == sol.iterations + 1
         assert sol.stats.refinements <= 0.2 * sol.stats.kkt_solves
+
+
+def perturbed(prog, rng):
+    """prog with its b_eq moved by N(0, 0.01) and its b_in loosened by up to 0.05."""
+    return dataclasses.replace(
+        prog,
+        b_eq=prog.b_eq + rng.normal(scale=1e-2, size=prog.b_eq.size),
+        b_in=prog.b_in + rng.uniform(0.0, 0.05, size=prog.b_in.size),
+    )
+
+
+class TestWarmStart:
+    def test_optimal_solve_carries_scaled_dual_iterate(self, rng):
+        prog, _ = random_known_socp(rng)
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        form = standard_form(prog)
+        # the scaled iterate is primal-dual feasible to the solve's tolerance
+        np.testing.assert_allclose(form.G @ sol.x + sol.s, form.h, atol=1e-7)
+        np.testing.assert_allclose(form.A.T @ sol.y + form.G.T @ sol.z, -form.c, atol=1e-7)
+        assert jmineig(form.dims, sol.s) > 0 and jmineig(form.dims, sol.z) > 0
+        unsolved = solve_convex(prog, max_iter=2)
+        assert unsolved.status == "tolerance_not_met"
+        assert unsolved.y is None and unsolved.z is None and unsolved.s is None
+
+    def test_data_change_solves_warm_in_fewer_iterations(self, rng):
+        for trial in range(8):
+            prog = random_lp(rng) if trial % 2 == 0 else random_known_socp(rng)[0]
+            first = solve_convex(prog)
+            assert_optimal(first)
+            nxt = perturbed(prog, rng)
+            cold = solve_convex(nxt)
+            warm = solve_convex(nxt, warm_start=first)
+            assert_optimal(cold)
+            assert_optimal(warm)
+            assert warm.objective == pytest.approx(
+                cold.objective, abs=1e-8 * max(1.0, abs(cold.objective))
+            )
+            assert warm.iterations < cold.iterations
+            # no initial-point factorization: one per iteration
+            assert warm.stats.factorizations == warm.iterations == warm.stats.iterations
+            assert warm.stats.kkt_solves == 3 * warm.iterations
+            assert warm.stats.warm_restarts == 0
+
+    def test_mismatched_sizes_start_cold(self, rng):
+        small = solve_convex(random_lp(rng, n=5))
+        prog = random_lp(rng)
+        cold = solve_convex(prog)
+        warm = solve_convex(prog, warm_start=small)
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.y.tobytes() == cold.y.tobytes()
+        assert (warm.iterations, warm.stats) == (cold.iterations, cold.stats)
+
+    def test_unfinished_warm_attempt_restarts_cold(self, rng, monkeypatch):
+        prog = random_lp(rng)
+        nxt = perturbed(prog, rng)
+        cold = solve_convex(nxt)
+        monkeypatch.setattr(ipm, "_WARM_MAX_ITER", 1)
+        sol = solve_convex(nxt, warm_start=solve_convex(prog))
+        assert_optimal(sol)
+        assert sol.x.tobytes() == cold.x.tobytes()
+        # one warm iteration (one factorization, three KKT solves) and the
+        # cold solve, all counted by the one call
+        assert sol.iterations == cold.iterations + 1
+        st = sol.stats
+        assert st.warm_restarts == 1
+        assert st.iterations == cold.stats.iterations + 1
+        assert st.factorizations == cold.stats.factorizations + 1
+        assert st.kkt_solves == cold.stats.kkt_solves + 3
+
+    def test_broken_down_warm_attempt_restarts_cold(self, rng, monkeypatch):
+        prog = random_lp(rng)
+        nxt = perturbed(prog, rng)
+        first, cold = solve_convex(prog), solve_convex(nxt)
+        factor = KktSolver.factor
+        solvers = []
+
+        def failing_first_solver(self, scaling):
+            if not solvers:
+                solvers.append(self)
+            if self is solvers[0]:
+                raise FloatingPointError("injected factorization failure")
+            factor(self, scaling)
+
+        monkeypatch.setattr(KktSolver, "factor", failing_first_solver)
+        sol = solve_convex(nxt, warm_start=first)
+        assert sol.x.tobytes() == cold.x.tobytes()
+        assert sol.stats.warm_restarts == 1
+        assert sol.stats.iterations == cold.stats.iterations
+
+    def test_infeasible_neighbour_stays_infeasible(self):
+        # x0 + x1 = b on the unit box: b = 1 is feasible, b = 3 is not
+        def box_sum(b):
+            return ConicProgram.build(
+                c=[1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[b], lb=[0.0, 0.0], ub=[1.0, 1.0]
+            )
+
+        feasible = solve_convex(box_sum(1.0))
+        assert_optimal(feasible)
+        sol = solve_convex(box_sum(3.0), warm_start=feasible)
+        assert sol.status == "infeasible"
+        assert sol.y is None
+        assert sol.stats.warm_restarts == 0
+
+    def test_stats_count_iterations_past_the_best_iterate(self, rng):
+        # below roundoff the iterates stall, so the best one comes early
+        sol = solve_convex(random_lp(rng), tol=1e-16, max_iter=40)
+        assert sol.status == "tolerance_not_met"
+        assert sol.iterations < sol.stats.iterations == 40
+
+    def test_warm_point_formula(self, rng):
+        prog, _ = random_known_socp(rng)
+        sol = solve_convex(prog)
+        form = standard_form(prog)
+        e = cone_e(form.dims)
+        x, y, z, s, tau, kappa = ipm._warm_point(form, e, sol)
+        lam = ipm._WARM_LAMBDA
+        np.testing.assert_array_equal(x, lam * sol.x)
+        np.testing.assert_array_equal(y, lam * sol.y)
+        np.testing.assert_array_equal(z, lam * sol.z + (1.0 - lam) * e)
+        np.testing.assert_array_equal(s, lam * sol.s + (1.0 - lam) * e)
+        assert tau == 1.0
+        assert kappa == pytest.approx((s @ z) / form.dims.degree, rel=1e-15)
+        assert ipm._warm_point(form, e, None) is None
 
 
 def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddopf import microgrid
 from ddopf.behavior import DataDrivenLineModel
 from ddopf.errors import (
     ForecastTooShort,
@@ -326,6 +327,29 @@ class TestClosedLoop:
         assert np.all(p >= floor - 1e-9)
 
 
+class TestWarmStartedLoop:
+    def test_steps_after_the_first_run_fewer_iterations(self, monkeypatch):
+        profiles = generate_profiles(7, 20, CFG)
+        warm = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=EDGE_MODEL)
+        iters = warm.column("ipm_iterations")
+        assert np.all(iters[1:] < iters[0])
+        assert np.all(warm.column("nodes") == 2)
+
+        # cold replay: the same loop with every solve started cold
+        real = microgrid.solve_mixed_binary
+
+        def cold(prog, **kwargs):
+            kwargs.pop("warm_starts")
+            return real(prog, **kwargs)
+
+        monkeypatch.setattr(microgrid, "solve_mixed_binary", cold)
+        replay = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=EDGE_MODEL)
+        assert np.all(replay.column("warm_restarts") == 0)
+        assert replay.column("ipm_iterations").sum() > iters.sum()
+        for col in ("delta", "p_t", "p_s", "p_r", "p_g", "p_e", "theta", "x", "cost_p", "cost_loss"):
+            np.testing.assert_allclose(warm.column(col), replay.column(col), rtol=0, atol=1e-6)
+
+
 class TestResultFiles:
     def test_results_csv_round_trip(self, tmp_path):
         profiles = generate_profiles(2, 16, CFG)
@@ -343,7 +367,10 @@ class TestResultFiles:
             "res1_power", "res2_power", "load", "stored_energy_1", "stored_energy_2",
             "pe_12", "pe_21", "pe_24", "pe_42", "pe_25", "pe_52", "pe_35", "pe_53",
             "cost_sw", "cost_p", "cost_x", "cost_loss", "solve_time_s",
+            "nodes", "ipm_iterations", "warm_restarts",
         ]
+        for col in ("nodes", "ipm_iterations", "warm_restarts"):
+            np.testing.assert_array_equal(cols[col], res.column(col))
 
     def test_solve_times_csv(self, tmp_path):
         profiles = generate_profiles(2, 14, CFG)

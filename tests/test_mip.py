@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility
+from ddopf import mip
+from ddopf.conic import ConicProgram, MixedBinaryProgram, SolveStats, check_feasibility
 from ddopf.errors import TooManyBinaries
 from ddopf.mip import solve_mixed_binary
 
@@ -126,6 +127,100 @@ class TestStrategyEquivalence:
             mbp, strategy="branch_and_bound", incumbent_hint=(1.0,) * 6
         )
         assert hinted.objective == pytest.approx(plain.objective, abs=1e-8)
+
+
+def loosened(mbp, rng):
+    """mbp with its inequality right-hand side loosened by up to 0.05."""
+    base = mbp.base
+    prog = ConicProgram.build(
+        c=base.c, A_eq=base.A_eq, b_eq=base.b_eq, A_in=base.A_in,
+        b_in=base.b_in + rng.uniform(0.0, 0.05, size=base.b_in.size),
+        lb=base.lb, ub=base.ub, balls=base.balls,
+    )
+    return MixedBinaryProgram(prog, mbp.binary_indices)
+
+
+class TestWarmStarts:
+    def test_warm_dict_keeps_the_optimum(self, rng):
+        # sequences of nearby programs of one shape, as a closed loop poses
+        for trial in range(6):
+            mbp = random_mbp(rng, n_bin=int(rng.integers(2, 6)), n_balls=trial % 2)
+            warm: dict = {}
+            hint = None
+            for _ in range(4):
+                plain = solve_mixed_binary(mbp, strategy="branch_and_bound", incumbent_hint=hint)
+                warmed = solve_mixed_binary(
+                    mbp, strategy="branch_and_bound", incumbent_hint=hint, warm_starts=warm
+                )
+                assert plain.status == warmed.status == "optimal"
+                assert warmed.binary_values == plain.binary_values
+                assert warmed.objective == pytest.approx(plain.objective, abs=1e-8)
+                hint = plain.binary_values
+                mbp = loosened(mbp, rng)
+            # keyed by the sorted fixed indices: the root fixes none, the
+            # hinted node all of them
+            assert () in warm and mbp.binary_indices in warm
+            assert all(sol.status == "optimal" for sol in warm.values())
+
+    def test_each_node_starts_from_its_own_shape(self, rng, monkeypatch):
+        real = mip.solve_convex
+        starts = []
+
+        def recording(prog, warm_start=None, **kwargs):
+            starts.append((prog.n, None if warm_start is None else warm_start.x.size))
+            return real(prog, warm_start=warm_start, **kwargs)
+
+        monkeypatch.setattr(mip, "solve_convex", recording)
+        mbp = random_mbp(rng, n_bin=3)
+        hint = solve_mixed_binary(mbp, strategy="enumerate").binary_values
+        warm: dict = {}
+        for call in range(3):
+            del starts[:]
+            sol = solve_mixed_binary(
+                mbp, strategy="branch_and_bound", incumbent_hint=hint, warm_starts=warm
+            )
+            assert sol.node_count == len(starts) == 2  # the hinted node and the root
+            n_free = (mbp.base.n - mbp.n_binaries, mbp.base.n)
+            expected = [(n, None if call == 0 else n) for n in n_free]
+            assert starts == expected
+            mbp = loosened(mbp, rng)
+
+    def test_relabelled_node_does_not_seed_warm_starts(self, monkeypatch):
+        real = mip.solve_convex
+
+        def near_floor(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            sol.status = "tolerance_not_met"  # accepted by _solve_fixed all the same
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", near_floor)
+        prog = ConicProgram.build(c=[1.0], lb=[0.0], ub=[1.0])
+        warm: dict = {}
+        sol = solve_mixed_binary(
+            MixedBinaryProgram(prog, (0,)), strategy="branch_and_bound", warm_starts=warm
+        )
+        assert sol.status == "optimal"
+        assert warm == {}
+
+    def test_enumeration_ignores_warm_dict(self, rng):
+        warm: dict = {}
+        solve_mixed_binary(random_mbp(rng), strategy="enumerate", warm_starts=warm)
+        assert warm == {}
+
+    @pytest.mark.parametrize("strategy", ["enumerate", "branch_and_bound"])
+    def test_stats_sum_every_convex_solve(self, rng, monkeypatch, strategy):
+        real = mip.solve_convex
+        seen = []
+
+        def recording(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            seen.append(sol.stats)
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", recording)
+        sol = solve_mixed_binary(random_mbp(rng, n_bin=4), strategy=strategy)
+        assert len(seen) == sol.node_count > 1
+        assert sol.stats == sum(seen, SolveStats())
 
 
 class TestEdgeCases:
