@@ -559,6 +559,17 @@ def solve_convex(
     return sol
 
 
+def _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkappa) -> float:
+    """Largest step along (ds, dz, dtau, dkappa) that keeps s and z in their
+    cones and tau and kappa nonnegative."""
+    alpha = min(max_step(dims, s, ds), max_step(dims, z, dz))
+    if dtau < 0.0:
+        alpha = min(alpha, -tau / dtau)
+    if dkappa < 0.0:
+        alpha = min(alpha, -kappa / dkappa)
+    return alpha
+
+
 def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_iter, t0):
     """The predictor-corrector loop of solve_convex from start, an
     (x, y, z, s, tau, kappa) tuple, or from _initial_point when it is None."""
@@ -682,12 +693,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         try:
             # predictor
             dxa, dya, dza, dsa, dta, dka = direction(0.0, np.zeros(m), 0.0)
-            alpha = min(max_step(dims, s, dsa), max_step(dims, z, dza))
-            if dta < 0.0:
-                alpha = min(alpha, -tau / dta)
-            if dka < 0.0:
-                alpha = min(alpha, -kappa / dka)
-            alpha = min(1.0, alpha)
+            alpha = min(1.0, _step_length(dims, s, z, tau, kappa, dsa, dza, dta, dka))
             mu_aff = (
                 (s + alpha * dsa) @ (z + alpha * dza)
                 + (tau + alpha * dta) * (kappa + alpha * dka)
@@ -704,19 +710,11 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         ) and math.isfinite(dtau) and math.isfinite(dkappa)
         if not finite:
             return fallback("non-finite search direction")
-        alpha = min(max_step(dims, s, ds), max_step(dims, z, dz))
-        if dtau < 0.0:
-            alpha = min(alpha, -tau / dtau)
-        if dkappa < 0.0:
-            alpha = min(alpha, -kappa / dkappa)
-        step = min(1.0, _STEP * alpha)
+        step = min(1.0, _STEP * _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkappa))
         if step <= 1e-10:
             tiny_steps += 1
             if tiny_steps >= 3:
-                if best_score <= 1e3 * tol:
-                    xs, met, its = best
-                    return package("tolerance_not_met", xs, met, its, it)
-                raise NumericalBreakdown(it, f"step length collapsed ({step:.2e})")
+                return fallback(f"step length collapsed ({step:.2e})")
             step = max(step, 1e-10)
         else:
             tiny_steps = 0

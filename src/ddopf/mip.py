@@ -1,10 +1,21 @@
 """Mixed-binary layer over the convex solver: enumeration and branch & bound.
 
-Enumeration solves one convex program per binary assignment and is the
-brute-force reference. Branch & bound runs best-first on certified dual
-lower bounds of the relaxations, branching on the most fractional binary
-(ties to the lowest index). Both are deterministic; objective ties between
-assignments resolve to the lexicographically smallest binary vector.
+Both strategies share one acceptance rule and one incumbent (_Incumbent):
+an assignment counts only when its solve with every binary fixed ends
+'optimal' (_solve_fixed), and objective ties between accepted assignments
+(within _TIE_TOL) resolve to the lexicographically smallest binary vector.
+Branch & bound prunes subtrees that can only tie (_PRUNE_EPS), so on tied
+optima it may return another assignment than enumeration.
+
+Enumeration solves every assignment and is the brute-force reference.
+Branch & bound runs best-first on the dual lower bounds of the optimal
+relaxations, branching on the most fractional binary (ties to the lowest
+index). A node whose solve certifies nothing (unbounded, or
+'tolerance_not_met' above the acceptance floor) has no bound of its own:
+its children inherit the bound it was popped with, and it branches on its
+first free binary; such a leaf is skipped, as enumeration skips it, except
+that an unbounded leaf makes the result 'unbounded'. An integral relaxation
+is offered as its leaf; when that solve fails, the node is branched on.
 """
 
 from __future__ import annotations
@@ -61,6 +72,51 @@ def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float, warm_s
     return sol, keep, offset
 
 
+class _Incumbent:
+    """The best accepted assignment of one solve_mixed_binary call."""
+
+    def __init__(self, prog: MixedBinaryProgram):
+        self.base = prog.base
+        self.bidx = prog.binary_indices
+        self.objective = math.inf
+        self.assign: tuple[float, ...] | None = None
+        self.sol: Solution | None = None
+
+    def leaf(self, assign: tuple[float, ...], sol: Solution, keep: np.ndarray, **fields) -> Solution:
+        """A copy of sol, solved with the binaries fixed to assign, over every variable."""
+        x = _full_x(self.base.n, keep, sol.x, dict(zip(self.bidx, assign)))
+        return dataclasses.replace(sol, x=x, binary_values=assign, **fields)
+
+    def offer(self, assign: tuple[float, ...], sol: Solution, keep: np.ndarray, offset: float) -> bool:
+        """Take the fixed solve of assign if it is better or ties and is
+        lexicographically smaller; False when the solve is not 'optimal'."""
+        if sol.status != "optimal":
+            return False
+        obj = sol.objective + offset
+        better = obj < self.objective - _TIE_TOL
+        if better or (abs(obj - self.objective) <= _TIE_TOL and assign < self.assign):
+            self.objective = obj if better else min(self.objective, obj)
+            self.assign = assign
+            self.sol = self.leaf(assign, sol, keep)
+        return True
+
+    def result(self, node_count: int, stats: SolveStats, unbounded: bool = False) -> Solution:
+        """The incumbent, or with none an empty 'infeasible' ('unbounded') result."""
+        if self.sol is None:
+            return Solution(
+                x=np.zeros(self.base.n),
+                objective=-math.inf if unbounded else math.nan,
+                status="unbounded" if unbounded else "infeasible",
+                kkt_residuals=(math.inf, math.inf, math.inf),
+                solve_time=0.0,
+                node_count=node_count,
+                stats=stats,
+            )
+        return dataclasses.replace(
+            self.sol, objective=self.objective, node_count=node_count, stats=stats
+        )
+
+
 def solve_mixed_binary(
     prog: MixedBinaryProgram,
     strategy: str = "auto",
@@ -102,180 +158,76 @@ def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
         raise TooManyBinaries(
             f"{len(bidx)} binaries give {2 ** len(bidx)} combinations, cap is {_ENUMERATE_CAP}"
         )
-    base = prog.base
-    best: Solution | None = None
-    best_obj = math.inf
-    best_assign: tuple[float, ...] | None = None
-    count = 0
+    best = _Incumbent(prog)
     work = SolveStats()
-    residuals = (math.inf, math.inf, math.inf)
-    for assign in itertools.product((0.0, 1.0), repeat=len(bidx)):
-        count += 1
-        fixed = dict(zip(bidx, assign))
-        sol, keep, offset = _solve_fixed(base, fixed, tol)
+    for count, assign in enumerate(itertools.product((0.0, 1.0), repeat=len(bidx)), 1):
+        sol, keep, offset = _solve_fixed(prog.base, dict(zip(bidx, assign)), tol)
         work = work + sol.stats
         if sol.status == "unbounded":
-            sol.x = _full_x(base.n, keep, sol.x, fixed)
-            sol.binary_values = assign
-            sol.node_count = count
-            sol.stats = work
-            return sol
-        if sol.status != "optimal":
-            continue
-        obj = sol.objective + offset
-        better = obj < best_obj - _TIE_TOL
-        tie = abs(obj - best_obj) <= _TIE_TOL and best_assign is not None and assign < best_assign
-        if better or tie:
-            best_obj = obj if better else min(best_obj, obj)
-            best_assign = assign
-            best = sol
-            best.x = _full_x(base.n, keep, sol.x, fixed)
-            residuals = sol.kkt_residuals
-    if best is None:
-        return Solution(
-            x=np.zeros(base.n),
-            objective=math.nan,
-            status="infeasible",
-            kkt_residuals=residuals,
-            solve_time=0.0,
-            node_count=count,
-            stats=work,
-        )
-    best.objective = best_obj
-    best.binary_values = best_assign
-    best.node_count = count
-    best.stats = work
-    return best
+            return best.leaf(assign, sol, keep, node_count=count, stats=work)
+        best.offer(assign, sol, keep, offset)
+    return best.result(count, work)
 
 
 def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm_starts) -> Solution:
     base = prog.base
     bidx = list(prog.binary_indices)
-
-    incumbent: Solution | None = None
-    incumbent_obj = math.inf
-    incumbent_assign: tuple[float, ...] | None = None
-    nodes_solved = 0
+    best = _Incumbent(prog)
     # (Solution, keep, offset) per fixed assignment solved in this call: the
     # hint and a fully fixed leaf are solved again as incumbents otherwise
     solved: dict[tuple, tuple[Solution, np.ndarray, float]] = {}
 
     def solve_node(fixed: dict[int, float]):
-        """_solve_fixed, once per assignment; callers get a copy to modify."""
-        nonlocal nodes_solved
         key = tuple(sorted(fixed.items()))
         if key not in solved:
             solved[key] = _solve_fixed(base, fixed, tol, warm_starts)
-            nodes_solved += 1
-        sol, keep, offset = solved[key]
-        return dataclasses.replace(sol), keep, offset
+        return solved[key]
 
     def work() -> SolveStats:
         return sum((sol.stats for sol, _, _ in solved.values()), SolveStats())
 
-    def try_incumbent(assign: tuple[float, ...]) -> bool:
-        nonlocal incumbent, incumbent_obj, incumbent_assign
-        fixed = dict(zip(bidx, assign))
-        sol, keep, offset = solve_node(fixed)
-        if sol.status != "optimal":
-            return False
-        obj = sol.objective + offset
-        better = obj < incumbent_obj - _TIE_TOL
-        tie = (
-            abs(obj - incumbent_obj) <= _TIE_TOL
-            and incumbent_assign is not None
-            and assign < incumbent_assign
-        )
-        if better or tie:
-            sol.x = _full_x(base.n, keep, sol.x, fixed)
-            sol.binary_values = assign
-            incumbent, incumbent_obj, incumbent_assign = sol, min(obj, incumbent_obj), assign
-        return True
+    def offer(assign: tuple[float, ...]) -> bool:
+        return best.offer(assign, *solve_node(dict(zip(bidx, assign))))
 
     if incumbent_hint is not None:
         hint = tuple(float(round(v)) for v in incumbent_hint)
         if len(hint) != len(bidx):
             raise ValueError("incumbent hint length must match binary count")
-        try_incumbent(hint)
+        offer(hint)
 
     counter = itertools.count()
-    heap: list = []
-
-    def push(bound: float, fixed: dict[int, float]):
-        heapq.heappush(heap, (bound, next(counter), fixed))
-
-    push(-math.inf, {})
-    saw_unbounded_root = False
-
+    heap = [(-math.inf, next(counter), {})]
+    saw_unbounded = False
     while heap:
         bound, _, fixed = heapq.heappop(heap)
-        if bound >= incumbent_obj - _PRUNE_EPS:
+        if bound >= best.objective - _PRUNE_EPS:
             break
         sol, keep, offset = solve_node(fixed)
         if sol.status == "infeasible":
             continue
-        if sol.status == "unbounded":
-            if len(fixed) == len(bidx):
-                sol.x = _full_x(base.n, keep, sol.x, fixed)
-                sol.binary_values = tuple(fixed[i] for i in bidx)
-                sol.node_count = nodes_solved
-                sol.stats = work()
-                return sol
-            saw_unbounded_root = True
-            # relaxation ray may not survive integrality; dive on both children
-            node_bound = -math.inf
-            relax_vals = None
-        else:
-            dual = sol.dual_objective if sol.dual_objective is not None else sol.objective
-            node_bound = max(bound, dual + offset)
-            if node_bound >= incumbent_obj - _PRUNE_EPS:
+        free = [i for i in range(len(bidx)) if bidx[i] not in fixed]
+        if sol.status == "optimal":
+            bound = max(bound, sol.dual_objective + offset)
+            if bound >= best.objective - _PRUNE_EPS:
                 continue
-            full = _full_x(base.n, keep, sol.x, fixed)
-            relax_vals = np.array([full[i] for i in bidx])
-
-        if relax_vals is not None:
-            frac = np.abs(relax_vals - np.round(relax_vals))
-            free = [i for i in range(len(bidx)) if bidx[i] not in fixed]
-            if not free or np.all(frac[free] <= _INT_TOL):
-                # integral relaxation: this assignment is the subtree optimum;
-                # solve it with the binaries eliminated (or reuse that solve)
-                # so the incumbent value is the same deterministic solve
-                # enumeration would report
-                assign = tuple(float(round(relax_vals[i])) for i in range(len(bidx)))
-                if not try_incumbent(assign):
-                    # fixed re-solve failed numerically; keep the relaxation point
-                    obj = sol.objective + offset
-                    if obj < incumbent_obj - _TIE_TOL:
-                        full[bidx] = assign
-                        sol.x = full
-                        sol.binary_values = assign
-                        incumbent, incumbent_obj, incumbent_assign = sol, obj, assign
+            vals = _full_x(base.n, keep, sol.x, fixed)[bidx]
+            frac = np.abs(vals - np.round(vals))
+            frac[frac <= _INT_TOL] = 0.0
+            # an integral relaxation is the subtree optimum: take its leaf's
+            # solve, the one enumeration makes, or branch on the first free
+            # binary when that fails
+            if not frac[free].any() and offer(tuple(float(round(v)) for v in vals)):
                 continue
-            branch_local = max(free, key=lambda i: (frac[i], -i))
-        else:
-            free = [i for i in range(len(bidx)) if bidx[i] not in fixed]
+            branch = max(free, key=lambda i: (frac[i], -i))
+        else:  # certifies nothing: no bound, no fractions
+            if sol.status == "unbounded":
+                if not free:
+                    assign = tuple(fixed[i] for i in bidx)
+                    return best.leaf(assign, sol, keep, node_count=len(solved), stats=work())
+                saw_unbounded = True
             if not free:
                 continue
-            branch_local = free[0]
-
-        var = bidx[branch_local]
+            branch = free[0]
         for value in (0.0, 1.0):
-            child = dict(fixed)
-            child[var] = value
-            push(node_bound, child)
-
-    if incumbent is None:
-        status = "unbounded" if saw_unbounded_root else "infeasible"
-        return Solution(
-            x=np.zeros(base.n),
-            objective=-math.inf if status == "unbounded" else math.nan,
-            status=status,
-            kkt_residuals=(math.inf, math.inf, math.inf),
-            solve_time=0.0,
-            node_count=nodes_solved,
-            stats=work(),
-        )
-    incumbent.objective = incumbent_obj
-    incumbent.node_count = nodes_solved
-    incumbent.stats = work()
-    return incumbent
+            heapq.heappush(heap, (bound, next(counter), {**fixed, bidx[branch]: value}))
+    return best.result(len(solved), work(), unbounded=saw_unbounded)

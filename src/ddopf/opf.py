@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -461,44 +461,18 @@ def solve_opf(
         raise ValueError(f"unknown variant {variant!r}")
 
     raw = solve_convex(prog.base, tol=tol)
-    n_pairs = len(layout.pairs)
-    if raw.status != "optimal":
-        empty = np.zeros(0)
-        return OpfSolution(
-            variant=variant,
-            p_e=empty,
-            p_g=empty,
-            theta=empty,
-            phi=empty,
-            alpha=None,
-            objective=math.nan,
-            solver_objective=raw.objective,
-            status=raw.status,
-            tightness=TightnessReport(np.zeros(n_pairs), math.inf, tight_tol, False),
-            solve_time=raw.solve_time,
-            grid=grid,
-            model=model,
-            app=app,
-            objective_spec=objective,
-            layout=layout,
-            raw=raw,
-        )
-
-    phi = raw.x[layout.phi]
-    p_e = raw.x[layout.p_e]
-    p_g = raw.x[layout.p_g]
-    alpha = raw.x[layout.alpha] if layout.alpha.stop > layout.alpha.start else None
+    empty = np.zeros(0)
     sol = OpfSolution(
         variant=variant,
-        p_e=p_e,
-        p_g=p_g,
-        theta=_recover_theta(phi, n_pairs),
-        phi=phi,
-        alpha=alpha,
-        objective=objective.value(p_e, p_g),
+        p_e=empty,
+        p_g=empty,
+        theta=empty,
+        phi=empty,
+        alpha=None,
+        objective=math.nan,
         solver_objective=raw.objective,
         status=raw.status,
-        tightness=tightness_report(phi, n_pairs, tight_tol),
+        tightness=TightnessReport(np.zeros(len(layout.pairs)), math.inf, tight_tol, False),
         solve_time=raw.solve_time,
         grid=grid,
         model=model,
@@ -507,9 +481,28 @@ def solve_opf(
         layout=layout,
         raw=raw,
     )
+    if raw.status != "optimal":
+        return sol
+    alpha = raw.x[layout.alpha] if layout.alpha.stop > layout.alpha.start else None
+    sol = _at_point(sol, raw.x[layout.phi], alpha, raw.x[layout.p_e], raw.x[layout.p_g], tight_tol)
     if variant == "dd":
         sol = restore_tightness(sol)
     return sol
+
+
+def _at_point(sol: OpfSolution, phi, alpha, p_e, p_g, tight_tol: float) -> OpfSolution:
+    """sol at the point (phi, alpha, p_e, p_g), with its angles, objective and tightness."""
+    n_pairs = len(sol.layout.pairs)
+    return replace(
+        sol,
+        p_e=p_e,
+        p_g=p_g,
+        theta=_recover_theta(phi, n_pairs),
+        phi=phi,
+        alpha=alpha,
+        objective=sol.objective_spec.value(p_e, p_g) if sol.objective_spec else math.nan,
+        tightness=tightness_report(phi, n_pairs, tight_tol),
+    )
 
 
 def project_onto_circles(
@@ -568,26 +561,9 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
             raise ProjectionInfeasible(
                 f"projected point violates application constraints by {violation:.3e}"
             )
-
-    n_pairs = len(sol.layout.pairs)
-    return OpfSolution(
-        variant=sol.variant,
-        p_e=p_e,
-        p_g=p_g,
-        theta=_recover_theta(phi, n_pairs),
-        phi=phi,
-        alpha=alpha,
-        objective=sol.objective_spec.value(p_e, p_g) if sol.objective_spec else math.nan,
-        solver_objective=sol.solver_objective,
-        status=sol.status,
-        tightness=tightness_report(phi, n_pairs, sol.tightness.tol),
+    return replace(
+        _at_point(sol, phi, alpha, p_e, p_g, sol.tightness.tol),
         solve_time=sol.solve_time + (time.perf_counter() - t0),
-        grid=sol.grid,
-        model=sol.model,
-        app=sol.app,
-        objective_spec=sol.objective_spec,
-        layout=sol.layout,
-        raw=sol.raw,
         restored=True,
     )
 

@@ -131,7 +131,6 @@ class RadialPfResult:
     theta: np.ndarray
     slack_injection: float
     residual: float
-    sweeps: int
 
 
 def solve_radial_pf(
@@ -140,15 +139,15 @@ def solve_radial_pf(
     slack: int,
     tol: float = 1e-10,
     angle_bound: float = math.pi / 2,
-    max_sweeps: int = 25,
 ) -> RadialPfResult:
     """Solve for edge angle differences matching the given injections.
 
     `injections` must assign a value to every node except `slack`; the slack
     absorbs the imbalance. The tree is swept leaf-to-root, solving one
     scalar flow equation per edge with a bracketed root finder inside the
-    angle trust region, and the sweep repeats until the replayed balance
-    residual falls below `tol`.
+    angle trust region. Each edge's flow depends only on its own angle, so
+    one sweep solves the tree up to roundoff; the replayed balance residual
+    is checked against `tol` (NoConvergence above it).
     """
     validate_radial(grid)
     if tol <= 0.0:
@@ -202,23 +201,21 @@ def solve_radial_pf(
             )
         theta[e] = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
-    residual = math.inf
-    for sweep in range(1, max_sweeps + 1):
-        for node in reversed(order):
-            if node == slack:
-                continue
-            par = parent[node]
-            required = targets[node]
-            for nxt in grid._adjacency[node]:
-                if nxt != par:
-                    required -= flow(node, nxt)
-            solve_edge(node, par, required)
-        residual = max(
-            (abs(sum(flow(n, m) for m in grid._adjacency[n]) - targets[n]) for n in targets),
-            default=0.0,
-        )
-        if residual <= tol:
-            theta_vec = np.array([theta[e] for e in grid.edges])
-            slack_inj = sum(flow(slack, m) for m in grid._adjacency[slack])
-            return RadialPfResult(theta_vec, float(slack_inj), residual, sweep)
-    raise NoConvergence(max_sweeps, residual)
+    for node in reversed(order):
+        if node == slack:
+            continue
+        par = parent[node]
+        required = targets[node]
+        for nxt in grid._adjacency[node]:
+            if nxt != par:
+                required -= flow(node, nxt)
+        solve_edge(node, par, required)
+    residual = max(
+        (abs(sum(flow(n, m) for m in grid._adjacency[n]) - targets[n]) for n in targets),
+        default=0.0,
+    )
+    if residual > tol:
+        raise NoConvergence(1, residual)
+    theta_vec = np.array([theta[e] for e in grid.edges])
+    slack_inj = sum(flow(slack, m) for m in grid._adjacency[slack])
+    return RadialPfResult(theta_vec, float(slack_inj), residual)

@@ -120,6 +120,45 @@ class TestStrategyEquivalence:
         assert hinted.binary_values == enum.binary_values == (1.0, 1.0)
         assert hinted.objective == pytest.approx(enum.objective, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "node_n, node_b_in, dual_objective, expected",
+        [
+            # the (1, 1) leaf stalls: its relaxation's point is not an answer
+            (1, 6.0, None, ((0.0, 1.0), -1.0)),
+            # the root stalls with a dual objective above the hint's: no bound
+            (3, 9.0, 10.0, ((1.0, 1.0), -2.0)),
+        ],
+        ids=["leaf-not-met", "root-not-met"],
+    )
+    def test_node_that_certifies_nothing_is_skipped(
+        self, monkeypatch, node_n, node_b_in, dual_objective, expected
+    ):
+        # min -x0 - x1 + y, x0 and x1 binary, 0 <= y <= 5. The row
+        # x0 + 2 x1 + y <= 9 never binds; it gives every node a reduced
+        # program of its own (size, right-hand side), so one node's solve can
+        # be made to end 'tolerance_not_met' above the acceptance floor
+        real = mip.solve_convex
+
+        def stalling(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            if prog.n == node_n and prog.b_in[0] == node_b_in:
+                sol.status, sol.kkt_residuals = "tolerance_not_met", (1e-3, 1e-3, 1e-3)
+                sol.dual_objective = dual_objective
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", stalling)
+        prog = ConicProgram.build(
+            c=[-1.0, -1.0, 1.0], A_in=[[1.0, 2.0, 1.0]], b_in=[9.0], lb=[0.0] * 3, ub=[1.0, 1.0, 5.0]
+        )
+        mbp = MixedBinaryProgram(prog, (0, 1))
+        enum = solve_mixed_binary(mbp, strategy="enumerate")
+        assert (enum.binary_values, round(enum.objective, 6)) == expected
+        for hint in (None, (0.0, 1.0)):
+            bnb = solve_mixed_binary(mbp, strategy="branch_and_bound", incumbent_hint=hint)
+            assert bnb.status == "optimal"
+            assert bnb.binary_values == enum.binary_values, hint
+            assert bnb.objective == pytest.approx(enum.objective, abs=1e-8)
+
     def test_hint_does_not_change_optimum(self, rng):
         mbp = random_mbp(rng, n_bin=6)
         plain = solve_mixed_binary(mbp, strategy="branch_and_bound")
