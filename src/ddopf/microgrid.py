@@ -633,9 +633,9 @@ def run_closed_loop(
 
     Each step runs branch & bound, seeded with the previous plan's shifted
     commitments. From step 1 on, each node starts from the last optimal
-    solve of the same node shape in this run (mip.solve_mixed_binary's
-    warm_starts): the hinted assignment from the previous step's, the root
-    relaxation from the previous root. The plant is exactly the prediction
+    solve with the same fixed binaries and values in this run
+    (mip.solve_mixed_binary's warm_starts): the hinted assignment from the
+    last step that solved it, the root relaxation from the previous root. The plant is exactly the prediction
     physics. The circle-equality variant ('dd') projects every first move
     onto the circles, as opf.solve_opf does.
     """

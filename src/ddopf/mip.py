@@ -4,18 +4,25 @@ Both strategies share one acceptance rule and one incumbent (_Incumbent):
 an assignment counts only when its solve with every binary fixed ends
 'optimal' (_solve_fixed), and objective ties between accepted assignments
 (within _TIE_TOL) resolve to the lexicographically smallest binary vector.
-Branch & bound prunes subtrees that can only tie (_PRUNE_EPS), so on tied
-optima it may return another assignment than enumeration.
 
-Enumeration solves every assignment and is the brute-force reference.
+Enumeration solves every assignment and is the brute-force reference. It
+visits them in reflected Gray-code order (the first binary most
+significant), so each node differs from the one before in one binary, and
+starts each solve from the last solve of the call that itself ended
+'optimal'. When the winning assignment was solved warm, it is solved once
+more cold and that solve is returned, the bytes a cold solve of the winner
+gives.
+
 Branch & bound runs best-first on the dual lower bounds of the optimal
 relaxations, branching on the most fractional binary (ties to the lowest
-index). A node whose solve certifies nothing (unbounded, or
-'tolerance_not_met' above the acceptance floor) has no bound of its own:
-its children inherit the bound it was popped with, and it branches on its
-first free binary; such a leaf is skipped, as enumeration skips it, except
-that an unbounded leaf makes the result 'unbounded'. An integral relaxation
-is offered as its leaf; when that solve fails, the node is branched on.
+index), and prunes only bounds above the incumbent by more than _TIE_TOL,
+so a subtree that can tie is still searched. A node whose solve certifies
+nothing (unbounded, or 'tolerance_not_met' above the acceptance floor) has
+no bound of its own: its children inherit the bound it was popped with, and
+it branches on its first free binary; such a leaf is skipped, as enumeration
+skips it, except that an unbounded leaf makes the result 'unbounded'. An
+integral relaxation is offered as its leaf; when that solve fails, the node
+is branched on.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from .ipm import solve_convex
 
 _INT_TOL = 1e-6
 _TIE_TOL = 1e-9
-_PRUNE_EPS = 1e-8  # a node is pruned when its bound reaches the incumbent less this
 _ENUMERATE_CAP = 4096  # most assignments enumeration solves
 
 
@@ -46,30 +52,24 @@ def _full_x(base_n: int, keep: np.ndarray, x_reduced: np.ndarray, fixed: dict[in
     return x
 
 
-def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float, warm_starts=None):
+def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float, warm_start=None):
     """Solve a node subproblem; near-floor iterates count as solved.
 
     Degenerate subproblems can stall a shade above the requested tolerance;
     such iterates stay usable (their residuals are reported verbatim), so a
     node is accepted when its residuals reach max(100 * tol, 1e-7).
 
-    warm_starts, when given, maps the sorted fixed indices to the last
-    optimal solve of that node shape: the solve starts from it, and an
-    optimal result replaces it. The result is stored before a near-floor
-    iterate is relabelled 'optimal', so such an iterate never seeds a warm
-    start.
+    The solve starts from warm_start, an earlier optimal Solution of a node
+    of the same sizes, when one is given. Returns (sol, keep, offset, own):
+    own is True when the solve itself ended 'optimal', before a near-floor
+    iterate is relabelled, so only such a solve may seed a warm start.
     """
     reduced, keep, offset = base.fix_variables(fixed)
-    if warm_starts is None:
-        sol = solve_convex(reduced, tol=tol)
-    else:
-        shape = tuple(sorted(fixed))
-        sol = solve_convex(reduced, tol=tol, warm_start=warm_starts.get(shape))
-        if sol.status == "optimal":
-            warm_starts[shape] = sol
+    sol = solve_convex(reduced, tol=tol, warm_start=warm_start)
+    own = sol.status == "optimal"
     if sol.status == "tolerance_not_met" and max(sol.kkt_residuals) <= max(100.0 * tol, 1e-7):
         sol.status = "optimal"
-    return sol, keep, offset
+    return sol, keep, offset, own
 
 
 class _Incumbent:
@@ -131,8 +131,11 @@ def solve_mixed_binary(
     bound with an initial incumbent; it never changes the returned optimum.
     `warm_starts`, a dict the caller keeps across calls on programs of one
     shape, lets branch & bound start each node from the last optimal solve
-    with the same fixed indices (_solve_fixed); enumeration ignores it. The
-    result's stats sum the work of every convex solve of the call.
+    with the same fixed (index, value) pairs. Enumeration ignores it: it
+    warm-starts each assignment from its Gray-code neighbour within the call
+    and returns a cold solve of the winner, so its result depends on no
+    earlier call. node_count counts the convex solves run (at most 2^k + 1
+    for enumeration), and the result's stats sum their work.
     """
     t0 = time.perf_counter()
     bidx = prog.binary_indices
@@ -154,18 +157,32 @@ def solve_mixed_binary(
 
 def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
     bidx = prog.binary_indices
-    if 2 ** len(bidx) > _ENUMERATE_CAP:
-        raise TooManyBinaries(
-            f"{len(bidx)} binaries give {2 ** len(bidx)} combinations, cap is {_ENUMERATE_CAP}"
-        )
+    k = len(bidx)
+    if 2**k > _ENUMERATE_CAP:
+        raise TooManyBinaries(f"{k} binaries give {2**k} combinations, cap is {_ENUMERATE_CAP}")
     best = _Incumbent(prog)
     work = SolveStats()
-    for count, assign in enumerate(itertools.product((0.0, 1.0), repeat=len(bidx)), 1):
-        sol, keep, offset = _solve_fixed(prog.base, dict(zip(bidx, assign)), tol)
+    warm = None  # the last solve of this call that itself ended 'optimal'
+    cold = set()  # assignments solved without a warm start
+    for count in range(1, 2**k + 1):
+        code = (count - 1) ^ ((count - 1) >> 1)  # reflected Gray code
+        assign = tuple(float(code >> (k - 1 - j) & 1) for j in range(k))
+        if warm is None:
+            cold.add(assign)
+        sol, keep, offset, own = _solve_fixed(prog.base, dict(zip(bidx, assign)), tol, warm)
         work = work + sol.stats
         if sol.status == "unbounded":
             return best.leaf(assign, sol, keep, node_count=count, stats=work)
         best.offer(assign, sol, keep, offset)
+        if own:
+            warm = sol
+    if best.assign is not None and best.assign not in cold:
+        # return the winner's cold solve, the bytes B&B and a cold caller get
+        sol, keep, offset, _ = _solve_fixed(prog.base, dict(zip(bidx, best.assign)), tol)
+        count += 1
+        work = work + sol.stats
+        if sol.status == "optimal":
+            best.objective, best.sol = sol.objective + offset, best.leaf(best.assign, sol, keep)
     return best.result(count, work)
 
 
@@ -180,7 +197,11 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm
     def solve_node(fixed: dict[int, float]):
         key = tuple(sorted(fixed.items()))
         if key not in solved:
-            solved[key] = _solve_fixed(base, fixed, tol, warm_starts)
+            warm = None if warm_starts is None else warm_starts.get(key)
+            sol, keep, offset, own = _solve_fixed(base, fixed, tol, warm)
+            if own and warm_starts is not None:
+                warm_starts[key] = sol
+            solved[key] = sol, keep, offset
         return solved[key]
 
     def work() -> SolveStats:
@@ -200,7 +221,7 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm
     saw_unbounded = False
     while heap:
         bound, _, fixed = heapq.heappop(heap)
-        if bound >= best.objective - _PRUNE_EPS:
+        if bound > best.objective + _TIE_TOL:
             break
         sol, keep, offset = solve_node(fixed)
         if sol.status == "infeasible":
@@ -208,7 +229,7 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm
         free = [i for i in range(len(bidx)) if bidx[i] not in fixed]
         if sol.status == "optimal":
             bound = max(bound, sol.dual_objective + offset)
-            if bound >= best.objective - _PRUNE_EPS:
+            if bound > best.objective + _TIE_TOL:
                 continue
             vals = _full_x(base.n, keep, sol.x, fixed)[bidx]
             frac = np.abs(vals - np.round(vals))

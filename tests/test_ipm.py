@@ -411,24 +411,76 @@ def random_lp(rng, n=6, p=2, m=8):
     return ConicProgram.build(c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb, ub=ub)
 
 
+def infeasible_lp(rng):
+    """A random_lp and its neighbour of the same sizes whose first inequality
+    row asks for less than that row's minimum over the box."""
+    feasible = random_lp(rng)
+    a = feasible.A_in[[0]].toarray().ravel()
+    b_in = feasible.b_in.copy()
+    b_in[0] = np.minimum(a * feasible.lb, a * feasible.ub).sum() - rng.uniform(0.1, 1.0)
+    return feasible, dataclasses.replace(feasible, b_in=b_in)
+
+
+def unbounded_lp(rng, n=6, p=2, m=8):
+    """A bounded LP and its neighbour of the same sizes whose objective falls
+    along the program's one recession direction, e_0."""
+    x0 = rng.uniform(-1.0, 1.0, size=n)
+    A_eq = rng.normal(size=(p, n))
+    A_eq[:, 0] = 0.0
+    A_in = rng.normal(size=(m, n))
+    A_in[:, 0] = -np.abs(A_in[:, 0])
+    lb = x0 - rng.uniform(0.5, 2.0, size=n)
+    ub = x0 + rng.uniform(0.5, 2.0, size=n)
+    ub[0] = np.inf
+    c = rng.normal(size=n)
+    c[0] = rng.uniform(0.1, 1.0)
+    bounded = ConicProgram.build(
+        c=c, A_eq=A_eq, b_eq=A_eq @ x0, A_in=A_in,
+        b_in=A_in @ x0 + rng.uniform(0.05, 1.0, size=m), lb=lb, ub=ub,
+    )
+    c = c.copy()
+    c[0] = -c[0]
+    return bounded, dataclasses.replace(bounded, c=c)
+
+
+def highs(prog):
+    return scipy.optimize.linprog(
+        prog.c,
+        A_ub=prog.A_in.toarray(),
+        b_ub=prog.b_in,
+        A_eq=prog.A_eq.toarray(),
+        b_eq=prog.b_eq,
+        bounds=list(zip(prog.lb, prog.ub)),
+        method="highs",
+    )
+
+
 class TestAgainstLinprog:
     def test_random_lps_match_highs(self, rng):
         for trial in range(40):
             prog = random_lp(rng)
-            ref = scipy.optimize.linprog(
-                prog.c,
-                A_ub=prog.A_in.toarray(),
-                b_ub=prog.b_in,
-                A_eq=prog.A_eq.toarray(),
-                b_eq=prog.b_eq,
-                bounds=list(zip(prog.lb, prog.ub)),
-                method="highs",
-            )
+            ref = highs(prog)
             sol = solve_convex(prog)
             assert ref.status == 0, "generator should produce feasible bounded LPs"
             assert_optimal(sol)
             assert sol.objective == pytest.approx(ref.fun, abs=2e-7, rel=2e-7)
             assert check_feasibility(prog, sol.x) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "neighbours, status, highs_status",
+        [(infeasible_lp, "infeasible", 2), (unbounded_lp, "unbounded", 3)],
+        ids=["infeasible", "unbounded"],
+    )
+    def test_certificates_match_highs_cold_and_warm(self, rng, neighbours, status, highs_status):
+        # warm-started from the optimum of a feasible neighbour of the same
+        # sizes, as an enumeration node starts from the node before it
+        for trial in range(20):
+            feasible, prog = neighbours(rng)
+            assert highs(prog).status == highs_status
+            warm = solve_convex(feasible)
+            assert_optimal(warm)
+            assert solve_convex(prog).status == status
+            assert solve_convex(prog, warm_start=warm).status == status
 
 
 def random_known_socp(rng, n=8, p=2, m=6, n_balls=2):

@@ -95,11 +95,10 @@ class TestStrategyEquivalence:
         np.testing.assert_array_equal(sols[0].x, sols[1].x)
 
     def test_hinted_root_reuses_hint_solve(self):
-        # the relaxation is integral at the hint (1, 1). At tol=1e-6 its dual
-        # bound sits more than the pruning margin (mip._PRUNE_EPS, 1e-8) below
-        # the hint's objective, so the root is expanded and its integral
-        # assignment offered as incumbent: that solve is the hint's, reused,
-        # and not counted again
+        # the relaxation is integral at the hint (1, 1). Its dual bound does
+        # not exceed the hint's objective by more than the tie tolerance, so
+        # the root is expanded and its integral assignment offered as
+        # incumbent: that solve is the hint's, reused, and not counted again
         from ddopf.ipm import solve_convex
 
         prog = ConicProgram.build(
@@ -159,6 +158,20 @@ class TestStrategyEquivalence:
             assert bnb.binary_values == enum.binary_values, hint
             assert bnb.objective == pytest.approx(enum.objective, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_tied_optima_give_enumerations_assignment(self, k):
+        # min -sum(x) + y, sum(x) <= 1, 0 <= y <= 5: every assignment with one
+        # x set ties at -1; the lexicographically smallest is (0, ..., 0, 1)
+        prog = ConicProgram.build(
+            c=[-1.0] * k + [1.0], A_in=[[1.0] * k + [0.0]], b_in=[1.0],
+            lb=[0.0] * (k + 1), ub=[1.0] * k + [5.0],
+        )
+        mbp = MixedBinaryProgram(prog, tuple(range(k)))
+        enum = solve_mixed_binary(mbp, strategy="enumerate")
+        bnb = solve_mixed_binary(mbp, strategy="branch_and_bound")
+        assert enum.binary_values == bnb.binary_values == (0.0,) * (k - 1) + (1.0,)
+        assert bnb.objective == pytest.approx(enum.objective, abs=1e-8)
+
     def test_hint_does_not_change_optimum(self, rng):
         mbp = random_mbp(rng, n_bin=6)
         plain = solve_mixed_binary(mbp, strategy="branch_and_bound")
@@ -194,11 +207,11 @@ class TestWarmStarts:
                 assert plain.status == warmed.status == "optimal"
                 assert warmed.binary_values == plain.binary_values
                 assert warmed.objective == pytest.approx(plain.objective, abs=1e-8)
-                hint = plain.binary_values
+                hinted, hint = hint, plain.binary_values
                 mbp = loosened(mbp, rng)
-            # keyed by the sorted fixed indices: the root fixes none, the
-            # hinted node all of them
-            assert () in warm and mbp.binary_indices in warm
+            # keyed by the sorted fixed (index, value) pairs: the root fixes
+            # none, the hinted node all of them
+            assert () in warm and tuple(zip(mbp.binary_indices, hinted)) in warm
             assert all(sol.status == "optimal" for sol in warm.values())
 
     def test_each_node_starts_from_its_own_shape(self, rng, monkeypatch):
@@ -260,6 +273,117 @@ class TestWarmStarts:
         sol = solve_mixed_binary(random_mbp(rng, n_bin=4), strategy=strategy)
         assert len(seen) == sol.node_count > 1
         assert sol.stats == sum(seen, SolveStats())
+
+
+def spy_enumeration(monkeypatch, relabel=()):
+    """Record every convex solve of solve_mixed_binary as (fixed binaries,
+    warm start, solution, status the solve itself ended with). Solves whose
+    position is in relabel end 'tolerance_not_met' at optimal residuals, so
+    _solve_fixed accepts them all the same."""
+    real_fixed, real_convex = mip._solve_fixed, mip.solve_convex
+    calls, current = [], {}
+
+    def solve_fixed(base, fixed, tol, warm_start=None):
+        current["fixed"] = tuple(fixed[i] for i in sorted(fixed))
+        return real_fixed(base, fixed, tol, warm_start)
+
+    def solve_convex(prog, warm_start=None, **kwargs):
+        sol = real_convex(prog, warm_start=warm_start, **kwargs)
+        if len(calls) in relabel and sol.status == "optimal":
+            sol.status = "tolerance_not_met"
+        calls.append((current["fixed"], warm_start, sol, sol.status))
+        return sol
+
+    monkeypatch.setattr(mip, "_solve_fixed", solve_fixed)
+    monkeypatch.setattr(mip, "solve_convex", solve_convex)
+    return calls
+
+
+def sum_at_most(k, cap):
+    """Binaries x (k) and a continuous y in [0, 5]: min -sum(x) + y s.t.
+    sum(x) + y / 10 <= cap."""
+    prog = ConicProgram.build(
+        c=[-1.0] * k + [1.0], A_in=[[1.0] * k + [0.1]], b_in=[cap],
+        lb=[0.0] * (k + 1), ub=[1.0] * k + [5.0],
+    )
+    return MixedBinaryProgram(prog, tuple(range(k)))
+
+
+class TestGrayCodeEnumeration:
+    def test_neighbours_differ_in_one_binary(self, rng, monkeypatch):
+        calls = spy_enumeration(monkeypatch)
+        k = 4
+        solve_mixed_binary(random_mbp(rng, n_bin=k), strategy="enumerate")
+        visited = [fixed for fixed, *_ in calls[: 2**k]]
+        assert visited[0] == (0.0,) * k
+        assert len(set(visited)) == 2**k
+        for a, b in zip(visited, visited[1:]):
+            assert sum(u != v for u, v in zip(a, b)) == 1
+        # reflected Gray code, the first binary most significant
+        assert visited[:4] == [(0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0),
+                               (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 1.0, 0.0)]
+
+    def test_warm_start_is_the_last_own_optimal_solve(self, monkeypatch):
+        # sum(x) <= 1.5 with 3 binaries: every assignment with two or more
+        # ones is infeasible, and in Gray order (0, 1, 1) follows (0, 0, 1).
+        # The solve of (0, 1, 0), the fourth, is relabelled
+        calls = spy_enumeration(monkeypatch, relabel={3})
+        sol = solve_mixed_binary(sum_at_most(3, 1.5), strategy="enumerate")
+        assert sol.status == "optimal"
+        statuses = [status for *_, status in calls]
+        assert statuses[:8] == ["optimal", "optimal", "infeasible", "tolerance_not_met",
+                                "infeasible", "infeasible", "infeasible", "optimal"]
+        seed = None
+        for fixed, warm_start, node, status in calls[:8]:
+            assert warm_start is seed, fixed
+            if status == "optimal":
+                seed = node
+
+    def test_all_infeasible_gets_no_warm_start(self, monkeypatch):
+        calls = spy_enumeration(monkeypatch)
+        mbp = sum_at_most(3, -0.5)
+        sol = solve_mixed_binary(mbp, strategy="enumerate")
+        assert sol.status == "infeasible"
+        assert sol.node_count == len(calls) == 8
+        assert all(warm_start is None for _, warm_start, _, _ in calls)
+
+    def test_first_unbounded_leaf_in_gray_order(self, monkeypatch):
+        # y has no upper bound and a falling cost; sum(x) >= 1.5 leaves only
+        # assignments with two ones or more feasible, the first of them in
+        # Gray order (0, 1, 1)
+        calls = spy_enumeration(monkeypatch)
+        prog = ConicProgram.build(
+            c=[0.0, 0.0, 0.0, -1.0], A_in=[[-1.0, -1.0, -1.0, 0.0]], b_in=[-1.5],
+            lb=[0.0] * 4, ub=[1.0, 1.0, 1.0, np.inf],
+        )
+        sol = solve_mixed_binary(MixedBinaryProgram(prog, (0, 1, 2)), strategy="enumerate")
+        assert sol.status == "unbounded"
+        assert sol.binary_values == (0.0, 1.0, 1.0)
+        assert sol.node_count == len(calls) == 3
+
+    def test_winner_is_a_cold_solve(self, rng, monkeypatch):
+        from ddopf.ipm import solve_convex
+
+        calls = spy_enumeration(monkeypatch)
+        checked = 0
+        while checked < 3:
+            mbp = random_mbp(rng, n_bin=int(rng.integers(2, 5)))
+            del calls[:]
+            sol = solve_mixed_binary(mbp, strategy="enumerate")
+            k = mbp.n_binaries
+            if sol.status != "optimal" or sol.binary_values == (0.0,) * k:
+                continue
+            # solved warm among the 2^k nodes, then once more cold
+            assert sol.node_count == len(calls) == 2**k + 1
+            assert calls[-1][0] == sol.binary_values and calls[-1][1] is None
+            reduced, keep, offset = mbp.base.fix_variables(
+                dict(zip(mbp.binary_indices, sol.binary_values))
+            )
+            cold = solve_convex(reduced, tol=1e-9)
+            assert sol.x[keep].tobytes() == cold.x.tobytes()
+            assert sol.objective == cold.objective + offset
+            assert sol.stats == sum((node.stats for _, _, node, _ in calls), SolveStats())
+            checked += 1
 
 
 class TestEdgeCases:
