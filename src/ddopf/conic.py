@@ -18,10 +18,11 @@ import scipy.sparse as sp
 
 
 def _as_csr(mat, n_cols: int) -> sp.csr_matrix:
+    """mat as a float CSR matrix; a float CSR matrix is used as given, not copied."""
     if mat is None:
         return sp.csr_matrix((0, n_cols))
     if sp.issparse(mat):
-        out = mat.tocsr().astype(float)
+        out = mat.tocsr().astype(float, copy=False)
     else:
         out = sp.csr_matrix(np.atleast_2d(np.asarray(mat, dtype=float)))
     if out.shape[1] != n_cols:

@@ -59,8 +59,9 @@ class ConeDims:
         self.degree = orthant + n_socs
 
     def soc_view(self, v: np.ndarray) -> np.ndarray:
-        """(n_socs, 3) view of the SOC region, one row per cone."""
-        return v[self.orthant :].reshape(self.n_socs, 3)
+        """(..., n_socs, 3) view of the SOC region of v (..., total), one
+        row per cone; v may stack several cone vectors as leading rows."""
+        return v[..., self.orthant :].reshape(v.shape[:-1] + (self.n_socs, 3))
 
 
 @dataclass
@@ -129,6 +130,10 @@ def standard_form(prog: ConicProgram) -> StandardForm:
 
 
 # --- Jordan-algebra helpers on cone-partitioned vectors ----------------------
+#
+# Every cone is 3-dimensional, so the helpers work on the components of the
+# (n_socs, 3) SOC view directly: a handful of ufunc calls per helper, whatever
+# the number of cones.
 
 
 def cone_e(dims: ConeDims) -> np.ndarray:
@@ -139,12 +144,9 @@ def cone_e(dims: ConeDims) -> np.ndarray:
 
 
 def jprod(dims: ConeDims, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    l = dims.orthant
-    out[:l] = u[:l] * v[:l]
-    ub, vb = dims.soc_view(u), dims.soc_view(v)
-    ob = dims.soc_view(out)
-    ob[:, 0] = np.einsum("ij,ij->i", ub, vb)
+    out = u * v  # right on the orthant; the SOC blocks are overwritten
+    ub, vb, ob = dims.soc_view(u), dims.soc_view(v), dims.soc_view(out)
+    ob[:, 0] = np.vecdot(ub, vb)
     ob[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
     return out
 
@@ -153,25 +155,26 @@ def jdiv(dims: ConeDims, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve lam o x = w blockwise (lam interior; determinant clamped)."""
     out = np.empty_like(w)
     l = dims.orthant
-    out[:l] = w[:l] / lam[:l]
-    lb, wb = dims.soc_view(lam), dims.soc_view(w)
-    ob = dims.soc_view(out)
-    n1 = np.linalg.norm(lb[:, 1:], axis=1)
-    det = np.maximum(lb[:, 0] - n1, 1e-15 * np.maximum(lb[:, 0], 1e-30)) * (lb[:, 0] + n1)
-    x0 = (lb[:, 0] * wb[:, 0] - np.einsum("ij,ij->i", lb[:, 1:], wb[:, 1:])) / det
-    ob[:, 0] = x0
-    ob[:, 1:] = (wb[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
+    np.divide(w[:l], lam[:l], out=out[:l])
+    lb, wb, ob = dims.soc_view(lam), dims.soc_view(w), dims.soc_view(out)
+    l0 = lb[:, 0]
+    n1 = np.hypot(lb[:, 1], lb[:, 2])
+    det = np.maximum(l0 - n1, 1e-15 * np.maximum(l0, 1e-30)) * (l0 + n1)
+    x0 = np.divide(l0 * wb[:, 0] - np.vecdot(lb[:, 1:], wb[:, 1:]), det, out=ob[:, 0])
+    np.divide(wb[:, 1:] - x0[:, None] * lb[:, 1:], lb[:, :1], out=ob[:, 1:])
     return out
 
 
 def jmineig(dims: ConeDims, u: np.ndarray) -> float:
+    """Smallest eigenvalue of u; over all rows when u stacks several cone
+    vectors as rows (..., total)."""
     ub = dims.soc_view(u)
-    eig = np.concatenate([u[: dims.orthant], ub[:, 0] - np.linalg.norm(ub[:, 1:], axis=1)])
-    return float(np.min(eig, initial=math.inf))
+    soc = ub[..., 0] - np.hypot(ub[..., 1], ub[..., 2])
+    return float(min(u[..., : dims.orthant].min(initial=math.inf), soc.min(initial=math.inf)))
 
 
 def _soc_rates(u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """1/alpha of each of the stacked (B, 3) SOC blocks, alpha its max step.
+    """1/alpha of each of the stacked (..., 3) SOC blocks, alpha its max step.
 
     The hyperbolic rotation that maps u to sqrt(det u) * e maps du to
     sqrt(det u) * rho, and e + alpha * rho stays in the cone exactly while
@@ -181,36 +184,46 @@ def _soc_rates(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     uses the difference form, as NTScaling does, so that points grazing the
     boundary keep their relative accuracy.
     """
-    u0, u1 = u[:, 0], u[:, 1:]
-    d0, d1 = du[:, 0], du[:, 1:]
-    n1 = np.sqrt(np.einsum("ij,ij->i", u1, u1))
+    u0, u1 = u[..., 0], u[..., 1:]
+    d0, d1 = du[..., 0], du[..., 1:]
+    n1 = np.hypot(u[..., 1], u[..., 2])
     s = np.sqrt(np.maximum(u0 - n1, 1e-15 * u0) * (u0 + n1))
-    j = u0 * d0 - np.einsum("ij,ij->i", u1, d1)
+    j = u0 * d0 - np.vecdot(u1, d1)
     c = (j + s * d0) / (s * (u0 + s))
-    v = d1 - c[:, None] * u1
-    return (np.sqrt(np.einsum("ij,ij->i", v, v)) - j / s) / s
+    v = d1 - c[..., None] * u1
+    return (np.hypot(v[..., 0], v[..., 1]) - j / s) / s
 
 
 def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
-    """Largest alpha with u + alpha*du still in the cone (u interior)."""
+    """Largest alpha with u + alpha*du still in the cone (u interior).
+
+    u and du may stack several cone vectors as rows (..., total); the step
+    then keeps every row in the cone, and equals the least of the rows'
+    single steps exactly.
+    """
     l = dims.orthant
-    rates = np.concatenate([-du[:l] / u[:l], _soc_rates(dims.soc_view(u), dims.soc_view(du))])
-    rate = float(np.max(rates, initial=0.0))
+    rate = max(
+        -(du[..., :l] / u[..., :l]).min(initial=0.0),
+        _soc_rates(dims.soc_view(u), dims.soc_view(du)).max(initial=0.0),
+    )
     return 1.0 / rate if rate > 0.0 else math.inf
 
 
-_J = np.diag([1.0, -1.0, -1.0])
-_J_OUTER = np.outer(np.diag(_J), np.diag(_J))
+_J_DIAG = np.array([1.0, -1.0, -1.0])
+_J = np.diag(_J_DIAG)
+_J_OUTER = np.outer(_J_DIAG, _J_DIAG)
+_E0 = np.array([1.0, 0.0, 0.0])
 
 
 class NTScaling:
     """Nesterov-Todd scaling W with lambda = W z = W^{-T} s.
 
     SOC blocks are held stacked: each scaling builds the dense (n_socs, 3, 3)
-    blocks of W, W^{-1} and W^2 once, so every apply is one orthant multiply
-    and one stacked matmul. The scaled point lambda uses the cancellation-
-    free closed form, which stays strictly interior even when the iterate
-    grazes the cone boundary.
+    blocks of W and W^2 once, so every apply is one orthant multiply and one
+    stacked matmul. The IPM iteration never applies W^{-1}; apply_Winv
+    builds its blocks on demand. The scaled point lambda uses the
+    cancellation-free closed form, which stays strictly interior even when
+    the iterate grazes the cone boundary.
     """
 
     def __init__(self, dims: ConeDims, s: np.ndarray, z: np.ndarray):
@@ -219,30 +232,23 @@ class NTScaling:
         self.w2_orth = s[:l] / z[:l]
         self.w_orth = np.sqrt(self.w2_orth)
         lam = np.empty_like(s)
-        lam[:l] = np.sqrt(s[:l] * z[:l])
+        np.sqrt(s[:l] * z[:l], out=lam[:l])
 
-        sb = dims.soc_view(s)
-        zb = dims.soc_view(z)
-
-        def jdet_sqrt(u):
-            # u0^2 - |u1|^2 via the difference form; clamp roundoff
-            # negatives so near-boundary iterates keep a finite scaling
-            n1 = np.linalg.norm(u[:, 1:], axis=1)
-            d = np.maximum(u[:, 0] - n1, 1e-15 * np.maximum(u[:, 0], 1e-30))
-            return np.sqrt(d * (u[:, 0] + n1))
-
-        a_s = jdet_sqrt(sb)
-        a_z = jdet_sqrt(zb)
-        sbar = sb / a_s[:, None]
-        zbar = zb / a_z[:, None]
-        gamma = np.sqrt((1.0 + np.einsum("ij,ij->i", sbar, zbar)) / 2.0)
-        jz = zbar.copy()
-        jz[:, 1:] *= -1.0
-        wbar = (sbar + jz) / (2.0 * gamma[:, None])
-        eta = np.sqrt(a_s / a_z)
+        # s and z cones as the two rows of one stack, so that one pass takes
+        # both sqrt(u0^2 - |u1|^2): the difference form, with roundoff
+        # negatives clamped so near-boundary iterates keep a finite scaling
+        u = np.array((dims.soc_view(s), dims.soc_view(z)))
+        u0 = u[..., 0]
+        n1 = np.hypot(u[..., 1], u[..., 2])
+        root = np.sqrt(np.maximum(u0 - n1, 1e-15 * np.maximum(u0, 1e-30)) * (u0 + n1))
+        sbar, zbar = u / root[..., None]
+        a_s, a_z = root
+        gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
+        wbar = (sbar + zbar * _J_DIAG) / (2.0 * gamma)[:, None]
+        eta2 = a_s / a_z
         scale = np.sqrt(a_s * a_z)
         lam_soc = dims.soc_view(lam)
-        lam_soc[:, 0] = scale * gamma
+        np.multiply(scale, gamma, out=lam_soc[:, 0])
         denom = sbar[:, 0] + zbar[:, 0] + 2.0 * gamma
         lam_soc[:, 1:] = (scale / denom)[:, None] * (
             (gamma + zbar[:, 0])[:, None] * sbar[:, 1:]
@@ -250,18 +256,14 @@ class NTScaling:
         )
         self.lam = lam
 
-        # dense 3 x 3 blocks of each cone: W = eta M, W^{-1} = J M J / eta
-        # and W^2 = eta^2 (2 wbar wbar' - J), where
-        # M = [[w0, w1'], [w1, I + w1 w1' / (1 + w0)]]
-        w0, w1 = wbar[:, 0], wbar[:, 1:]
-        m = np.empty((dims.n_socs, 3, 3))
-        m[:, 0, 0] = w0
-        m[:, 0, 1:] = w1
-        m[:, 1:, 0] = w1
-        m[:, 1:, 1:] = w1[:, :, None] * (w1 / (1.0 + w0)[:, None])[:, None, :] + np.eye(2)
-        self.soc_w = eta[:, None, None] * m
-        self.soc_winv = (m * _J_OUTER) / eta[:, None, None]
-        self.soc_w2 = (eta**2)[:, None, None] * (2.0 * wbar[:, :, None] * wbar[:, None, :] - _J)
+        # dense 3 x 3 blocks of each cone: W = eta M and W^2 =
+        # eta^2 (2 wbar wbar' - J), where M = [[w0, w1'], [w1, I + w1 w1' /
+        # (1 + w0)]] = v v' / (1 + w0) - J with v = wbar + e
+        v = wbar + _E0
+        m = v[:, :, None] * (v / v[:, :1])[:, None, :] - _J
+        self.eta = np.sqrt(eta2)
+        self.soc_w = self.eta[:, None, None] * m
+        self.soc_w2 = eta2[:, None, None] * (wbar[:, :, None] * (2.0 * wbar)[:, None, :] - _J)
 
     def _apply(self, orth: np.ndarray, blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -274,7 +276,9 @@ class NTScaling:
         return self._apply(self.w_orth, self.soc_w, v)
 
     def apply_Winv(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(1.0 / self.w_orth, self.soc_winv, v)
+        # W^{-1} = J M J / eta = J W J / eta^2
+        winv = (self.soc_w * _J_OUTER) / (self.eta**2)[:, None, None]
+        return self._apply(1.0 / self.w_orth, winv, v)
 
     def apply_W2(self, v: np.ndarray) -> np.ndarray:
         return self._apply(self.w2_orth, self.soc_w2, v)
@@ -301,6 +305,10 @@ class KktSolver:
     Every matrix one solver factors has the same sparsity pattern. The sparse
     path therefore orders the columns once, with COLAMD on the first matrix,
     and factors every later matrix in that column order with no reordering.
+
+    `fixed` holds the part of the matrix no scaling changes,
+    [0 A' G'; A 0 0; G 0 0], as a dense array or CSR matrix: the IPM forms
+    its residuals and certificate checks from one product with it.
     """
 
     def __init__(self, form: StandardForm):
@@ -312,48 +320,42 @@ class KktSolver:
         # sign of the regularization on each diagonal entry
         self._reg_sign = np.concatenate([np.ones(n), -np.ones(p + m)])
 
-        if self.dense:
-            # tiny systems: numpy matvecs beat scipy.sparse call overhead
-            self.mat_A = form.A.toarray()
-            self.mat_G = form.G.toarray()
-            self.A_T = self.mat_A.T.copy()
-            self.G_T = self.mat_G.T.copy()
-        else:
-            self.mat_A = form.A
-            self.mat_G = form.G
-            self.A_T = form.A.T.tocsr()
-            self.G_T = form.G.T.tocsr()
-        A, G = form.A.tocoo(), form.G.tocoo()
-        rows = [A.row + n, A.col, G.row + n + p, G.col]
-        cols = [A.col, A.row + n, G.col, G.row + n + p]
-        vals = [A.data, A.data, G.data, G.data]
-        fixed_rows = np.concatenate(rows).astype(np.int64)
-        fixed_cols = np.concatenate(cols).astype(np.int64)
-        self._fixed_vals = np.concatenate(vals)
-
-        # variable entries: regularized x/y diagonals plus the -W^2 block
-        w_rows = [np.arange(n + p)]
-        w_cols = [np.arange(n + p)]
-        dims = form.dims
-        w_rows.append(np.arange(n + p, n + p + dims.orthant))
-        w_cols.append(np.arange(n + p, n + p + dims.orthant))
-        # dense 3 x 3 blocks, block after block, each row-major
-        starts = n + p + dims.orthant + 3 * np.arange(dims.n_socs)
+        # positions of the variable entries, in _w_values' order: the
+        # regularized x/y diagonals, the orthant's -W^2 diagonal, then the
+        # dense 3 x 3 -W^2 blocks, block after block, each row-major
+        k, l = n + p, form.dims.orthant
+        starts = k + l + 3 * np.arange(form.dims.n_socs)
         rr, cc = np.divmod(np.arange(9), 3)
-        w_rows.append((starts[:, None] + rr).ravel())
-        w_cols.append((starts[:, None] + cc).ravel())
-        w_rows = np.concatenate(w_rows).astype(np.int64)
-        w_cols = np.concatenate(w_cols).astype(np.int64)
+        w_rows = np.concatenate([np.arange(k + l), (starts[:, None] + rr).ravel()])
+        w_cols = np.concatenate([np.arange(k + l), (starts[:, None] + cc).ravel()])
 
         if self.dense:
-            self._base = np.zeros((self.dim, self.dim))
-            np.add.at(self._base, (fixed_rows, fixed_cols), self._fixed_vals)
+            A, G = form.A.toarray(), form.G.toarray()
+            self.fixed = np.zeros((self.dim, self.dim))
+            self.fixed[n:k, :n] = A
+            self.fixed[:n, n:k] = A.T
+            self.fixed[k:, :n] = G
+            self.fixed[:n, k:] = G.T
+            # the matrix factored last: fixed with the variable entries written in
+            self._kmat = self.fixed.copy()
             self._w_flat = w_rows * self.dim + w_cols
+            self._w_vals = np.empty(w_rows.size)
             # LAPACK's LU called directly: the routines scipy.linalg's
             # lu_factor/lu_solve wrap, without their per-call checks
-            self._getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self._base,))
+            self._getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
             self._lu = self._piv = None
         else:
+            A, G = form.A.tocoo(), form.G.tocoo()
+            fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
+            fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
+            fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
+            self.fixed = sp.csr_matrix(
+                (fixed_vals, (fixed_rows, fixed_cols)), shape=(self.dim, self.dim)
+            )
+            # every entry in scatter order: the fixed values, then the
+            # variable ones, which _w_values writes in place
+            self._raw = np.concatenate([fixed_vals, np.zeros(w_rows.size)])
+            self._w_vals = self._raw[fixed_vals.size :]
             all_rows = np.concatenate([fixed_rows, w_rows])
             all_cols = np.concatenate([fixed_cols, w_cols])
             order = np.lexsort((all_rows, all_cols))
@@ -373,25 +375,28 @@ class KktSolver:
         self.stats = SolveStats()
 
     def _w_values(self, scaling: NTScaling, reg: float) -> np.ndarray:
-        stack = -scaling.w2_soc_stack()
-        stack[:, np.arange(3), np.arange(3)] -= reg
-        return np.concatenate(
-            [np.full(self.n, reg), np.full(self.p, -reg), -(scaling.w2_orth + reg), stack.ravel()]
-        )
+        """The variable entries at regularization reg, written into the
+        solver's own buffer."""
+        w = self._w_vals
+        n, k = self.n, self.n + self.p
+        kl = k + self.form.dims.orthant
+        w[:n] = reg
+        w[n:k] = -reg
+        np.subtract(-reg, scaling.w2_orth, out=w[k:kl])
+        np.negative(scaling.w2_soc_stack().reshape(-1), out=w[kl:])
+        w[kl:].reshape(-1, 9)[:, ::4] -= reg
+        return w
 
     def _factor_at(self, reg: float) -> None:
         self.stats.factorizations += 1
         w_vals = self._w_values(self.scaling, reg)
         if self.dense:
-            mat = self._base.copy()
-            mat.ravel()[self._w_flat] += w_vals
-            self._kmat = mat
+            self._kmat.ravel()[self._w_flat] = w_vals
             # an exactly singular factor (info > 0) is kept: its solve is not
             # finite, and solve() retries with more regularization
-            self._lu, self._piv, _ = self._getrf(mat)
+            self._lu, self._piv, _ = self._getrf(self._kmat)
         else:
-            raw = np.concatenate([self._fixed_vals, w_vals])
-            self._mat.data[:] = raw[self._order]
+            self._mat.data[:] = self._raw[self._order]
             if self._cols is None:
                 self._splu = spla.splu(self._mat, relax=_RELAX, panel_size=_PANEL_SIZE)
                 self._splu_cols = None
@@ -451,9 +456,9 @@ class KktSolver:
         """
         self.stats.kkt_solves += 1
         rhs = np.concatenate([rx, ry, rz])
-        scale = max(1.0, float(np.max(np.abs(rhs))))
+        scale = max(1.0, float(np.abs(rhs).max()))
         sol = self._raw_solve(rhs)
-        while not np.all(np.isfinite(sol)):
+        while not np.isfinite(sol).all():
             if self._current_reg >= _REG_MAX:
                 raise FloatingPointError("KKT factorization unusable at maximum regularization")
             self._current_reg = min(self._current_reg * 1e3, _REG_MAX)
@@ -463,7 +468,7 @@ class KktSolver:
         best_resid = math.inf
         for _ in range(4):
             resid = rhs - self._exact_matvec(sol)
-            err = float(np.max(np.abs(resid)))
+            err = float(np.abs(resid).max())
             if err <= 1e-12 * scale or err >= best_resid:
                 break
             best_resid = err
@@ -559,10 +564,10 @@ def solve_convex(
     return sol
 
 
-def _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkappa) -> float:
-    """Largest step along (ds, dz, dtau, dkappa) that keeps s and z in their
-    cones and tau and kappa nonnegative."""
-    alpha = min(max_step(dims, s, ds), max_step(dims, z, dz))
+def _step_length(dims, zs, tau, kappa, dzs, dtau, dkappa) -> float:
+    """Largest step along (dzs, dtau, dkappa) that keeps both rows of zs,
+    z and s, in their cones and tau and kappa nonnegative."""
+    alpha = max_step(dims, zs, dzs)
     if dtau < 0.0:
         alpha = min(alpha, -tau / dtau)
     if dkappa < 0.0:
@@ -572,21 +577,30 @@ def _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkappa) -> float:
 
 def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_iter, t0):
     """The predictor-corrector loop of solve_convex from start, an
-    (x, y, z, s, tau, kappa) tuple, or from _initial_point when it is None."""
+    (x, y, z, s, tau, kappa) tuple, or from _initial_point when it is None.
+
+    The iterate is one vector v = [x | y | z | s] and a search direction one
+    d = [dx | dy | dz | ds], so that [x | y | z] is the KKT solver's
+    unknown and z and s are the rows of one (2, m) stack.
+    """
     dims = form.dims
-    m = form.h.size
     nu = dims.degree + 1
     if start is None:
         x, y, z, s = _initial_point(kkt, form, e)
         tau, kappa = 1.0, 1.0
     else:
         x, y, z, s, tau, kappa = start
+    v = np.concatenate([x, y, z, s])
+    n, k, dim = kkt.n, kkt.n + kkt.p, kkt.dim
 
-    A_T, G_T = kkt.A_T, kkt.G_T
-    A_op, G_op = kkt.mat_A, kkt.mat_G
-    norm_b = 1.0 + _norm(form.b)
-    norm_h = 1.0 + _norm(form.h)
-    norm_c = 1.0 + _norm(form.c)
+    c, b, h = form.c, form.b, form.h
+    # residuals: [r1 | r2 | r3] = fixed @ [x | y | z] + tau q, plus s on r3,
+    # and r4 = g'[x | y | z] + kappa
+    q = np.concatenate([c, -b, -h])
+    g = np.concatenate([c, b, h])
+    norm_b = 1.0 + _norm(b)
+    norm_h = 1.0 + _norm(h)
+    norm_c = 1.0 + _norm(c)
 
     best = None
     best_score = math.inf
@@ -614,17 +628,24 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         )
 
     for it in range(max_iter + 1):
-        r1 = A_T @ y + G_T @ z + form.c * tau
-        r2 = A_op @ x - form.b * tau
-        r3 = G_op @ x + s - form.h * tau
-        r4 = form.c @ x + form.b @ y + form.h @ z + kappa
-        mu = (s @ z + tau * kappa) / nu
+        x, z, s = v[:n], v[k:dim], v[dim:]
+        zs = v[k:].reshape(2, -1)
+        # fixed @ [x | y | z] = [A'y + G'z | A x | G x]
+        kv = kkt.fixed @ v[:dim]
+        r = kv + tau * q
+        r[k:] += s
+        r1, r2, r3 = r[:n], r[n:k], r[k:]
+        cx = c @ x
+        byhz = g[n:] @ v[n:dim]
+        r4 = cx + byhz + kappa
+        sz = s @ z
+        mu = (sz + tau * kappa) / nu
 
-        pcost = form.c @ x / tau
-        dcost = -(form.b @ y + form.h @ z) / tau
+        pcost = cx / tau
+        dcost = -byhz / tau
         pres = max(_norm(r2) / norm_b, _norm(r3) / norm_h) / tau
         dres = _norm(r1) / norm_c / tau
-        gap = s @ z / (tau * tau)
+        gap = sz / (tau * tau)
         relgap = gap / max(1.0, abs(pcost))
         score = max(pres, dres, relgap)
         metrics = (pres, dres, relgap, pcost, dcost)
@@ -634,20 +655,18 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
 
         if pres <= tol and dres <= tol and relgap <= tol:
             sol = package("optimal", x / tau, metrics, it, it)
-            sol.y, sol.z, sol.s = y / tau, z / tau, s / tau
+            sol.y, sol.z, sol.s = v[n:k] / tau, z / tau, s / tau
             return sol
 
         # certificates (checked on the raw embedding variables)
-        by_hz = -(form.b @ y + form.h @ z)
-        if by_hz > tol:
-            pinf_res = _norm(A_T @ y + G_T @ z) / by_hz / norm_c
+        if -byhz > tol:
+            pinf_res = _norm(kv[:n]) / -byhz / norm_c
             if pinf_res <= tol:
                 return package("infeasible", x / tau, metrics, it, it)
-        neg_cx = -(form.c @ x)
-        if neg_cx > tol:
-            dinf_res = max(_norm(A_op @ x) / norm_b, _norm(G_op @ x + s) / norm_h) / neg_cx
+        if -cx > tol:
+            dinf_res = max(_norm(kv[n:k]) / norm_b, _norm(kv[k:] + s) / norm_h) / -cx
             if dinf_res <= tol:
-                return package("unbounded", x / neg_cx, metrics, it, it)
+                return package("unbounded", x / -cx, metrics, it, it)
 
         if it == max_iter:
             xs, met, its = best
@@ -664,53 +683,49 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
 
         try:
             kkt.factor(scaling)
-            x1, y1, z1 = kkt.solve(-form.c, form.b, form.h)
+            sol1 = np.concatenate(kkt.solve(-c, b, h))
         except (FloatingPointError, RuntimeError) as exc:
             return fallback(str(exc))
-        denom = form.c @ x1 + form.b @ y1 + form.h @ z1 - kappa / tau
+        denom = g @ sol1 - kappa / tau
 
-        def direction(sigma, gamma_corr, tk_corr):
-            ds_rhs = jprod(dims, lam, lam) - sigma * mu * e + gamma_corr
-            wg = scaling.apply_W(jdiv(dims, lam, -ds_rhs))
-            fac = 1.0 - sigma
-            dx0, dy0, dz0 = kkt.solve(-fac * r1, -fac * r2, -fac * r3 - wg)
-            rhs_kappa = -tau * kappa + sigma * mu - tk_corr
-            num = (
-                -fac * r4
-                - form.c @ dx0
-                - form.b @ dy0
-                - form.h @ dz0
-                - rhs_kappa / tau
-            )
-            dtau = num / denom
-            dx = dx0 + dtau * x1
-            dy = dy0 + dtau * y1
-            dz = dz0 + dtau * z1
-            ds = wg - scaling.apply_W2(dz)
+        def direction(fac, wg, rhs_kappa):
+            """d = [dx | dy | dz | ds], dtau and dkappa for the complementarity
+            right-hand side whose scaled form is wg."""
+            rhs = r * -fac
+            rhs[k:] -= wg
+            sol0 = np.concatenate(kkt.solve(rhs[:n], rhs[n:k], rhs[k:]))
+            dtau = (-fac * r4 - g @ sol0 - rhs_kappa / tau) / denom
+            d = np.empty(v.size)
+            np.multiply(sol1, dtau, out=d[:dim])
+            d[:dim] += sol0
+            np.subtract(wg, scaling.apply_W2(d[k:dim]), out=d[dim:])
             dkappa = (rhs_kappa - kappa * dtau) / tau
-            return dx, dy, dz, ds, dtau, dkappa
+            return d, dtau, dkappa
 
         try:
-            # predictor
-            dxa, dya, dza, dsa, dta, dka = direction(0.0, np.zeros(m), 0.0)
-            alpha = min(1.0, _step_length(dims, s, z, tau, kappa, dsa, dza, dta, dka))
-            mu_aff = (
-                (s + alpha * dsa) @ (z + alpha * dza)
-                + (tau + alpha * dta) * (kappa + alpha * dka)
-            ) / nu
+            # predictor: jdiv(lam, -lam o lam) = -lam, so wg = -W lam
+            w_lam = scaling.apply_W(lam)
+            da, dta, dka = direction(1.0, -w_lam, -tau * kappa)
+            dzs_a = da[k:].reshape(2, -1)
+            alpha = min(1.0, _step_length(dims, zs, tau, kappa, dzs_a, dta, dka))
+            zs_a = zs + alpha * dzs_a
+            mu_aff = (zs_a[0] @ zs_a[1] + (tau + alpha * dta) * (kappa + alpha * dka)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
 
-            # corrector
-            gamma_corr = jprod(dims, scaling.apply_Winv(dsa), scaling.apply_W(dza))
-            dx, dy, dz, ds, dtau, dkappa = direction(sigma, gamma_corr, dta * dka)
+            # corrector: ds_a = -W lam - W^2 dz_a, so W^{-1} ds_a = -lam - W dz_a,
+            # and jdiv(lam, -(lam o lam + gamma - sigma mu e)) =
+            # -lam - jdiv(lam, gamma - sigma mu e)
+            w_dz = scaling.apply_W(da[k:dim])
+            gamma_corr = jprod(dims, -(lam + w_dz), w_dz)
+            gamma_corr -= (sigma * mu) * e
+            wg = -(w_lam + scaling.apply_W(jdiv(dims, lam, gamma_corr)))
+            d, dtau, dkappa = direction(1.0 - sigma, wg, -tau * kappa + sigma * mu - dta * dka)
         except (FloatingPointError, RuntimeError) as exc:
             return fallback(str(exc))
-        finite = all(
-            np.all(np.isfinite(v)) for v in (dx, dy, dz, ds)
-        ) and math.isfinite(dtau) and math.isfinite(dkappa)
-        if not finite:
+        if not (np.isfinite(d).all() and math.isfinite(dtau) and math.isfinite(dkappa)):
             return fallback("non-finite search direction")
-        step = min(1.0, _STEP * _step_length(dims, s, z, tau, kappa, ds, dz, dtau, dkappa))
+        dzs = d[k:].reshape(2, -1)
+        step = min(1.0, _STEP * _step_length(dims, zs, tau, kappa, dzs, dtau, dkappa))
         if step <= 1e-10:
             tiny_steps += 1
             if tiny_steps >= 3:
@@ -722,23 +737,15 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         # roundoff can overshoot the boundary at very small complementarity;
         # back off until the new iterate is strictly inside the cone
         for _ in range(40):
-            s_new = s + step * ds
-            z_new = z + step * dz
             tau_new = tau + step * dtau
             kappa_new = kappa + step * dkappa
-            if (
-                jmineig(dims, s_new) > 0.0
-                and jmineig(dims, z_new) > 0.0
-                and tau_new > 0.0
-                and kappa_new > 0.0
-            ):
+            v_new = v + step * d
+            if tau_new > 0.0 and kappa_new > 0.0 and jmineig(dims, v_new[k:].reshape(2, -1)) > 0.0:
                 break
             step *= 0.5
         else:
             return fallback("cannot keep the iterate interior")
-        x = x + step * dx
-        y = y + step * dy
-        z, s = z_new, s_new
+        v = v_new
         tau, kappa = tau_new, kappa_new
 
     raise NumericalBreakdown(max_iter, "iteration limit fell through")

@@ -105,6 +105,28 @@ def losses_objective(grid: Grid) -> LinearObjective:
     return LinearObjective(c_pg=np.ones(grid.n_nodes))
 
 
+def _csr_from_entries(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix of entries at distinct positions, built in one construction.
+
+    Each row's columns come out sorted, as scipy's COO conversion sorts them.
+    """
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+
+
+def _stack_csr(top: sp.csr_matrix, bottom: sp.csr_matrix) -> sp.csr_matrix:
+    """[top; bottom] of two CSR matrices, built in one construction."""
+    return sp.csr_matrix(
+        (
+            np.concatenate([top.data, bottom.data]),
+            np.concatenate([top.indices, bottom.indices]),
+            np.concatenate([top.indptr, top.nnz + bottom.indptr[1:]]),
+        ),
+        shape=(top.shape[0] + bottom.shape[0], top.shape[1]),
+    )
+
+
 class AppConstraints:
     """Application-dependent linear hooks over the (phi, p_e, p_g) blocks.
 
@@ -174,7 +196,10 @@ class AppConstraints:
                     c_idx.append(offsets[block] + int(k))
                     vals.append(float(v))
             rhs.append(b)
-        mat = sp.csr_matrix((vals, (r_idx, c_idx)), shape=(len(rows), layout.n))
+        mat = _csr_from_entries(
+            np.array(r_idx, dtype=np.int64), np.array(c_idx, dtype=np.int64),
+            np.array(vals, dtype=float), (len(rows), layout.n),
+        )
         return mat, np.asarray(rhs, dtype=float)
 
     def materialize(self, layout: OpfLayout):
@@ -313,8 +338,8 @@ def pf_template(
     row += 1
     rhs = np.zeros(row)
     rhs[-1] = 1.0
-    eq = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(row, layout.n)
+    eq = _csr_from_entries(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (row, layout.n)
     )
     return PfTemplate(variant, layout, eq, rhs, model)
 
@@ -331,23 +356,14 @@ def _assemble(
     layout = template.layout
     c = objective.vector(layout)
     c[layout.cos_cols()] -= beta
-    eq_mats, eq_rhs = [template.eq], [template.eq_rhs]
-    in_mats, in_rhs = [], []
+    A_eq, b_eq = template.eq, template.eq_rhs
+    A_in = b_in = None
     if app is not None:
-        a_eq, b_eq, a_in, b_in = app.materialize(layout)
-        if b_eq.size:
-            eq_mats.append(a_eq)
-            eq_rhs.append(b_eq)
-        if b_in.size:
-            in_mats.append(a_in)
-            in_rhs.append(b_in)
+        a_eq, app_b_eq, A_in, b_in = app.materialize(layout)
+        if app_b_eq.size:
+            A_eq, b_eq = _stack_csr(A_eq, a_eq), np.concatenate([b_eq, app_b_eq])
     prog = ConicProgram.build(
-        c=c,
-        A_eq=sp.vstack(eq_mats).tocsr(),
-        b_eq=np.concatenate(eq_rhs),
-        A_in=sp.vstack(in_mats).tocsr() if in_mats else None,
-        b_in=np.concatenate(in_rhs) if in_rhs else None,
-        balls=layout.ball_pairs(),
+        c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, balls=layout.ball_pairs()
     )
     return MixedBinaryProgram(prog, ()), layout
 

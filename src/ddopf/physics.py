@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AngleOutOfTrustRegion,
@@ -149,6 +148,10 @@ def solve_radial_pf(
     one sweep solves the tree up to roundoff; the replayed balance residual
     is checked against `tol` (NoConvergence above it).
     """
+    # imported here: scipy.optimize takes about a quarter second to import,
+    # and nothing else in the package needs it
+    from scipy.optimize import brentq
+
     validate_radial(grid)
     if tol <= 0.0:
         raise ValueError("tol must be positive")

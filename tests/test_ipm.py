@@ -158,6 +158,57 @@ class TestConeAlgebra:
                 assert jmineig(dims, u + 0.999 * alpha * du) >= -1e-9
                 assert jmineig(dims, u + 1.01 * alpha * du + 1e-9 * du) <= 1e-7
 
+    @staticmethod
+    def near_boundary(rng, dims, gap=1e-9, margin=0.5):
+        """Interior point whose cones lie gap (relative) from the boundary."""
+        u = random_cone_point(rng, dims, margin)
+        for cone in dims.soc_view(u):
+            cone[0] = np.linalg.norm(cone[1:]) / (1.0 - gap)
+        return u
+
+    def test_stacked_max_step_and_mineig_are_the_least_of_the_rows(self, rng):
+        dims = ConeDims(orthant=6, n_socs=8)
+        for trial in range(60):
+            s = random_cone_point(rng, dims) if trial % 2 else self.near_boundary(rng, dims)
+            z = random_cone_point(rng, dims)
+            ds, dz = rng.normal(size=(2, dims.total))
+            zs, dzs = np.array([z, s]), np.array([dz, ds])
+            assert max_step(dims, zs, dzs) == min(max_step(dims, z, dz), max_step(dims, s, ds))
+            assert jmineig(dims, zs) == min(jmineig(dims, z), jmineig(dims, s))
+
+    def test_predictor_identity(self, rng):
+        # -lam solves lam o x = -lam o lam, so the predictor's scaled
+        # right-hand side W jdiv(lam, -lam o lam) is -W lam
+        for trial in range(40):
+            near = trial % 2 == 1
+            lam = self.near_boundary(rng, self.dims) if near else random_cone_point(rng, self.dims)
+            sq = jprod(self.dims, lam, lam)
+            np.testing.assert_array_equal(jprod(self.dims, lam, -lam), -sq)
+            if not near:
+                # away from the boundary, jdiv itself reproduces -lam
+                np.testing.assert_allclose(
+                    jdiv(self.dims, lam, -sq), -lam, rtol=0, atol=1e-12 * np.abs(lam).max()
+                )
+
+    def test_corrector_identity(self, rng):
+        # ds_a = -W lam - W^2 dz_a, so W^{-1} ds_a = -lam - W dz_a: the
+        # corrector never applies W^{-1}
+        for trial in range(40):
+            near = trial % 2 == 1
+            point = self.near_boundary if near else random_cone_point
+            s, z = point(rng, self.dims), point(rng, self.dims)
+            sc = NTScaling(self.dims, s, z)
+            dz = rng.normal(size=self.dims.total)
+            ds = -sc.apply_W(sc.lam) - sc.apply_W2(dz)
+            winv_ds = -sc.lam - sc.apply_W(dz)
+            scale = np.abs(ds).max()
+            np.testing.assert_allclose(sc.apply_W(winv_ds), ds, rtol=0, atol=1e-12 * scale)
+            if not near:
+                # W^{-1} is well conditioned here: apply it and compare
+                np.testing.assert_allclose(
+                    sc.apply_Winv(ds), winv_ds, rtol=0, atol=1e-12 * np.abs(winv_ds).max()
+                )
+
 
 def random_kkt(rng, n, p, orth, n_socs):
     """KktSolver over random dense A and G with the given cone layout."""
@@ -210,6 +261,27 @@ class TestKktSolver:
             assert_matches_dense_assembly(
                 rng, kkt, random_cone_point(rng, dims), random_cone_point(rng, dims)
             )
+
+    def test_dense_fixed_part_matches_coo_assembly(self, rng):
+        # the fixed blocks written directly equal, bit for bit, the scatter of
+        # the COO entries of A, A', G and G' into zeros
+        for n, p, orth, n_socs in KKT_SHAPES[:2] * 3:
+            kkt = random_kkt(rng, n, p, orth, n_socs)
+            form = kkt.form
+            for name in ("A", "G"):
+                shape = getattr(form, name).shape
+                mat = sp.random(*shape, density=0.5, random_state=rng, format="csr")
+                mat.data[::3] *= -1.0
+                mat.data[::5] = -0.0  # explicit negative zeros
+                setattr(form, name, mat)
+            kkt = KktSolver(form)
+            A, G = form.A.tocoo(), form.G.tocoo()
+            rows = np.concatenate([A.row + n, A.col, G.row + n + p, G.col])
+            cols = np.concatenate([A.col, A.row + n, G.col, G.row + n + p])
+            ref = np.zeros((kkt.dim, kkt.dim))
+            np.add.at(ref, (rows, cols), np.concatenate([A.data, A.data, G.data, G.data]))
+            assert kkt.dense
+            np.testing.assert_array_equal(kkt.fixed.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("n,p,orth,n_socs", KKT_SHAPES[1:])
     def test_ill_scaled_solve_matches_dense_assembly(self, rng, n, p, orth, n_socs):

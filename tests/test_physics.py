@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -209,3 +213,12 @@ class TestSolveRadialPf:
         inj_with_5[5] = total
         res1 = solve_radial_pf(grid, inj_with_5, slack=1)
         np.testing.assert_allclose(res1.theta, res5.theta, atol=1e-9)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # solve_radial_pf imports brentq when it runs, so `import ddopf` stays
+    # clear of scipy.optimize's import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ddopf; assert 'scipy.optimize' not in sys.modules, 'loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
