@@ -196,6 +196,7 @@ class DataDrivenLineModel:
     H_pg: np.ndarray | None = None
     pe_report: PeReport | None = None
     _pinv: np.ndarray | None = field(default=None, repr=False)
+    _out: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_samples(
@@ -251,6 +252,18 @@ class DataDrivenLineModel:
         if self._pinv is None:
             self._pinv = np.linalg.pinv(self.H_phi)
         return self._pinv
+
+    def output_map(self) -> np.ndarray:
+        """K = [H_pe; H_pg] H_phi^+, so that a lifted input phi has outputs K phi.
+
+        Exact on noiseless data, the least-squares fit on inconsistent wide
+        data. Solved as min ||K H_phi - H_out||: the product with H_phi^+
+        leaves a residual K H_phi - H_out that grows with H_phi's condition.
+        """
+        if self._out is None:
+            outputs = self.H_pe if self.H_pg is None else np.vstack([self.H_pe, self.H_pg])
+            self._out = np.linalg.lstsq(self.H_phi.T, outputs.T, rcond=None)[0].T
+        return self._out
 
 
 def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray, tol: float = 1e-8) -> np.ndarray:

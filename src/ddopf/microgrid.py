@@ -668,7 +668,7 @@ def run_closed_loop(
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
         p_g0 = x_full[layout.pf_slice("p_g", 0)].copy()
         if variant == "dd":
-            phi0, _, p_e0, p_g0 = project_onto_circles(variant, grid, model, phi0)
+            phi0, p_e0, p_g0 = project_onto_circles(variant, grid, model, phi0)
         tight = tightness_report(phi0, n_pairs).max_residual
         # the restoration step belongs to the circle-equality variant's solve
         solve_time = time.perf_counter() - t0

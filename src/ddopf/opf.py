@@ -1,17 +1,20 @@
 """Single-step optimal power flow variants over one solver stack.
 
-Four variants share a lifted-variable program layout [alpha | phi | p_e |
-p_g] with per-pair unit-ball constraints on the (cos, sin) entries of phi:
+Four variants share a lifted-variable program layout [phi | p_e | p_g]
+with per-pair unit-ball constraints on the (cos, sin) entries of phi, and
+one power-flow form p_out = F phi:
 
-* reference      -- known line coefficients, flows linear in phi, explicit
-                    nodal coupling; no alpha block.
-* dd             -- order-1 Hankel representation of (phi, p_e) plus explicit
-                    nodal coupling; solved through the relaxation and then
+* reference      -- F is the line physics, plus nodal coupling p_g = M p_e.
+* dd             -- F = H_pe H_phi^+ from order-1 Hankel data of (phi, p_e),
+                    plus the coupling; solved through the relaxation and then
                     projected back onto the circles (the nonconvex target).
 * dd-convex      -- same program, relaxation kept as-is (balls <= 1) with the
                     cosine-maximizing objective term.
-* dd-generalized -- all-pairs lift with an extra injection Hankel block and
-                    no explicit coupling (topology-agnostic).
+* dd-generalized -- all-pairs lift, F = [H_pe; H_pg] H_phi^+ gives the
+                    injections too; no explicit coupling (topology-agnostic).
+
+F = H_out H_phi^+ substitutes alpha = H_phi^+ phi out of the paper's
+H alpha = [phi; p], exactly on noiseless data; alpha is recovered after the solve.
 
 The relaxation adds -beta * sum(cos entries) to the cost so the balls bind
 at the optimum; tightness is always verified, never assumed.
@@ -33,7 +36,7 @@ from .conic import ConicProgram, MixedBinaryProgram, Solution
 from .errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from .grid import Grid, all_node_pairs
 from .ipm import solve_convex
-from .physics import edge_coeff_arrays, injection_matrix
+from .physics import flow_map, injection_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +49,6 @@ class OpfLayout:
 
     variant: str
     n: int
-    alpha: slice
     phi: slice
     p_e: slice
     p_g: slice
@@ -228,28 +230,20 @@ class AppConstraints:
 class PfTemplate:
     """Per-step power-flow block shared by the OPF builders and the MPC."""
 
-    variant: str
     layout: OpfLayout
     eq: sp.csr_matrix
     eq_rhs: np.ndarray
-    model: DataDrivenLineModel | None
 
 
-def _make_layout(variant: str, grid: Grid, n_alpha: int, pairs) -> OpfLayout:
-    n_phi = 2 * len(pairs) + 1
-    n_pe = 2 * grid.n_edges
-    n_pg = grid.n_nodes
-    a0 = 0
-    p0 = n_alpha
-    e0 = p0 + n_phi
-    g0 = e0 + n_pe
+def _make_layout(variant: str, grid: Grid, pairs) -> OpfLayout:
+    e0 = 2 * len(pairs) + 1
+    g0 = e0 + 2 * grid.n_edges
     return OpfLayout(
         variant=variant,
-        n=g0 + n_pg,
-        alpha=slice(a0, n_alpha),
-        phi=slice(p0, p0 + n_phi),
-        p_e=slice(e0, e0 + n_pe),
-        p_g=slice(g0, g0 + n_pg),
+        n=g0 + grid.n_nodes,
+        phi=slice(0, e0),
+        p_e=slice(e0, g0),
+        p_g=slice(g0, g0 + grid.n_nodes),
         pairs=tuple(pairs),
         edges=tuple(grid.edges),
         nodes=tuple(grid.nodes),
@@ -276,17 +270,25 @@ def _check_model(model: DataDrivenLineModel | None, n_phi: int, n_pe: int, need_
             )
 
 
+def _flow_map(grid: Grid, variant: str, model: DataDrivenLineModel | None) -> np.ndarray:
+    """F of p_out = F phi: the line physics (reference) or the model's output
+    map. p_out is p_e, followed by p_g for dd-generalized only."""
+    if variant == "reference":
+        return flow_map(grid)
+    out = model.output_map()
+    return out if variant == "dd-generalized" else out[: 2 * grid.n_edges]
+
+
 def pf_template(
     grid: Grid,
     variant: str,
     model: DataDrivenLineModel | None = None,
 ) -> PfTemplate:
-    """Equality rows tying [alpha | phi | p_e | p_g] together for one time step.
+    """Equality rows tying [phi | p_e | p_g] together for one time step.
 
-    Row blocks, top to bottom: the lifted Hankel rows H_phi alpha = phi (dd
-    variants); one flow row per line direction, H_pe alpha = p_e or the line
-    physics (reference); one injection row per node, H_pg alpha = p_g
-    (dd-generalized) or the nodal coupling p_g = M p_e; then phi_0 = 1.
+    Row blocks, top to bottom: p_out - F phi = 0, one row per line direction
+    and, for dd-generalized, per node (see _flow_map); the nodal coupling
+    p_g = M p_e (every other variant); then phi_0 = 1.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -295,11 +297,9 @@ def pf_template(
     general = variant == "dd-generalized"
     pairs = tuple(all_node_pairs(grid) if general else grid.edges)
     n_phi = 2 * len(pairs) + 1
-    if variant == "reference":
-        model = None
-    else:
+    if variant != "reference":
         _check_model(model, n_phi, n_pe, n_pg if general else None)
-    layout = _make_layout(variant, grid, 0 if model is None else model.n_columns, pairs)
+    layout = _make_layout(variant, grid, pairs)
     rows, cols, vals = [], [], []
 
     def add(row0: int, col0: int, block: np.ndarray) -> None:
@@ -309,27 +309,11 @@ def pf_template(
         cols.append(col0 + c)
         vals.append(block[r, c])
 
-    row = 0
-    if model is None:
-        # p_e = const - cc cos -/+ sc sin, from and to end of each line
-        cf, ct, cc, sc = edge_coeff_arrays(grid)
-        k = np.arange(n_pe)
-        line = k // 2
-        flow = np.zeros((n_pe, n_phi))
-        flow[:, 0] = -np.column_stack([cf, ct]).ravel()
-        flow[k, 1 + 2 * line] = cc[line]
-        flow[k, 2 + 2 * line] = np.tile([1.0, -1.0], grid.n_edges) * sc[line]
-        add(row, layout.phi.start, flow)
-        add(row, layout.p_e.start, np.eye(n_pe))
-        row += n_pe
-    else:
-        hankel = [(model.H_phi, layout.phi), (model.H_pe, layout.p_e)]
-        if general:
-            hankel.append((model.H_pg, layout.p_g))
-        for block, target in hankel:
-            add(row, layout.alpha.start, block)
-            add(row, target.start, -np.eye(block.shape[0]))
-            row += block.shape[0]
+    # p_g follows p_e in the layout, so p_out is one contiguous block
+    flow = _flow_map(grid, variant, model)
+    row = flow.shape[0]
+    add(0, layout.phi.start, -flow)
+    add(0, layout.p_e.start, np.eye(row))
     if not general:
         add(row, layout.p_g.start, np.eye(n_pg))
         add(row, layout.p_e.start, -injection_matrix(grid))
@@ -341,7 +325,7 @@ def pf_template(
     eq = _csr_from_entries(
         np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (row, layout.n)
     )
-    return PfTemplate(variant, layout, eq, rhs, model)
+    return PfTemplate(layout, eq, rhs)
 
 
 # --- program builders ----------------------------------------------------------
@@ -464,7 +448,7 @@ def solve_opf(
     """Build, solve, and post-process one OPF instance.
 
     The 'dd' variant (circle equalities) runs the relaxation and then
-    projects onto the circles, re-deriving alpha, p_e and p_g.
+    projects onto the circles, re-deriving p_e and p_g. alpha is H_phi^+ phi.
     """
     objective = objective or losses_objective(grid)
     if variant == "reference":
@@ -499,15 +483,14 @@ def solve_opf(
     )
     if raw.status != "optimal":
         return sol
-    alpha = raw.x[layout.alpha] if layout.alpha.stop > layout.alpha.start else None
-    sol = _at_point(sol, raw.x[layout.phi], alpha, raw.x[layout.p_e], raw.x[layout.p_g], tight_tol)
+    sol = _at_point(sol, raw.x[layout.phi], raw.x[layout.p_e], raw.x[layout.p_g], tight_tol)
     if variant == "dd":
         sol = restore_tightness(sol)
     return sol
 
 
-def _at_point(sol: OpfSolution, phi, alpha, p_e, p_g, tight_tol: float) -> OpfSolution:
-    """sol at the point (phi, alpha, p_e, p_g), with its angles, objective and tightness."""
+def _at_point(sol: OpfSolution, phi, p_e, p_g, tight_tol: float) -> OpfSolution:
+    """sol at the point (phi, p_e, p_g), with its alpha, angles, objective and tightness."""
     n_pairs = len(sol.layout.pairs)
     return replace(
         sol,
@@ -515,7 +498,7 @@ def _at_point(sol: OpfSolution, phi, alpha, p_e, p_g, tight_tol: float) -> OpfSo
         p_g=p_g,
         theta=_recover_theta(phi, n_pairs),
         phi=phi,
-        alpha=alpha,
+        alpha=None if sol.variant == "reference" else sol.model.phi_pinv() @ phi,
         objective=sol.objective_spec.value(p_e, p_g) if sol.objective_spec else math.nan,
         tightness=tightness_report(phi, n_pairs, tight_tol),
     )
@@ -523,12 +506,11 @@ def _at_point(sol: OpfSolution, phi, alpha, p_e, p_g, tight_tol: float) -> OpfSo
 
 def project_onto_circles(
     variant: str, grid: Grid, model: DataDrivenLineModel | None, phi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Project the (cos, sin) pairs of phi onto their circles: (phi, alpha, p_e, p_g).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project the (cos, sin) pairs of phi onto their circles: (phi, p_e, p_g).
 
-    alpha is the minimum-norm combination for the projected phi (None for
-    the reference variant); p_e and p_g follow from the variant's
-    representation. A (0, 0) pair has no direction and maps to angle 0.
+    p_e and p_g follow from the variant's flow map, as in pf_template. A
+    (0, 0) pair has no direction and maps to angle 0.
     """
     phi = phi.copy()
     n_pairs = (phi.size - 1) // 2
@@ -547,20 +529,11 @@ def project_onto_circles(
     phi[si[ok]] /= radius[ok]
     phi[0] = 1.0
 
-    if variant == "reference":
-        cf, ct, cc, sc = edge_coeff_arrays(grid)
-        c, s = phi[ci], phi[si]
-        p_e = np.empty(2 * grid.n_edges)
-        p_e[0::2] = cf - cc * c - sc * s
-        p_e[1::2] = ct - cc * c + sc * s
-        return phi, None, p_e, injection_matrix(grid) @ p_e
-    alpha = model.phi_pinv() @ phi
-    p_e = model.H_pe @ alpha
+    p_out = _flow_map(grid, variant, model) @ phi
+    p_e = p_out[: 2 * grid.n_edges]
     if variant == "dd-generalized":
-        p_g = model.H_pg @ alpha
-    else:
-        p_g = injection_matrix(grid) @ p_e
-    return phi, alpha, p_e, p_g
+        return phi, p_e, p_out[p_e.size :]
+    return phi, p_e, injection_matrix(grid) @ p_e
 
 
 def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
@@ -570,7 +543,7 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
     point violates the application constraints beyond feas_tol.
     """
     t0 = time.perf_counter()
-    phi, alpha, p_e, p_g = project_onto_circles(sol.variant, sol.grid, sol.model, sol.phi)
+    phi, p_e, p_g = project_onto_circles(sol.variant, sol.grid, sol.model, sol.phi)
     if sol.app is not None:
         violation = sol.app.max_violation(phi, p_e, p_g)
         if violation > feas_tol:
@@ -578,7 +551,7 @@ def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
                 f"projected point violates application constraints by {violation:.3e}"
             )
     return replace(
-        _at_point(sol, phi, alpha, p_e, p_g, sol.tightness.tol),
+        _at_point(sol, phi, p_e, p_g, sol.tightness.tol),
         solve_time=sol.solve_time + (time.perf_counter() - t0),
         restored=True,
     )

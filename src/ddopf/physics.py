@@ -83,6 +83,18 @@ def edge_coeff_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return cf, ct, cc, sc
 
 
+def flow_map(grid: Grid) -> np.ndarray:
+    """F, (2 N_e) x (2 N_e + 1), with grid_line_powers(grid, theta) = F @ lift_grid(grid, theta)."""
+    cf, ct, cc, sc = edge_coeff_arrays(grid)
+    k = np.arange(2 * grid.n_edges)
+    line = k // 2
+    out = np.zeros((k.size, k.size + 1))
+    out[:, 0] = np.column_stack([cf, ct]).ravel()
+    out[k, 1 + 2 * line] = -cc[line]
+    out[k, 2 + 2 * line] = np.tile([-1.0, 1.0], grid.n_edges) * sc[line]
+    return out
+
+
 def grid_line_powers(grid: Grid, theta: np.ndarray) -> np.ndarray:
     """Directional line powers [p_ij, p_ji] per edge for angle differences theta.
 

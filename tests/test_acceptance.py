@@ -7,6 +7,7 @@ solve-time criteria through a module-scoped fixture.
 
 import math
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -36,10 +37,11 @@ from ddopf.microgrid import (
     save_solve_times,
 )
 from ddopf.mip import solve_mixed_binary
-from ddopf.opf import demand_instance, restore_tightness, solve_opf
+from ddopf.opf import demand_instance, pf_template, restore_tightness, solve_opf
 from ddopf.physics import (
     effective_coeffs,
     grid_line_powers,
+    injection_matrix,
     injections_from_flows,
     line_power,
     solve_radial_pf,
@@ -215,6 +217,66 @@ def test_criterion_5_cross_variant_opf_equivalence(models):
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"\n[criterion 5] cross-variant OPF equivalence: PASS (max deviation {worst:.2e}, {elapsed:.1f}s)")
+
+
+def solve_alpha_form(variant, model, app, objective, beta=1.0):
+    """(p_e, p_g) of the paper's program over [alpha | phi | p_e | p_g], built
+    from the raw Hankel blocks: H_phi alpha = phi, H_pe alpha = p_e, and
+    H_pg alpha = p_g (dd-generalized) or p_g = M p_e."""
+    n_alpha = model.n_columns
+    layout = pf_template(GRID, variant, model).layout
+
+    def shift(s):
+        return slice(s.start + n_alpha, s.stop + n_alpha)
+
+    layout = replace(
+        layout, n=layout.n + n_alpha, phi=shift(layout.phi), p_e=shift(layout.p_e),
+        p_g=shift(layout.p_g),
+    )
+    blocks = [(model.H_phi, layout.phi), (model.H_pe, layout.p_e)]
+    if variant == "dd-generalized":
+        blocks.append((model.H_pg, layout.p_g))
+    rows = []
+    for block, target in blocks:
+        row = np.zeros((block.shape[0], layout.n))
+        row[:, :n_alpha] = block
+        row[:, target] = -np.eye(block.shape[0])
+        rows.append(row)
+    if variant != "dd-generalized":
+        row = np.zeros((GRID.n_nodes, layout.n))
+        row[:, layout.p_g] = np.eye(GRID.n_nodes)
+        row[:, layout.p_e] = -injection_matrix(GRID)
+        rows.append(row)
+    row = np.zeros((1, layout.n))
+    row[0, layout.phi.start] = 1.0
+    rows.append(row)
+    a_eq, app_b_eq, A_in, b_in = app.materialize(layout)
+    A_eq = np.vstack(rows + [a_eq.toarray()])
+    b_eq = np.concatenate([np.zeros(A_eq.shape[0] - app_b_eq.size - 1), [1.0], app_b_eq])
+    c = objective.vector(layout)
+    c[layout.cos_cols()] -= beta
+    prog = ConicProgram.build(
+        c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, balls=layout.ball_pairs()
+    )
+    raw = solve_convex(prog, tol=1e-8)
+    assert raw.status == "optimal"
+    return raw.x[layout.p_e], raw.x[layout.p_g]
+
+
+def test_output_map_matches_paper_alpha_form(models):
+    """The output map F = H_out H_phi^+ poses the paper's program with alpha
+    substituted out: same p_e and p_g on the criterion-5 instances."""
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for trial in range(20):
+        app, objective = random_instance(rng)
+        for v in ("dd-convex", "dd-generalized"):
+            sol = solve_opf(GRID, v, models[v], app, objective, beta=1.0)
+            p_e, p_g = solve_alpha_form(v, models[v], app, objective)
+            worst = max(worst, float(np.max(np.abs(sol.p_e - p_e))),
+                        float(np.max(np.abs(sol.p_g - p_g))))
+    assert worst <= 1e-6
+    print(f"\n[alpha form] output map against H alpha = [phi; p]: PASS (max deviation {worst:.2e})")
 
 
 def test_criterion_6_closed_loop_case_study(case_study):

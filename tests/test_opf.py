@@ -43,16 +43,19 @@ ALL_VARIANTS = ("reference", "dd", "dd-convex", "dd-generalized")
 
 class TestBuilders:
     def test_alpha_dimension_per_edge(self):
+        # alpha is substituted out: the program is [phi | p_e | p_g]
         prog, layout = build_dd_opf(GRID, EDGE_MODEL)
-        assert layout.alpha.stop - layout.alpha.start == 9
-        assert layout.phi.stop - layout.phi.start == 9
+        assert not hasattr(layout, "alpha")
+        assert layout.n == prog.base.n == 22
+        assert layout.phi == slice(0, 9)
         assert prog.base.balls == layout.ball_pairs()
         assert len(layout.ball_pairs()) == 4
 
     def test_alpha_dimension_all_pairs(self):
-        _, layout = build_generalized_dd_opf(GRID, PAIR_MODEL)
-        assert layout.alpha.stop - layout.alpha.start == 21
-        assert layout.phi.stop - layout.phi.start == 21
+        prog, layout = build_generalized_dd_opf(GRID, PAIR_MODEL)
+        assert not hasattr(layout, "alpha")
+        assert layout.n == prog.base.n == 34
+        assert layout.phi == slice(0, 21)
         assert len(layout.ball_pairs()) == 10
 
     def test_generalized_rejects_per_edge_model(self):
@@ -71,9 +74,9 @@ class TestBuilders:
             build_generalized_dd_opf(GRID, no_pg)
 
     def test_generalized_map_ignores_phantom_pairs(self):
-        # flows honestly depend only on actual edges: recovered linear map has
-        # (numerically) zero gain from the six non-edge pair columns
-        gain = PAIR_MODEL.H_pe @ PAIR_MODEL.phi_pinv()
+        # flows honestly depend only on actual edges: the model's output map
+        # has (numerically) zero gain from the six non-edge pair columns
+        gain = PAIR_MODEL.output_map()
         pair_cols = {p: k for k, p in enumerate(PAIR_MODEL_PAIRS)}
         phantom = [k for p, k in pair_cols.items() if p not in GRID.edges]
         for k in phantom:
@@ -84,7 +87,7 @@ class TestBuilders:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_template_rows_hold_at_consistent_points(self, variant, rng):
         # reference: random angles through the line physics; dd variants:
-        # every training column, alpha = e_j
+        # every training column
         model = model_for(variant)
         tpl = pf_template(GRID, variant, model)
         layout = tpl.layout
@@ -100,7 +103,6 @@ class TestBuilders:
         else:
             for j in range(model.n_columns):
                 x = np.zeros(layout.n)
-                x[layout.alpha.start + j] = 1.0
                 x[layout.phi] = model.H_phi[:, j]
                 x[layout.p_e] = model.H_pe[:, j]
                 if variant == "dd-generalized":
@@ -168,6 +170,20 @@ class TestDemandInstances:
         sol = solve_opf(GRID, "dd-convex", EDGE_MODEL, app)
         np.testing.assert_allclose(sol.p_e, EDGE_MODEL.H_pe[:, 0], atol=1e-8)
 
+    def test_wide_inconsistent_data_use_the_least_squares_map(self):
+        # 30 samples of a 9-dimensional lift with 1e-6 noise on the flows: the
+        # raw Hankel rows let p_e move along H_pe null(H_phi); K = H_pe H_phi^+
+        # does not
+        traj = generate_excitation(GRID, 30, seed=11)
+        noise = 1e-6 * np.random.default_rng(3).standard_normal(traj.p_e.shape)
+        model = DataDrivenLineModel.from_samples(traj.phi, traj.p_e + noise)
+        app, obj = demand_instance(GRID, {5: 0.5}, source_costs={1: 0.2, 2: 0.35, 3: 0.1, 4: 0.5})
+        ref = solve_opf(GRID, "reference", None, app, obj)
+        sol = solve_opf(GRID, "dd-convex", model, app, obj)
+        assert sol.status == ref.status == "optimal"
+        np.testing.assert_allclose(sol.p_e, ref.p_e, atol=1e-4)
+        np.testing.assert_allclose(sol.p_g, ref.p_g, atol=1e-4)
+
     def test_training_column_pinned_generalized(self):
         app = AppConstraints().fix_phi(PAIR_MODEL.H_phi[:, 0])
         sol = solve_opf(GRID, "dd-generalized", PAIR_MODEL, app)
@@ -213,6 +229,8 @@ class TestTightnessAndRestoration:
             alpha = sol.alpha
             assert np.max(np.abs(model.H_phi @ alpha - sol.phi)) <= 1e-7
             assert np.max(np.abs(model.H_pe @ alpha - sol.p_e)) <= 1e-7
+            if variant == "dd-generalized":
+                assert np.max(np.abs(model.H_pg @ alpha - sol.p_g)) <= 1e-7
             n_pairs = len(sol.layout.pairs)
             c, s = sol.phi[cos_indices(n_pairs)], sol.phi[sin_indices(n_pairs)]
             assert np.max(c * c + s * s - 1.0) <= 1e-7

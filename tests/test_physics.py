@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddopf.behavior import lift_grid
 from ddopf.errors import (
     AngleOutOfTrustRegion,
     DimensionMismatch,
@@ -19,6 +20,7 @@ from ddopf.errors import (
 from ddopf.grid import Grid, LineParams
 from ddopf.physics import (
     effective_coeffs,
+    flow_map,
     grid_line_powers,
     injection_matrix,
     injections_from_flows,
@@ -110,6 +112,17 @@ class TestLinePower:
         k = effective_coeffs(LineParams(g=g, b=b), 1.0, 1.0)
         loss = line_power(k, theta, "from") + line_power(k, theta, "to")
         assert loss >= -1e-12
+
+
+def test_flow_map_matches_grid_line_powers(rng):
+    edges = [(1, 2), (2, 4), (2, 5), (3, 5)]
+    lines = {e: LineParams(g=rng.uniform(0.5, 3.0), b=rng.uniform(-25.0, -5.0),
+                           g_shunt_from=0.05, g_shunt_to=0.02) for e in edges}
+    grid = Grid([1, 2, 3, 4, 5], edges, lines, voltages={1: 1.02, 2: 0.97, 3: 1.05, 4: 0.95, 5: 1.0})
+    theta = rng.uniform(-math.pi / 2, math.pi / 2, size=(50, grid.n_edges))
+    np.testing.assert_allclose(
+        lift_grid(grid, theta) @ flow_map(grid).T, grid_line_powers(grid, theta), rtol=0, atol=1e-13
+    )
 
 
 class TestInjections:
