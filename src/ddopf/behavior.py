@@ -267,7 +267,7 @@ class DataDrivenLineModel:
 
 
 def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Line powers for a lifted query via the minimum-norm combination of columns.
+    """Line powers for a lifted query: the p_e rows of the model's output map.
 
     Raises InconsistentQuery when the query is outside the span of the
     stored lifted inputs (impossible for persistently exciting data).
@@ -277,8 +277,7 @@ def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray, tol: float = 1
         raise DimensionMismatch(
             f"query has shape {phi_query.shape}, expected ({model.lifted_dim},)"
         )
-    alpha = model.phi_pinv() @ phi_query
-    residual = float(np.linalg.norm(model.H_phi @ alpha - phi_query))
+    residual = float(np.linalg.norm(model.H_phi @ (model.phi_pinv() @ phi_query) - phi_query))
     if residual > tol * (1.0 + float(np.linalg.norm(phi_query))):
         raise InconsistentQuery(f"query outside lifted-input span (residual {residual:.3e})")
-    return model.H_pe @ alpha
+    return model.output_map()[: model.H_pe.shape[0]] @ phi_query

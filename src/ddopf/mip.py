@@ -2,27 +2,28 @@
 
 Both strategies share one acceptance rule and one incumbent (_Incumbent):
 an assignment counts only when its solve with every binary fixed ends
-'optimal' (_solve_fixed), and objective ties between accepted assignments
-(within _TIE_TOL) resolve to the lexicographically smallest binary vector.
+'optimal', as solve_convex certified it, and objective ties between accepted
+assignments (within _TIE_TOL) resolve to the lexicographically smallest
+binary vector. With none accepted, the result is 'tolerance_not_met' when a
+leaf certified nothing, else 'infeasible'. Only an 'optimal' solve bounds a
+subtree or seeds a warm start.
 
 Enumeration solves every assignment and is the brute-force reference. It
 visits them in reflected Gray-code order (the first binary most
 significant), so each node differs from the one before in one binary, and
-starts each solve from the last solve of the call that itself ended
-'optimal'. When the winning assignment was solved warm, it is solved once
-more cold and that solve is returned, the bytes a cold solve of the winner
-gives.
+starts each solve from the last 'optimal' solve of the call. When the
+winning assignment was solved warm, it is solved once more cold and that
+solve is returned, the bytes a cold solve of the winner gives.
 
 Branch & bound runs best-first on the dual lower bounds of the optimal
 relaxations, branching on the most fractional binary (ties to the lowest
 index), and prunes only bounds above the incumbent by more than _TIE_TOL,
 so a subtree that can tie is still searched. A node whose solve certifies
-nothing (unbounded, or 'tolerance_not_met' above the acceptance floor) has
-no bound of its own: its children inherit the bound it was popped with, and
-it branches on its first free binary; such a leaf is skipped, as enumeration
-skips it, except that an unbounded leaf makes the result 'unbounded'. An
-integral relaxation is offered as its leaf; when that solve fails, the node
-is branched on.
+nothing (unbounded or 'tolerance_not_met') has no bound of its own: its
+children inherit the bound it was popped with, and it branches on its first
+free binary; such a leaf is skipped, as enumeration skips it, except that
+an unbounded leaf makes the result 'unbounded'. An integral relaxation is
+offered as its leaf; when that solve fails, the node is branched on.
 """
 
 from __future__ import annotations
@@ -53,23 +54,15 @@ def _full_x(base_n: int, keep: np.ndarray, x_reduced: np.ndarray, fixed: dict[in
 
 
 def _solve_fixed(base: ConicProgram, fixed: dict[int, float], tol: float, warm_start=None):
-    """Solve a node subproblem; near-floor iterates count as solved.
-
-    Degenerate subproblems can stall a shade above the requested tolerance;
-    such iterates stay usable (their residuals are reported verbatim), so a
-    node is accepted when its residuals reach max(100 * tol, 1e-7).
+    """Solve a node subproblem with the variables in fixed held at their values.
 
     The solve starts from warm_start, an earlier optimal Solution of a node
-    of the same sizes, when one is given. Returns (sol, keep, offset, own):
-    own is True when the solve itself ended 'optimal', before a near-floor
-    iterate is relabelled, so only such a solve may seed a warm start.
+    of the same sizes, when one is given. Returns (sol, keep, offset): the
+    reduced solve, the kept variables' indices and the objective constant of
+    the fixed ones; sol.status is solve_convex's own.
     """
     reduced, keep, offset = base.fix_variables(fixed)
-    sol = solve_convex(reduced, tol=tol, warm_start=warm_start)
-    own = sol.status == "optimal"
-    if sol.status == "tolerance_not_met" and max(sol.kkt_residuals) <= max(100.0 * tol, 1e-7):
-        sol.status = "optimal"
-    return sol, keep, offset, own
+    return solve_convex(reduced, tol=tol, warm_start=warm_start), keep, offset
 
 
 class _Incumbent:
@@ -81,6 +74,7 @@ class _Incumbent:
         self.objective = math.inf
         self.assign: tuple[float, ...] | None = None
         self.sol: Solution | None = None
+        self.uncertified = False  # some leaf solve ended 'tolerance_not_met'
 
     def leaf(self, assign: tuple[float, ...], sol: Solution, keep: np.ndarray, **fields) -> Solution:
         """A copy of sol, solved with the binaries fixed to assign, over every variable."""
@@ -91,6 +85,7 @@ class _Incumbent:
         """Take the fixed solve of assign if it is better or ties and is
         lexicographically smaller; False when the solve is not 'optimal'."""
         if sol.status != "optimal":
+            self.uncertified |= sol.status == "tolerance_not_met"
             return False
         obj = sol.objective + offset
         better = obj < self.objective - _TIE_TOL
@@ -101,12 +96,15 @@ class _Incumbent:
         return True
 
     def result(self, node_count: int, stats: SolveStats, unbounded: bool = False) -> Solution:
-        """The incumbent, or with none an empty 'infeasible' ('unbounded') result."""
+        """The incumbent, or with none an empty result: 'unbounded' when a
+        node was, else 'tolerance_not_met' when a leaf certified nothing,
+        else 'infeasible'."""
         if self.sol is None:
+            status = "tolerance_not_met" if self.uncertified else "infeasible"
             return Solution(
                 x=np.zeros(self.base.n),
                 objective=-math.inf if unbounded else math.nan,
-                status="unbounded" if unbounded else "infeasible",
+                status="unbounded" if unbounded else status,
                 kkt_residuals=(math.inf, math.inf, math.inf),
                 solve_time=0.0,
                 node_count=node_count,
@@ -162,23 +160,23 @@ def _enumerate(prog: MixedBinaryProgram, tol: float) -> Solution:
         raise TooManyBinaries(f"{k} binaries give {2**k} combinations, cap is {_ENUMERATE_CAP}")
     best = _Incumbent(prog)
     work = SolveStats()
-    warm = None  # the last solve of this call that itself ended 'optimal'
+    warm = None  # the last 'optimal' solve of this call
     cold = set()  # assignments solved without a warm start
     for count in range(1, 2**k + 1):
         code = (count - 1) ^ ((count - 1) >> 1)  # reflected Gray code
         assign = tuple(float(code >> (k - 1 - j) & 1) for j in range(k))
         if warm is None:
             cold.add(assign)
-        sol, keep, offset, own = _solve_fixed(prog.base, dict(zip(bidx, assign)), tol, warm)
+        sol, keep, offset = _solve_fixed(prog.base, dict(zip(bidx, assign)), tol, warm)
         work = work + sol.stats
         if sol.status == "unbounded":
             return best.leaf(assign, sol, keep, node_count=count, stats=work)
         best.offer(assign, sol, keep, offset)
-        if own:
+        if sol.status == "optimal":
             warm = sol
     if best.assign is not None and best.assign not in cold:
         # return the winner's cold solve, the bytes B&B and a cold caller get
-        sol, keep, offset, _ = _solve_fixed(prog.base, dict(zip(bidx, best.assign)), tol)
+        sol, keep, offset = _solve_fixed(prog.base, dict(zip(bidx, best.assign)), tol)
         count += 1
         work = work + sol.stats
         if sol.status == "optimal":
@@ -198,8 +196,8 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm
         key = tuple(sorted(fixed.items()))
         if key not in solved:
             warm = None if warm_starts is None else warm_starts.get(key)
-            sol, keep, offset, own = _solve_fixed(base, fixed, tol, warm)
-            if own and warm_starts is not None:
+            sol, keep, offset = _solve_fixed(base, fixed, tol, warm)
+            if sol.status == "optimal" and warm_starts is not None:
                 warm_starts[key] = sol
             solved[key] = sol, keep, offset
         return solved[key]
@@ -241,13 +239,13 @@ def _branch_and_bound(prog: MixedBinaryProgram, tol: float, incumbent_hint, warm
                 continue
             branch = max(free, key=lambda i: (frac[i], -i))
         else:  # certifies nothing: no bound, no fractions
-            if sol.status == "unbounded":
-                if not free:
-                    assign = tuple(fixed[i] for i in bidx)
-                    return best.leaf(assign, sol, keep, node_count=len(solved), stats=work())
-                saw_unbounded = True
             if not free:
+                assign = tuple(fixed[i] for i in bidx)
+                if sol.status == "unbounded":
+                    return best.leaf(assign, sol, keep, node_count=len(solved), stats=work())
+                offer(assign)  # never accepted, only counted as uncertified
                 continue
+            saw_unbounded |= sol.status == "unbounded"
             branch = free[0]
         for value in (0.0, 1.0):
             heapq.heappush(heap, (bound, next(counter), {**fixed, bidx[branch]: value}))

@@ -359,18 +359,11 @@ def test_criterion_8_solve_time_reporting(case_study, tmp_path):
         assert lines[0] == "k,solve_time_s"
         assert len(lines) == CASE_STEPS + 1
         medians[variant] = float(np.median(results[variant].column("solve_time")))
+    # dd and dd-convex pose the same program, so no ordering is expected
     ordering = sorted(medians, key=medians.get)
-    dd_medians = {v: medians[v] for v in ("dd", "dd-convex", "dd-generalized")}
-    qualitative = (
-        "matches the expected pattern"
-        if min(dd_medians, key=dd_medians.get) == "dd-convex"
-        and max(dd_medians, key=dd_medians.get) == "dd-generalized"
-        else "differs from the expected pattern (hardware/solver dependent, not asserted)"
-    )
     print(
         "\n[criterion 8] solve-time reporting: PASS "
-        f"(medians {', '.join(f'{v}={medians[v]*1000:.0f}ms' for v in ordering)}; "
-        f"convex-fastest/generalized-slowest ordering {qualitative})"
+        f"(medians {', '.join(f'{v}={medians[v]*1000:.0f}ms' for v in ordering)})"
     )
 
 

@@ -19,7 +19,9 @@ from ddopf.behavior import (
     sin_indices,
 )
 from ddopf.errors import DimensionMismatch, InconsistentQuery, ModelNotPE, OrderTooLarge
+from ddopf.excitation import generate_excitation
 from ddopf.grid import LineParams
+from ddopf.microgrid import default_grid
 from ddopf.physics import effective_coeffs, line_power
 
 TABLE_COEFFS = effective_coeffs(LineParams(g=2.0, b=-20.0), 1.0, 1.0)
@@ -182,6 +184,15 @@ class TestDataDrivenModel:
         model = DataDrivenLineModel.from_samples(phi, pe)
         out = dd_predict(model, model.H_phi[:, 0])
         np.testing.assert_allclose(out, model.H_pe[:, 0], atol=1e-8)
+
+    def test_ill_conditioned_training_columns_reproduced(self):
+        # all-pairs draw with H_phi condition 8.8e6; the injection rows that
+        # follow p_e in the output map are not part of the prediction
+        traj = generate_excitation(default_grid(), 21, seed=5, mode="all-pairs")
+        model = DataDrivenLineModel.from_trajectory(traj, include_injections=True)
+        for j in range(model.n_columns):
+            out = dd_predict(model, model.H_phi[:, j])
+            np.testing.assert_allclose(out, model.H_pe[:, j], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_cols", [9, 30])
     def test_representation_equivalence(self, rng, n_cols):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ddopf import microgrid
+from ddopf import microgrid, mip
 from ddopf.behavior import DataDrivenLineModel
 from ddopf.errors import (
+    DdopfError,
     ForecastTooShort,
     InfeasibleProfile,
     SchemaError,
@@ -277,6 +278,20 @@ class TestClosedLoop:
         assert l_op == pytest.approx(rec.cost_sw + rec.cost_p, abs=1e-12)
         assert l_loss == pytest.approx(rec.cost_loss, abs=1e-12)
         assert l_op == pytest.approx(0.0, abs=1e-6)
+
+    def test_uncertified_step_raises_with_its_status(self, monkeypatch):
+        real = mip.solve_convex
+
+        def stalling(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            sol.status, sol.kkt_residuals = "tolerance_not_met", (1e-3, 1e-3, 1e-3)
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", stalling)
+        cfg = default_config()
+        cfg.horizon = 1  # 2 binaries: B&B solves all 7 nodes of the tree
+        with pytest.raises(DdopfError, match="step 0: solver status 'tolerance_not_met'"):
+            run_closed_loop(cfg, GRID, generate_profiles(7, 4, cfg), "reference", steps=1)
 
     @pytest.mark.parametrize("variant", ["reference", "dd", "dd-convex", "dd-generalized"])
     def test_short_runs_audit_clean(self, variant):

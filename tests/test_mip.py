@@ -120,28 +120,31 @@ class TestStrategyEquivalence:
         assert hinted.objective == pytest.approx(enum.objective, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "node_n, node_b_in, dual_objective, expected",
+        "node_n, node_b_in, residuals, dual_objective, expected",
         [
             # the (1, 1) leaf stalls: its relaxation's point is not an answer
-            (1, 6.0, None, ((0.0, 1.0), -1.0)),
+            (1, 6.0, (1e-3,) * 3, None, ((0.0, 1.0), -1.0)),
             # the root stalls with a dual objective above the hint's: no bound
-            (3, 9.0, 10.0, ((1.0, 1.0), -2.0)),
+            (3, 9.0, (1e-3,) * 3, 10.0, ((1.0, 1.0), -2.0)),
+            # the (1, 1) leaf stalls a shade above tol 1e-8, at the residuals
+            # of the case study's step-115 root (reference variant)
+            (1, 6.0, (1.5e-9, 2.5e-14, 1.06e-8), None, ((0.0, 1.0), -1.0)),
         ],
-        ids=["leaf-not-met", "root-not-met"],
+        ids=["leaf-not-met", "root-not-met", "leaf-near-tol"],
     )
     def test_node_that_certifies_nothing_is_skipped(
-        self, monkeypatch, node_n, node_b_in, dual_objective, expected
+        self, monkeypatch, node_n, node_b_in, residuals, dual_objective, expected
     ):
         # min -x0 - x1 + y, x0 and x1 binary, 0 <= y <= 5. The row
         # x0 + 2 x1 + y <= 9 never binds; it gives every node a reduced
         # program of its own (size, right-hand side), so one node's solve can
-        # be made to end 'tolerance_not_met' above the acceptance floor
+        # be made to end 'tolerance_not_met'
         real = mip.solve_convex
 
         def stalling(prog, **kwargs):
             sol = real(prog, **kwargs)
             if prog.n == node_n and prog.b_in[0] == node_b_in:
-                sol.status, sol.kkt_residuals = "tolerance_not_met", (1e-3, 1e-3, 1e-3)
+                sol.status, sol.kkt_residuals = "tolerance_not_met", residuals
                 sol.dual_objective = dual_objective
             return sol
 
@@ -150,10 +153,12 @@ class TestStrategyEquivalence:
             c=[-1.0, -1.0, 1.0], A_in=[[1.0, 2.0, 1.0]], b_in=[9.0], lb=[0.0] * 3, ub=[1.0, 1.0, 5.0]
         )
         mbp = MixedBinaryProgram(prog, (0, 1))
-        enum = solve_mixed_binary(mbp, strategy="enumerate")
+        enum = solve_mixed_binary(mbp, strategy="enumerate", tol=1e-8)
         assert (enum.binary_values, round(enum.objective, 6)) == expected
         for hint in (None, (0.0, 1.0)):
-            bnb = solve_mixed_binary(mbp, strategy="branch_and_bound", incumbent_hint=hint)
+            bnb = solve_mixed_binary(
+                mbp, strategy="branch_and_bound", tol=1e-8, incumbent_hint=hint
+            )
             assert bnb.status == "optimal"
             assert bnb.binary_values == enum.binary_values, hint
             assert bnb.objective == pytest.approx(enum.objective, abs=1e-8)
@@ -237,21 +242,21 @@ class TestWarmStarts:
             assert starts == expected
             mbp = loosened(mbp, rng)
 
-    def test_relabelled_node_does_not_seed_warm_starts(self, monkeypatch):
+    def test_uncertified_node_does_not_seed_warm_starts(self, monkeypatch):
         real = mip.solve_convex
 
-        def near_floor(prog, **kwargs):
+        def near_tol(prog, **kwargs):
             sol = real(prog, **kwargs)
-            sol.status = "tolerance_not_met"  # accepted by _solve_fixed all the same
+            sol.status = "tolerance_not_met"  # at the residuals of an optimal solve
             return sol
 
-        monkeypatch.setattr(mip, "solve_convex", near_floor)
+        monkeypatch.setattr(mip, "solve_convex", near_tol)
         prog = ConicProgram.build(c=[1.0], lb=[0.0], ub=[1.0])
         warm: dict = {}
         sol = solve_mixed_binary(
             MixedBinaryProgram(prog, (0,)), strategy="branch_and_bound", warm_starts=warm
         )
-        assert sol.status == "optimal"
+        assert sol.status == "tolerance_not_met"
         assert warm == {}
 
     def test_enumeration_ignores_warm_dict(self, rng):
@@ -275,11 +280,11 @@ class TestWarmStarts:
         assert sol.stats == sum(seen, SolveStats())
 
 
-def spy_enumeration(monkeypatch, relabel=()):
+def spy_enumeration(monkeypatch, stall=()):
     """Record every convex solve of solve_mixed_binary as (fixed binaries,
-    warm start, solution, status the solve itself ended with). Solves whose
-    position is in relabel end 'tolerance_not_met' at optimal residuals, so
-    _solve_fixed accepts them all the same."""
+    warm start, solution, status). Optimal solves whose position is in stall
+    end 'tolerance_not_met' instead, at their optimal residuals, so they are
+    neither accepted nor a warm start."""
     real_fixed, real_convex = mip._solve_fixed, mip.solve_convex
     calls, current = [], {}
 
@@ -289,7 +294,7 @@ def spy_enumeration(monkeypatch, relabel=()):
 
     def solve_convex(prog, warm_start=None, **kwargs):
         sol = real_convex(prog, warm_start=warm_start, **kwargs)
-        if len(calls) in relabel and sol.status == "optimal":
+        if len(calls) in stall and sol.status == "optimal":
             sol.status = "tolerance_not_met"
         calls.append((current["fixed"], warm_start, sol, sol.status))
         return sol
@@ -326,8 +331,8 @@ class TestGrayCodeEnumeration:
     def test_warm_start_is_the_last_own_optimal_solve(self, monkeypatch):
         # sum(x) <= 1.5 with 3 binaries: every assignment with two or more
         # ones is infeasible, and in Gray order (0, 1, 1) follows (0, 0, 1).
-        # The solve of (0, 1, 0), the fourth, is relabelled
-        calls = spy_enumeration(monkeypatch, relabel={3})
+        # The solve of (0, 1, 0), the fourth, stalls
+        calls = spy_enumeration(monkeypatch, stall={3})
         sol = solve_mixed_binary(sum_at_most(3, 1.5), strategy="enumerate")
         assert sol.status == "optimal"
         statuses = [status for *_, status in calls]
@@ -416,6 +421,22 @@ class TestEdgeCases:
         for strategy in ("enumerate", "branch_and_bound"):
             sol = solve_mixed_binary(mbp, strategy=strategy)
             assert sol.status == "infeasible"
+
+    @pytest.mark.parametrize("strategy, solves", [("enumerate", 2), ("branch_and_bound", 3)])
+    def test_uncertified_leaves_are_not_reported_infeasible(self, monkeypatch, strategy, solves):
+        # every solve stalls: nothing is accepted, and nothing is certified
+        # infeasible either
+        real = mip.solve_convex
+
+        def stalling(prog, **kwargs):
+            sol = real(prog, **kwargs)
+            sol.status, sol.kkt_residuals = "tolerance_not_met", (1e-3, 1e-3, 1e-3)
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", stalling)
+        prog = ConicProgram.build(c=[1.0], lb=[0.0], ub=[1.0])
+        sol = solve_mixed_binary(MixedBinaryProgram(prog, (0,)), strategy=strategy)
+        assert (sol.status, sol.node_count) == ("tolerance_not_met", solves)
 
     def test_unbounded_propagates(self):
         prog = ConicProgram.build(
