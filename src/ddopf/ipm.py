@@ -447,15 +447,15 @@ class KktSolver:
             kv = self._mat @ sol[self._cols]
         return kv - (self._current_reg * self._reg_sign) * sol
 
-    def solve(self, rx: np.ndarray, ry: np.ndarray, rz: np.ndarray):
-        """Solve against the exact operator via the regularized factorization.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """[x | y | z] with K [x | y | z] = rhs for the exact operator K,
+        via the regularized factorization.
 
         A singular or non-finite factorization bumps the regularization
         (x1e3 per retry, at most _REG_MAX) and refactors; iterative
         refinement then removes the perturbation.
         """
         self.stats.kkt_solves += 1
-        rhs = np.concatenate([rx, ry, rz])
         scale = max(1.0, float(np.abs(rhs).max()))
         sol = self._raw_solve(rhs)
         while not np.isfinite(sol).all():
@@ -474,8 +474,7 @@ class KktSolver:
             best_resid = err
             self.stats.refinements += 1
             sol = sol + self._raw_solve(resid)
-        n, p = self.n, self.p
-        return sol[:n], sol[n : n + p], sol[n + p :]
+        return sol
 
 
 # --- main loop ---------------------------------------------------------------
@@ -490,12 +489,14 @@ def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     dims = form.dims
     eye = NTScaling(dims, e * 2.0, e * 2.0)  # W = I
     kkt.factor(eye)
-    x, _, z_p = kkt.solve(np.zeros(form.c.size), form.b, form.h)
-    s = -z_p
+    n, k = kkt.n, kkt.n + kkt.p
+    x_z = kkt.solve(np.concatenate([np.zeros(n), form.b, form.h]))
+    x, s = x_z[:n], -x_z[k:]
     shift = -jmineig(dims, s)
     if shift >= -1e-8:
         s = s + (1.0 + shift) * e
-    _, y, z = kkt.solve(-form.c, np.zeros(form.b.size), np.zeros(form.h.size))
+    y_z = kkt.solve(np.concatenate([-form.c, np.zeros(kkt.dim - n)]))
+    y, z = y_z[n:k], y_z[k:]
     shift = -jmineig(dims, z)
     if shift >= -1e-8:
         z = z + (1.0 + shift) * e
@@ -683,7 +684,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
 
         try:
             kkt.factor(scaling)
-            sol1 = np.concatenate(kkt.solve(-c, b, h))
+            sol1 = kkt.solve(-q)
         except (FloatingPointError, RuntimeError) as exc:
             return fallback(str(exc))
         denom = g @ sol1 - kappa / tau
@@ -693,7 +694,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
             right-hand side whose scaled form is wg."""
             rhs = r * -fac
             rhs[k:] -= wg
-            sol0 = np.concatenate(kkt.solve(rhs[:n], rhs[n:k], rhs[k:]))
+            sol0 = kkt.solve(rhs)
             dtau = (-fac * r4 - g @ sol0 - rhs_kappa / tau) / denom
             d = np.empty(v.size)
             np.multiply(sol1, dtau, out=d[:dim])

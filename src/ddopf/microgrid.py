@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import scipy.sparse as sp
 import yaml
@@ -48,13 +48,6 @@ N_RES = 2
 UNIT_BLOCKS = ("p_t", "p_s", "p_r", "delta", "sigma", "ps_pos", "ps_neg", "u_soft", "o_soft", "x_next")
 
 _SOLVER_TOL = 1e-8
-
-_CONFIG_KEYS = (
-    "c0", "c1", "c2", "c3", "c4", "c5", "c6", "gamma", "horizon", "ts_hours",
-    "pt_min", "pt_max", "ps_min", "ps_max", "pe_min", "pe_max", "a_s", "b_s",
-    "x_min", "x_max", "x_soft_min", "x_soft_max", "x0", "delta_init", "beta",
-    "generator_nodes", "storage_nodes", "res_nodes", "load_node",
-)
 
 
 @dataclass
@@ -158,6 +151,9 @@ class MicrogridConfig:
         if lo.size != width or hi.size != width:
             raise DimensionMismatch("pe bounds must be scalar or one per flow direction")
         return lo, hi
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(MicrogridConfig))
 
 
 def default_config() -> MicrogridConfig:
@@ -322,9 +318,15 @@ def load_profiles(path) -> Profiles:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty profiles file") from None
-        if header[:2] != ["k", "wd_1"] or not all(h.startswith("wr_") for h in header[2:]):
+        if header[:2] != ["k", "wd_1"]:
             raise SchemaError(
                 "profiles header must be k, wd_1, wr_*...", column=header[0] if header else None
+            )
+        renewables = [f"wr_{i + 1}" for i in range(N_RES)]
+        if header[2:] != renewables:
+            raise SchemaError(
+                f"profiles need the renewable columns {', '.join(renewables)}, "
+                f"found {', '.join(header[2:]) or 'none'}"
             )
         rows = [row[1:] for row in reader if row]
     if not rows:
@@ -426,7 +428,7 @@ class MpcTemplate:
         # power flow; p_g = U [p_t p_s p_r -w_d]; x_next = A_s x_prev + B_s p_s;
         # p_s = ps_pos - ps_neg
         eq = np.vstack([
-            rows(n_pf, pf=pf_tpl.eq.toarray()),
+            rows(n_pf, pf=pf_tpl.eq),
             rows(n_nodes, p_g=np.eye(n_nodes), p_t=-u_map[:, 0:2], p_s=-u_map[:, 2:4],
                  p_r=-u_map[:, 4:6]),
             rows(2, x_next=i2, p_s=-config.b_s),
@@ -544,6 +546,10 @@ def build_mpc_step(
     H = config.horizon
     if window.length < H:
         raise ForecastTooShort(f"window has {window.length} steps, horizon needs {H}")
+    if window.w_r.shape[1] != N_RES:
+        raise DimensionMismatch(
+            f"window has {window.w_r.shape[1]} renewable columns, the plant has {N_RES}"
+        )
     if template is None:
         template = MpcTemplate(config, grid, variant, model)
     return template.program(state, window)

@@ -29,10 +29,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .behavior import DataDrivenLineModel, cos_indices, sin_indices
-from .conic import ConicProgram, MixedBinaryProgram, Solution
+from .conic import ConicProgram, Solution
 from .errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from .grid import Grid, all_node_pairs
 from .ipm import solve_convex
@@ -107,28 +106,6 @@ def losses_objective(grid: Grid) -> LinearObjective:
     return LinearObjective(c_pg=np.ones(grid.n_nodes))
 
 
-def _csr_from_entries(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix of entries at distinct positions, built in one construction.
-
-    Each row's columns come out sorted, as scipy's COO conversion sorts them.
-    """
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
-
-
-def _stack_csr(top: sp.csr_matrix, bottom: sp.csr_matrix) -> sp.csr_matrix:
-    """[top; bottom] of two CSR matrices, built in one construction."""
-    return sp.csr_matrix(
-        (
-            np.concatenate([top.data, bottom.data]),
-            np.concatenate([top.indices, bottom.indices]),
-            np.concatenate([top.indptr, top.nnz + bottom.indptr[1:]]),
-        ),
-        shape=(top.shape[0] + bottom.shape[0], top.shape[1]),
-    )
-
-
 class AppConstraints:
     """Application-dependent linear hooks over the (phi, p_e, p_g) blocks.
 
@@ -180,31 +157,21 @@ class AppConstraints:
     # materialization -------------------------------------------------------
 
     def _rows(self, rows, layout: OpfLayout):
-        offsets = {"phi": layout.phi.start, "p_e": layout.p_e.start, "p_g": layout.p_g.start}
-        widths = {
-            "phi": layout.phi.stop - layout.phi.start,
-            "p_e": layout.p_e.stop - layout.p_e.start,
-            "p_g": layout.p_g.stop - layout.p_g.start,
-        }
-        r_idx, c_idx, vals, rhs = [], [], [], []
-        for r, (terms, b) in enumerate(rows):
+        mat = np.zeros((len(rows), layout.n))
+        for r, (terms, _) in enumerate(rows):
             for block, coeffs in terms.items():
+                cols = getattr(layout, block)
+                width = cols.stop - cols.start
                 for k, v in coeffs.items():
-                    if not 0 <= int(k) < widths[block]:
+                    if not 0 <= int(k) < width:
                         raise DimensionMismatch(
-                            f"app constraint touches {block}[{k}], width {widths[block]}"
+                            f"app constraint touches {block}[{k}], width {width}"
                         )
-                    r_idx.append(r)
-                    c_idx.append(offsets[block] + int(k))
-                    vals.append(float(v))
-            rhs.append(b)
-        mat = _csr_from_entries(
-            np.array(r_idx, dtype=np.int64), np.array(c_idx, dtype=np.int64),
-            np.array(vals, dtype=float), (len(rows), layout.n),
-        )
-        return mat, np.asarray(rhs, dtype=float)
+                    mat[r, cols.start + int(k)] += float(v)
+        return mat, np.array([b for _, b in rows], dtype=float)
 
     def materialize(self, layout: OpfLayout):
+        """(A_eq, b_eq, A_in, b_in), the rows dense over the layout's columns."""
         A_eq, b_eq = self._rows(self.eq_rows, layout)
         A_in, b_in = self._rows(self.ineq_rows, layout)
         return A_eq, b_eq, A_in, b_in
@@ -231,7 +198,7 @@ class PfTemplate:
     """Per-step power-flow block shared by the OPF builders and the MPC."""
 
     layout: OpfLayout
-    eq: sp.csr_matrix
+    eq: np.ndarray  # dense rows over layout's columns
     eq_rhs: np.ndarray
 
 
@@ -300,31 +267,18 @@ def pf_template(
     if variant != "reference":
         _check_model(model, n_phi, n_pe, n_pg if general else None)
     layout = _make_layout(variant, grid, pairs)
-    rows, cols, vals = [], [], []
-
-    def add(row0: int, col0: int, block: np.ndarray) -> None:
-        # only the nonzeros are stored
-        r, c = np.nonzero(block)
-        rows.append(row0 + r)
-        cols.append(col0 + c)
-        vals.append(block[r, c])
-
     # p_g follows p_e in the layout, so p_out is one contiguous block
     flow = _flow_map(grid, variant, model)
-    row = flow.shape[0]
-    add(0, layout.phi.start, -flow)
-    add(0, layout.p_e.start, np.eye(row))
+    n_out = flow.shape[0]
+    eq = np.zeros((n_out + (0 if general else n_pg) + 1, layout.n))
+    eq[:n_out, layout.phi] = -flow
+    eq[:n_out, layout.p_e.start : layout.p_e.start + n_out] = np.eye(n_out)
     if not general:
-        add(row, layout.p_g.start, np.eye(n_pg))
-        add(row, layout.p_e.start, -injection_matrix(grid))
-        row += n_pg
-    add(row, layout.phi.start, np.ones((1, 1)))
-    row += 1
-    rhs = np.zeros(row)
+        eq[n_out:-1, layout.p_g] = np.eye(n_pg)
+        eq[n_out:-1, layout.p_e] = -injection_matrix(grid)
+    eq[-1, layout.phi.start] = 1.0
+    rhs = np.zeros(eq.shape[0])
     rhs[-1] = 1.0
-    eq = _csr_from_entries(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (row, layout.n)
-    )
     return PfTemplate(layout, eq, rhs)
 
 
@@ -332,24 +286,26 @@ def pf_template(
 
 
 def _assemble(
+    grid: Grid,
     template: PfTemplate,
     app: AppConstraints | None,
-    objective: LinearObjective,
+    objective: LinearObjective | None,
     beta: float,
-) -> tuple[MixedBinaryProgram, OpfLayout]:
+) -> tuple[ConicProgram, OpfLayout]:
+    """The template's rows, then the application's, with the objective
+    (losses by default) and the relaxation term -beta * cos."""
     layout = template.layout
-    c = objective.vector(layout)
+    c = (objective or losses_objective(grid)).vector(layout)
     c[layout.cos_cols()] -= beta
     A_eq, b_eq = template.eq, template.eq_rhs
     A_in = b_in = None
     if app is not None:
-        a_eq, app_b_eq, A_in, b_in = app.materialize(layout)
-        if app_b_eq.size:
-            A_eq, b_eq = _stack_csr(A_eq, a_eq), np.concatenate([b_eq, app_b_eq])
+        app_eq, app_b_eq, A_in, b_in = app.materialize(layout)
+        A_eq, b_eq = np.vstack([A_eq, app_eq]), np.concatenate([b_eq, app_b_eq])
     prog = ConicProgram.build(
         c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, balls=layout.ball_pairs()
     )
-    return MixedBinaryProgram(prog, ()), layout
+    return prog, layout
 
 
 def build_reference_opf(
@@ -357,9 +313,8 @@ def build_reference_opf(
     app: AppConstraints | None = None,
     objective: LinearObjective | None = None,
     beta: float = 1.0,
-) -> tuple[MixedBinaryProgram, OpfLayout]:
-    objective = objective or losses_objective(grid)
-    return _assemble(pf_template(grid, "reference"), app, objective, beta)
+) -> tuple[ConicProgram, OpfLayout]:
+    return _assemble(grid, pf_template(grid, "reference"), app, objective, beta)
 
 
 def build_dd_opf(
@@ -369,12 +324,11 @@ def build_dd_opf(
     objective: LinearObjective | None = None,
     relaxed: bool = True,
     beta: float = 1.0,
-) -> tuple[MixedBinaryProgram, OpfLayout]:
+) -> tuple[ConicProgram, OpfLayout]:
     """Hankel-represented OPF; relaxed=False marks the circle-equality target,
     solved as the same relaxed program followed by projection."""
-    objective = objective or losses_objective(grid)
     variant = "dd-convex" if relaxed else "dd"
-    return _assemble(pf_template(grid, variant, model), app, objective, beta)
+    return _assemble(grid, pf_template(grid, variant, model), app, objective, beta)
 
 
 def build_generalized_dd_opf(
@@ -383,9 +337,8 @@ def build_generalized_dd_opf(
     app: AppConstraints | None = None,
     objective: LinearObjective | None = None,
     beta: float = 1.0,
-) -> tuple[MixedBinaryProgram, OpfLayout]:
-    objective = objective or losses_objective(grid)
-    return _assemble(pf_template(grid, "dd-generalized", model), app, objective, beta)
+) -> tuple[ConicProgram, OpfLayout]:
+    return _assemble(grid, pf_template(grid, "dd-generalized", model), app, objective, beta)
 
 
 # --- solutions, tightness, restoration ---------------------------------------
@@ -460,7 +413,7 @@ def solve_opf(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    raw = solve_convex(prog.base, tol=tol)
+    raw = solve_convex(prog, tol=tol)
     empty = np.zeros(0)
     sol = OpfSolution(
         variant=variant,

@@ -251,7 +251,7 @@ def solve_alpha_form(variant, model, app, objective, beta=1.0):
     row[0, layout.phi.start] = 1.0
     rows.append(row)
     a_eq, app_b_eq, A_in, b_in = app.materialize(layout)
-    A_eq = np.vstack(rows + [a_eq.toarray()])
+    A_eq = np.vstack(rows + [a_eq])
     b_eq = np.concatenate([np.zeros(A_eq.shape[0] - app_b_eq.size - 1), [1.0], app_b_eq])
     c = objective.vector(layout)
     c[layout.cos_cols()] -= beta

@@ -290,10 +290,12 @@ class TestMalformedFiles:
             ("profile-blank-header", "profiles header must be k, wd_1, wr_*..."),
             ("grid-line-type", "invalid grid config: argument of type 'int' is not iterable"),
             ("grid-voltages-type", "grid config key 'voltages' must be a mapping"),
+            ("profile-one-renewable", "profiles need the renewable columns wr_1, wr_2, found wr_1"),
         ],
         ids=[
             "config", "profile-cell", "profile-demand", "grid", "config-type",
             "profile-no-values", "profile-blank-header", "grid-line-type", "grid-voltages-type",
+            "profile-one-renewable",
         ],
     )
     def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
@@ -310,6 +312,8 @@ class TestMalformedFiles:
             rows[1:] = [str(k) for k in range(8)]
         elif kind == "profile-blank-header":
             rows[0] = ""
+        elif kind == "profile-one-renewable":
+            rows = [row.rsplit(",", 1)[0] for row in rows]
         profiles = tmp_path / "profiles.csv"
         profiles.write_text("\n".join(rows) + "\n")
         if kind.startswith("config"):

@@ -232,8 +232,8 @@ def assert_matches_dense_assembly(rng, kkt, s, z):
     n, p, m = kkt.n, kkt.p, kkt.m
     sc = NTScaling(dims, s, z)
     kkt.factor(sc)
-    rx, ry, rz = rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)
-    dx, dy, dz = kkt.solve(rx, ry, rz)
+    rhs = np.concatenate([rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)])
+    sol = kkt.solve(rhs)
     A, G = form.A.toarray(), form.G.toarray()
     w2 = np.column_stack([sc.apply_W2(col) for col in np.eye(m)])
     K = np.block(
@@ -243,8 +243,7 @@ def assert_matches_dense_assembly(rng, kkt, s, z):
             [G, np.zeros((m, p)), -w2],
         ]
     )
-    sol = np.linalg.solve(K, np.concatenate([rx, ry, rz]))
-    np.testing.assert_allclose(np.concatenate([dx, dy, dz]), sol, atol=1e-8)
+    np.testing.assert_allclose(sol, np.linalg.solve(K, rhs), atol=1e-8)
 
 
 # the last case is above the dense limit: the sparse path, whose second
@@ -320,8 +319,8 @@ class TestKktSolver:
         assert kkt.dense == (n_rows == 2)
         e = cone_e(form.dims)
         kkt.factor(NTScaling(form.dims, 2.0 * e, 2.0 * e))
-        parts = kkt.solve(rng.normal(size=n), rng.normal(size=form.b.size), rng.normal(size=form.h.size))
-        assert all(np.all(np.isfinite(v)) for v in parts)
+        sol = kkt.solve(rng.normal(size=kkt.dim))
+        assert np.all(np.isfinite(sol))
         assert kkt.stats.reg_bumps == 0
         assert_optimal(solve_convex(prog))
 
@@ -354,7 +353,7 @@ class TestKktSolver:
         v = rng.normal(size=n + p + orth)
         v[-1] = 0.0
         rhs = K @ v
-        sol = np.concatenate(kkt.solve(rhs[:n], rhs[n : n + p], rhs[n + p :]))
+        sol = kkt.solve(rhs)
         assert kkt.stats.reg_bumps == 1 and kkt.stats.factorizations == 2
         np.testing.assert_allclose(sol, v, atol=1e-10)
 
@@ -370,7 +369,7 @@ class TestKktSolver:
         dims = kkt.form.dims
         kkt.factor(NTScaling(dims, random_cone_point(rng, dims), random_cone_point(rng, dims)))
         with pytest.raises(FloatingPointError):
-            kkt.solve(np.zeros(kkt.n), np.zeros(kkt.p), np.zeros(kkt.m))
+            kkt.solve(np.zeros(kkt.dim))
         assert regs == pytest.approx([1e-14, 1e-11, 1e-8, 1e-5, 1e-4], rel=1e-12)
         assert max(regs) == _REG_MAX
         assert kkt.stats.reg_bumps == 4

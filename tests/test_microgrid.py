@@ -5,6 +5,7 @@ from ddopf import microgrid, mip
 from ddopf.behavior import DataDrivenLineModel
 from ddopf.errors import (
     DdopfError,
+    DimensionMismatch,
     ForecastTooShort,
     InfeasibleProfile,
     SchemaError,
@@ -34,6 +35,7 @@ from ddopf.microgrid import (
     step_plant,
 )
 from ddopf.mip import solve_mixed_binary
+from ddopf.opf import pf_template
 
 CFG = default_config()
 GRID = default_grid()
@@ -165,6 +167,22 @@ class TestBuildMpcStep:
     def test_forecast_too_short(self):
         with pytest.raises(ForecastTooShort):
             build_mpc_step(CFG, GRID, "reference", initial_state(CFG), zero_window(3))
+
+    @pytest.mark.parametrize("n_res", [1, 3])
+    def test_renewable_column_count_is_checked(self, n_res):
+        window = Profiles(w_r=np.zeros((6, n_res)), w_d=np.zeros(6))
+        with pytest.raises(DimensionMismatch, match=f"window has {n_res} renewable columns"):
+            build_mpc_step(CFG, GRID, "reference", initial_state(CFG), window)
+
+    @pytest.mark.parametrize("variant", ["reference", "dd", "dd-convex", "dd-generalized"])
+    def test_stage_zero_power_flow_rows_are_the_template(self, variant):
+        model = model_for(variant)
+        pf = pf_template(GRID, variant, model)
+        base = MpcTemplate(CFG, GRID, variant, model).base
+        rows = base.A_eq[: pf.eq.shape[0]].toarray()
+        np.testing.assert_array_equal(rows[:, : pf.layout.n], pf.eq)
+        assert not rows[:, pf.layout.n :].any()
+        np.testing.assert_array_equal(base.b_eq[: pf.eq.shape[0]], pf.eq_rhs)
 
     def test_dd_variant_requires_model(self):
         from ddopf.errors import ModelNotPE

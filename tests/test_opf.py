@@ -46,15 +46,15 @@ class TestBuilders:
         # alpha is substituted out: the program is [phi | p_e | p_g]
         prog, layout = build_dd_opf(GRID, EDGE_MODEL)
         assert not hasattr(layout, "alpha")
-        assert layout.n == prog.base.n == 22
+        assert layout.n == prog.n == 22
         assert layout.phi == slice(0, 9)
-        assert prog.base.balls == layout.ball_pairs()
+        assert prog.balls == layout.ball_pairs()
         assert len(layout.ball_pairs()) == 4
 
     def test_alpha_dimension_all_pairs(self):
         prog, layout = build_generalized_dd_opf(GRID, PAIR_MODEL)
         assert not hasattr(layout, "alpha")
-        assert layout.n == prog.base.n == 34
+        assert layout.n == prog.n == 34
         assert layout.phi == slice(0, 21)
         assert len(layout.ball_pairs()) == 10
 
@@ -112,6 +112,18 @@ class TestBuilders:
                 points.append(x)
         for x in points:
             np.testing.assert_allclose(tpl.eq @ x, tpl.eq_rhs, rtol=0.0, atol=1e-12)
+
+
+class TestAppConstraints:
+    @pytest.mark.parametrize("block, index", [("phi", 9), ("p_e", 8), ("p_g", 5), ("p_g", -1)])
+    def test_out_of_range_index_is_a_dimension_mismatch(self, block, index):
+        app = AppConstraints().add_ineq({block: {index: 1.0}}, 0.0)
+        with pytest.raises(DimensionMismatch, match=rf"{block}\[{index}\]"):
+            build_reference_opf(GRID, app)
+
+    def test_unknown_block_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown app-constraint block 'alpha'"):
+            AppConstraints().add_eq({"alpha": {0: 1.0}}, 0.0)
 
 
 PAIR_MODEL_PAIRS = tuple(
@@ -269,7 +281,7 @@ class TestTightnessAndRestoration:
 class TestObjectiveVector:
     def test_beta_lands_on_cosines(self):
         prog, layout = build_reference_opf(GRID, beta=2.5)
-        c = prog.base.c
+        c = prog.c
         np.testing.assert_allclose(c[layout.cos_cols()], -2.5)
         np.testing.assert_allclose(c[layout.sin_cols()], 0.0)
 
