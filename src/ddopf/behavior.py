@@ -266,11 +266,12 @@ class DataDrivenLineModel:
         return self._out
 
 
-def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray) -> np.ndarray:
     """Line powers for a lifted query: the p_e rows of the model's output map.
 
     Raises InconsistentQuery when the query is outside the span of the
-    stored lifted inputs (impossible for persistently exciting data).
+    stored lifted inputs (impossible for persistently exciting data), that is
+    when projecting it onto that span moves it by more than 1e-8 (1 + |query|).
     """
     phi_query = np.asarray(phi_query, dtype=float)
     if phi_query.shape != (model.lifted_dim,):
@@ -278,6 +279,6 @@ def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray, tol: float = 1
             f"query has shape {phi_query.shape}, expected ({model.lifted_dim},)"
         )
     residual = float(np.linalg.norm(model.H_phi @ (model.phi_pinv() @ phi_query) - phi_query))
-    if residual > tol * (1.0 + float(np.linalg.norm(phi_query))):
+    if residual > 1e-8 * (1.0 + float(np.linalg.norm(phi_query))):
         raise InconsistentQuery(f"query outside lifted-input span (residual {residual:.3e})")
     return model.output_map()[: model.H_pe.shape[0]] @ phi_query

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -76,9 +77,12 @@ def _parse_demands(specs):
     for spec in specs:
         try:
             node, value = spec.split("=")
-            demands[int(node)] = float(value)
+            node, value = int(node), float(value)
         except ValueError:
             raise SchemaError(f"demand must look like NODE=VALUE, got {spec!r}") from None
+        if not math.isfinite(value):
+            raise SchemaError(f"demand must be finite, got {spec!r}")
+        demands[node] = value
     return demands
 
 
@@ -172,16 +176,15 @@ def cmd_compare(args) -> int:
     worst_overall = 0.0
     failed = []
     for name in names:
-        worst = 0.0
-        for other in runs[1:]:
-            if name not in other:
-                print(f"column {name} missing from a run", file=sys.stderr)
-                return EXIT_DIMENSION
-            worst = max(worst, float(np.max(np.abs(other[name] - runs[0][name]))))
-        status = "ok" if worst <= args.tol else "FAIL"
-        print(f"{name:>20s}  max |dev| = {worst:.3e}  {status}")
-        worst_overall = max(worst_overall, worst)
-        if worst > args.tol:
+        if any(name not in other for other in runs[1:]):
+            print(f"column {name} missing from a run", file=sys.stderr)
+            return EXIT_DIMENSION
+        # np.max keeps NaN, so a non-finite deviation fails its column
+        worst = float(np.max([np.abs(other[name] - runs[0][name]) for other in runs[1:]]))
+        ok = worst <= args.tol
+        print(f"{name:>20s}  max |dev| = {worst:.3e}  {'ok' if ok else 'FAIL'}")
+        worst_overall = float(np.max([worst_overall, worst]))
+        if not ok:
             failed.append(name)
     print(f"overall max deviation {worst_overall:.3e} (tolerance {args.tol:g})")
     if failed:

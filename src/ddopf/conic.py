@@ -75,6 +75,8 @@ class ConicProgram:
         return self.c.size
 
     def validate(self) -> None:
+        """Check shapes, ball pairs and values: NaN nowhere, and +-inf only
+        in lb and ub, where it means no bound."""
         n = self.n
         if self.A_eq.shape[0] != self.b_eq.size:
             raise ValueError("A_eq rows != b_eq length")
@@ -82,6 +84,13 @@ class ConicProgram:
             raise ValueError("A_in rows != b_in length")
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound vectors must have length n")
+        for name in ("c", "b_eq", "b_in", "A_eq", "A_in"):
+            value = getattr(self, name)
+            if not np.isfinite(value.data if sp.issparse(value) else value).all():
+                raise ValueError(f"{name} must be finite")
+        # standard_form reads any other value as no bound
+        if not ((self.lb < np.inf).all() and (self.ub > -np.inf).all()):
+            raise ValueError("lb must be below +inf and ub above -inf, neither NaN")
         seen: set[int] = set()
         for i, j in self.balls:
             if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -218,11 +227,11 @@ class Solution:
     s: np.ndarray | None = None
 
 
-def check_feasibility(prog: ConicProgram, x: np.ndarray, include_equalities: bool = True) -> float:
+def check_feasibility(prog: ConicProgram, x: np.ndarray) -> float:
     """Largest constraint violation of x, replayed independently of any solver."""
     x = np.asarray(x, dtype=float)
     worst = 0.0
-    if include_equalities and prog.b_eq.size:
+    if prog.b_eq.size:
         worst = max(worst, float(np.max(np.abs(prog.A_eq @ x - prog.b_eq))))
     if prog.b_in.size:
         worst = max(worst, float(np.max(prog.A_in @ x - prog.b_in, initial=0.0)))

@@ -157,9 +157,12 @@ def import_trajectory(path) -> Trajectory:
             if len(row) != len(header):
                 raise SchemaError(f"row {line_no} has {len(row)} fields, expected {len(header)}")
             try:
-                rows.append([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise SchemaError(f"row {line_no}: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise SchemaError(f"row {line_no}: values must be finite")
+            rows.append(values)
     if not rows:
         raise SchemaError("trajectory file has no samples")
     data = np.asarray(rows)

@@ -9,7 +9,8 @@ two consecutive entries per edge, [value_ij, value_ji].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping
 
 import yaml
@@ -41,6 +42,8 @@ class LineParams:
     b_shunt_to: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("line parameters must be finite")
         if self.g * self.g + self.b * self.b <= 0.0:
             raise ValueError("series admittance must be nonzero")
         if self.g_shunt_from < 0.0 or self.g_shunt_to < 0.0:
@@ -89,7 +92,6 @@ class Grid:
         for i, j in self.edges:
             if i not in self._node_index or j not in self._node_index:
                 raise UnknownNode(f"edge ({i}, {j}) references a node not in the grid")
-        self._edge_index = {e: k for k, e in enumerate(self.edges)}
 
         self.lines: dict[Edge, LineParams] = {}
         for key, params in lines.items():
@@ -108,8 +110,8 @@ class Grid:
                 if int(n) not in self._node_index:
                     raise UnknownNode(f"voltage given for unknown node {n}")
                 volt[int(n)] = float(v)
-        if any(v <= 0.0 for v in volt.values()):
-            raise ValueError("voltage magnitudes must be positive")
+        if not all(0.0 < v < math.inf for v in volt.values()):
+            raise ValueError("voltage magnitudes must be positive and finite")
         self.voltages: dict[int, float] = volt
 
         self._adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
@@ -130,16 +132,6 @@ class Grid:
             return self._node_index[node]
         except KeyError:
             raise UnknownNode(f"node {node} not in grid") from None
-
-    def edge_index(self, pair: Iterable[int]) -> int:
-        e = normalize_edge(pair)
-        try:
-            return self._edge_index[e]
-        except KeyError:
-            raise UnknownNode(f"edge {e} not in grid") from None
-
-    def line(self, pair: Iterable[int]) -> LineParams:
-        return self.lines[self.edges[self.edge_index(pair)]]
 
     def __repr__(self):
         return f"Grid(n_nodes={self.n_nodes}, n_edges={self.n_edges})"

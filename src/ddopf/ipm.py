@@ -283,12 +283,6 @@ class NTScaling:
     def apply_W2(self, v: np.ndarray) -> np.ndarray:
         return self._apply(self.w2_orth, self.soc_w2, v)
 
-    def w2_soc_stack(self) -> np.ndarray:
-        """Dense W^2 blocks eta^2 (2 wbar wbar' - J), shape (n_socs, 3, 3).
-
-        The scaling's own array, not a copy."""
-        return self.soc_w2
-
 
 # --- KKT factorization -------------------------------------------------------
 
@@ -383,7 +377,7 @@ class KktSolver:
         w[:n] = reg
         w[n:k] = -reg
         np.subtract(-reg, scaling.w2_orth, out=w[k:kl])
-        np.negative(scaling.w2_soc_stack().reshape(-1), out=w[kl:])
+        np.negative(scaling.soc_w2.reshape(-1), out=w[kl:])
         w[kl:].reshape(-1, 9)[:, ::4] -= reg
         return w
 
@@ -587,7 +581,10 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
     dims = form.dims
     nu = dims.degree + 1
     if start is None:
-        x, y, z, s = _initial_point(kkt, form, e)
+        try:
+            x, y, z, s = _initial_point(kkt, form, e)
+        except (FloatingPointError, RuntimeError) as exc:
+            raise NumericalBreakdown(0, f"initial point: {exc}") from exc
         tau, kappa = 1.0, 1.0
     else:
         x, y, z, s, tau, kappa = start

@@ -25,7 +25,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
-import scipy.sparse as sp
 import yaml
 
 from .behavior import DataDrivenLineModel, cos_indices, sin_indices
@@ -41,6 +40,10 @@ from .errors import (
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
 from .opf import OpfLayout, pf_template, project_onto_circles, tightness_report
+
+# the config fields that may be infinite, meaning no limit; the generator
+# limits pt_min and pt_max scale the commitment binaries, so they stay finite
+_LIMITS = ("ps_min", "ps_max", "pe_min", "pe_max", "x_min", "x_max")
 
 N_GEN = 2
 N_STO = 2
@@ -131,6 +134,12 @@ class MicrogridConfig:
             raise ValueError("x0 must respect the hard energy bounds")
         if not set(np.unique(self.delta_init)) <= {0.0, 1.0}:
             raise ValueError("delta_init entries must be 0 or 1")
+        for f in fields(self):
+            value = np.asarray(getattr(self, f.name), dtype=float)
+            if np.isnan(value).any():
+                raise ValueError(f"{f.name} must not be NaN")
+            if f.name not in _LIMITS and np.isinf(value).any():
+                raise ValueError(f"{f.name} must be finite")
 
     # unit column order in the node-coupling map: [p_t, p_s, p_r, p_d]
     def unit_nodes(self) -> tuple[int, ...]:
@@ -191,10 +200,10 @@ def default_config() -> MicrogridConfig:
     )
 
 
-def default_grid(g: float = 2.0, b: float = -20.0) -> Grid:
+def default_grid() -> Grid:
     """5-bus radial grid of the case study, unit voltages, symmetric lines."""
     edges = [(1, 2), (2, 4), (2, 5), (3, 5)]
-    return Grid([1, 2, 3, 4, 5], edges, {e: LineParams(g=g, b=b) for e in edges})
+    return Grid([1, 2, 3, 4, 5], edges, {e: LineParams(g=2.0, b=-20.0) for e in edges})
 
 
 def load_config(path) -> MicrogridConfig:
@@ -239,6 +248,8 @@ class Profiles:
         self.w_d = np.asarray(self.w_d, dtype=float).ravel()
         if self.w_r.shape[0] != self.w_d.size:
             raise DimensionMismatch("w_r and w_d lengths differ")
+        if not (np.isfinite(self.w_r).all() and np.isfinite(self.w_d).all()):
+            raise ValueError("profiles must be finite")
         if np.any(self.w_r < 0) or np.any(self.w_d < 0):
             raise ValueError("profiles must be nonnegative")
 
@@ -257,16 +268,14 @@ def generate_profiles(
     steps: int,
     config: MicrogridConfig,
     demand_peak: float = 0.7,
-    demand_base: float = 0.2,
-    res_caps: tuple[float, float] = (0.8, 0.8),
-    noise: float = 0.02,
 ) -> Profiles:
     """Deterministic synthetic demand and weather profiles.
 
-    Demand is a daily sinusoid plus small noise, the first renewable behaves
-    like wind (persistent, day and night), the second like photovoltaics
-    (daylight bell, per-day cloudiness). Peak demand is checked against the
-    largest possible fleet output.
+    Demand is a daily sinusoid from 0.2 up to demand_peak plus noise of up to
+    0.02, the first renewable behaves like wind (persistent, day and night),
+    the second like photovoltaics (daylight bell, per-day cloudiness); both
+    have capacity 0.8. Peak demand is checked against the largest possible
+    fleet output.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -280,8 +289,8 @@ def generate_profiles(
     hour = np.mod(t_h, 24.0)
 
     shape = 0.5 * (1.0 - np.cos(2.0 * math.pi * (hour - 5.0) / 24.0))
-    w_d = demand_base + (demand_peak - demand_base) * shape
-    w_d = w_d + noise * rng.uniform(-1.0, 1.0, size=steps)
+    w_d = 0.2 + (demand_peak - 0.2) * shape
+    w_d = w_d + 0.02 * rng.uniform(-1.0, 1.0, size=steps)
     w_d = np.clip(w_d, 0.02, demand_peak)
 
     wind = np.empty(steps)
@@ -289,14 +298,14 @@ def generate_profiles(
     for k in range(steps):
         level = 0.97 * level + 0.03 * 0.5 + 0.08 * rng.normal()
         wind[k] = level
-    w_r1 = res_caps[0] * np.clip(wind, 0.0, 1.0)
+    w_r1 = 0.8 * np.clip(wind, 0.0, 1.0)
 
     day_index = (t_h // 24.0).astype(int)
     n_days = int(day_index.max()) + 1
     cloud = rng.uniform(0.25, 1.0, size=n_days)
     daylight = np.clip(np.sin(math.pi * (hour - 7.0) / 12.0), 0.0, None)
     daylight[(hour < 7.0) | (hour > 19.0)] = 0.0
-    w_r2 = res_caps[1] * daylight * cloud[day_index]
+    w_r2 = 0.8 * daylight * cloud[day_index]
 
     return Profiles(w_r=np.column_stack([w_r1, w_r2]), w_d=w_d)
 
@@ -345,7 +354,6 @@ def load_profiles(path) -> Profiles:
 class MpcLayout:
     """Index bookkeeping for the horizon-stacked MPC program."""
 
-    variant: str
     horizon: int
     stride: int
     pf: OpfLayout  # per-step layout of the power-flow block
@@ -445,25 +453,14 @@ class MpcTemplate:
         ])
         ineq_prev = np.vstack([rows(4), pair(rows(2, delta=-i2), rows(2, delta=i2)), rows(4)])
 
-        def stack(stage: np.ndarray, previous: np.ndarray) -> sp.csr_matrix:
-            # CSR of kron(I_H, stage) + kron(eye(H, k=-1), previous): the rows
-            # of stage 0 hold stage's entries, those of every later stage h
-            # the entries of [previous | stage] from column (h - 1) * stride
-            height = stage.shape[0]
-            both = np.hstack([previous, stage])
-            r0, c0 = np.nonzero(stage)
-            r1, c1 = np.nonzero(both)
-            counts = np.concatenate([
-                np.bincount(r0, minlength=height),
-                np.tile(np.bincount(r1, minlength=height), H - 1),
-            ])
-            indptr = np.zeros(H * height + 1, dtype=np.int32)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.concatenate([c0, (stride * np.arange(H - 1)[:, None] + c1).ravel()])
-            data = np.concatenate([stage[r0, c0], np.tile(both[r1, c1], H - 1)])
-            return sp.csr_matrix(
-                (data, indices.astype(np.int32), indptr), shape=(H * height, H * stride)
-            )
+        def stack(stage: np.ndarray, previous: np.ndarray) -> np.ndarray:
+            # kron(I_H, stage) + kron(eye(H, k=-1), previous), as (stage, row,
+            # stage, column) blocks
+            out = np.zeros((H, stage.shape[0], H, stride))
+            h = np.arange(H)
+            out[h, :, h] = stage
+            out[h[1:], :, h[:-1]] = previous
+            return out.reshape(H * stage.shape[0], H * stride)
 
         # discounted stage cost + undiscounted relaxation term
         gamma = np.array([config.gamma**h for h in range(H)])
@@ -502,7 +499,7 @@ class MpcTemplate:
             balls=horizon(np.reshape(pf.ball_pairs(), -1), stride).reshape(-1, 2),
         )
         binaries = horizon(offsets["delta"] + np.arange(2), stride).ravel()
-        self.layout = MpcLayout(variant, H, stride, pf, offsets, tuple(binaries.tolist()))
+        self.layout = MpcLayout(H, stride, pf, offsets, tuple(binaries.tolist()))
         self._a_s = config.a_s
         self._load = -u_map[:, 6]
         # entries written per step: the h = 0 storage and switch rows, every
@@ -588,11 +585,12 @@ class StepRecord:
 
 
 def step_plant(
-    config: MicrogridConfig, state: PlantState, p_s: np.ndarray, delta: np.ndarray, tol: float = 1e-6
+    config: MicrogridConfig, state: PlantState, p_s: np.ndarray, delta: np.ndarray
 ) -> PlantState:
-    """Advance the stored energy one step and update the commitment memory."""
+    """Advance the stored energy one step and update the commitment memory;
+    the energy may leave its hard bounds by at most 1e-6."""
     x_next = config.a_s @ state.x + config.b_s @ np.asarray(p_s, dtype=float)
-    if np.any(x_next < config.x_min - tol) or np.any(x_next > config.x_max + tol):
+    if np.any(x_next < config.x_min - 1e-6) or np.any(x_next > config.x_max + 1e-6):
         raise StateBoundViolation(
             f"stored energy {x_next} outside [{config.x_min}, {config.x_max}]"
         )
@@ -669,13 +667,12 @@ def run_closed_loop(
             raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
 
         x_full = sol.x
-        n_pairs = len(layout.pf.pairs)
         phi0 = x_full[layout.pf_slice("phi", 0)].copy()
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
         p_g0 = x_full[layout.pf_slice("p_g", 0)].copy()
         if variant == "dd":
             phi0, p_e0, p_g0 = project_onto_circles(variant, grid, model, phi0)
-        tight = tightness_report(phi0, n_pairs).max_residual
+        tight = tightness_report(phi0).max_residual
         # the restoration step belongs to the circle-equality variant's solve
         solve_time = time.perf_counter() - t0
 
@@ -748,7 +745,7 @@ class AuditReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.violations.values())
+        return float(np.max(list(self.violations.values())))
 
     @property
     def passed(self) -> bool:
@@ -770,45 +767,23 @@ def audit_closed_loop(
     )}
     x = result.records[0].x if result.records else cfg.x0
 
+    def update(key, *excess):
+        # np.max keeps NaN, so a non-finite replayed quantity fails the audit
+        v[key] = float(np.max([v[key], *(np.max(e, initial=0.0) for e in excess)]))
+
     for k, rec in enumerate(result.records):
-        v["generator_limits"] = max(
-            v["generator_limits"],
-            float(np.max(cfg.pt_min * rec.delta - rec.p_t, initial=0.0)),
-            float(np.max(rec.p_t - cfg.pt_max * rec.delta, initial=0.0)),
-        )
-        v["storage_power"] = max(
-            v["storage_power"],
-            float(np.max(cfg.ps_min - rec.p_s, initial=0.0)),
-            float(np.max(rec.p_s - cfg.ps_max, initial=0.0)),
-        )
-        v["storage_dynamics"] = max(
-            v["storage_dynamics"], float(np.max(np.abs(rec.x - x)))
-        )
+        update("generator_limits", cfg.pt_min * rec.delta - rec.p_t, rec.p_t - cfg.pt_max * rec.delta)
+        update("storage_power", cfg.ps_min - rec.p_s, rec.p_s - cfg.ps_max)
+        update("storage_dynamics", np.abs(rec.x - x))
         x_next = cfg.a_s @ rec.x + cfg.b_s @ rec.p_s
-        v["energy_bounds"] = max(
-            v["energy_bounds"],
-            float(np.max(cfg.x_min - x_next, initial=0.0)),
-            float(np.max(x_next - cfg.x_max, initial=0.0)),
-        )
-        v["res_availability"] = max(
-            v["res_availability"],
-            float(np.max(-rec.p_r, initial=0.0)),
-            float(np.max(rec.p_r - profiles.w_r[k], initial=0.0)),
-        )
-        v["line_limits"] = max(
-            v["line_limits"],
-            float(np.max(pe_lo - rec.p_e, initial=0.0)),
-            float(np.max(rec.p_e - pe_hi, initial=0.0)),
-        )
+        update("energy_bounds", cfg.x_min - x_next, x_next - cfg.x_max)
+        update("res_availability", -rec.p_r, rec.p_r - profiles.w_r[k])
+        update("line_limits", pe_lo - rec.p_e, rec.p_e - pe_hi)
         units = np.concatenate([rec.p_t, rec.p_s, rec.p_r, [rec.p_d]])
-        v["node_balance"] = max(
-            v["node_balance"], float(np.max(np.abs(rec.p_g - u_map @ units)))
-        )
+        update("node_balance", np.abs(rec.p_g - u_map @ units))
         x = x_next
     if result.records:
-        v["storage_dynamics"] = max(
-            v["storage_dynamics"], float(np.max(np.abs(result.x_final - x)))
-        )
+        update("storage_dynamics", np.abs(result.x_final - x))
     return AuditReport(violations=v, tol=tol)
 
 

@@ -40,13 +40,17 @@ from .physics import flow_map, injection_matrix
 logger = logging.getLogger(__name__)
 
 VARIANTS = ("reference", "dd", "dd-convex", "dd-generalized")
+_SOLVER_TOL = 1e-8
+# largest circle residual 1 - (cos^2 + sin^2) a tight solution may keep, and
+# largest application-constraint violation a projected point may keep
+_TIGHT_TOL = 1e-6
+_FEAS_TOL = 1e-6
 
 
 @dataclass
 class OpfLayout:
     """Column layout of the lifted OPF variable vector."""
 
-    variant: str
     n: int
     phi: slice
     p_e: slice
@@ -60,10 +64,7 @@ class OpfLayout:
         return len(self.pairs)
 
     def ball_pairs(self) -> tuple[tuple[int, int], ...]:
-        base = self.phi.start
-        return tuple(
-            (base + 1 + 2 * k, base + 2 + 2 * k) for k in range(self.n_pairs)
-        )
+        return tuple(zip(self.cos_cols().tolist(), self.sin_cols().tolist()))
 
     def cos_cols(self) -> np.ndarray:
         return self.phi.start + cos_indices(self.n_pairs)
@@ -202,11 +203,10 @@ class PfTemplate:
     eq_rhs: np.ndarray
 
 
-def _make_layout(variant: str, grid: Grid, pairs) -> OpfLayout:
+def _make_layout(grid: Grid, pairs) -> OpfLayout:
     e0 = 2 * len(pairs) + 1
     g0 = e0 + 2 * grid.n_edges
     return OpfLayout(
-        variant=variant,
         n=g0 + grid.n_nodes,
         phi=slice(0, e0),
         p_e=slice(e0, g0),
@@ -266,7 +266,7 @@ def pf_template(
     n_phi = 2 * len(pairs) + 1
     if variant != "reference":
         _check_model(model, n_phi, n_pe, n_pg if general else None)
-    layout = _make_layout(variant, grid, pairs)
+    layout = _make_layout(grid, pairs)
     # p_g follows p_e in the layout, so p_out is one contiguous block
     flow = _flow_map(grid, variant, model)
     n_out = flow.shape[0]
@@ -322,13 +322,11 @@ def build_dd_opf(
     model: DataDrivenLineModel,
     app: AppConstraints | None = None,
     objective: LinearObjective | None = None,
-    relaxed: bool = True,
     beta: float = 1.0,
 ) -> tuple[ConicProgram, OpfLayout]:
-    """Hankel-represented OPF; relaxed=False marks the circle-equality target,
-    solved as the same relaxed program followed by projection."""
-    variant = "dd-convex" if relaxed else "dd"
-    return _assemble(grid, pf_template(grid, variant, model), app, objective, beta)
+    """Hankel-represented OPF, the program of both dd and dd-convex: dd, the
+    circle-equality target, projects its solution afterwards (solve_opf)."""
+    return _assemble(grid, pf_template(grid, "dd-convex", model), app, objective, beta)
 
 
 def build_generalized_dd_opf(
@@ -352,12 +350,16 @@ class TightnessReport:
     passed: bool
 
 
-def tightness_report(phi: np.ndarray, n_pairs: int, tol: float = 1e-6) -> TightnessReport:
+def tightness_report(phi: np.ndarray) -> TightnessReport:
+    """Circle residuals of the lifted vector phi = [1, cos, sin, ...]."""
+    n_pairs = (phi.size - 1) // 2
     c = phi[cos_indices(n_pairs)]
     s = phi[sin_indices(n_pairs)]
     residuals = 1.0 - (c * c + s * s)
     worst = float(np.max(np.abs(residuals))) if n_pairs else 0.0
-    return TightnessReport(residuals=residuals, max_residual=worst, tol=tol, passed=worst <= tol)
+    return TightnessReport(
+        residuals=residuals, max_residual=worst, tol=_TIGHT_TOL, passed=worst <= _TIGHT_TOL
+    )
 
 
 @dataclass
@@ -395,8 +397,6 @@ def solve_opf(
     app: AppConstraints | None = None,
     objective: LinearObjective | None = None,
     beta: float = 1.0,
-    tol: float = 1e-8,
-    tight_tol: float = 1e-6,
 ) -> OpfSolution:
     """Build, solve, and post-process one OPF instance.
 
@@ -407,13 +407,13 @@ def solve_opf(
     if variant == "reference":
         prog, layout = build_reference_opf(grid, app, objective, beta)
     elif variant in ("dd", "dd-convex"):
-        prog, layout = build_dd_opf(grid, model, app, objective, relaxed=variant == "dd-convex", beta=beta)
+        prog, layout = build_dd_opf(grid, model, app, objective, beta)
     elif variant == "dd-generalized":
         prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    raw = solve_convex(prog, tol=tol)
+    raw = solve_convex(prog, tol=_SOLVER_TOL)
     empty = np.zeros(0)
     sol = OpfSolution(
         variant=variant,
@@ -425,7 +425,7 @@ def solve_opf(
         objective=math.nan,
         solver_objective=raw.objective,
         status=raw.status,
-        tightness=TightnessReport(np.zeros(len(layout.pairs)), math.inf, tight_tol, False),
+        tightness=TightnessReport(np.zeros(len(layout.pairs)), math.inf, _TIGHT_TOL, False),
         solve_time=raw.solve_time,
         grid=grid,
         model=model,
@@ -436,24 +436,23 @@ def solve_opf(
     )
     if raw.status != "optimal":
         return sol
-    sol = _at_point(sol, raw.x[layout.phi], raw.x[layout.p_e], raw.x[layout.p_g], tight_tol)
+    sol = _at_point(sol, raw.x[layout.phi], raw.x[layout.p_e], raw.x[layout.p_g])
     if variant == "dd":
         sol = restore_tightness(sol)
     return sol
 
 
-def _at_point(sol: OpfSolution, phi, p_e, p_g, tight_tol: float) -> OpfSolution:
+def _at_point(sol: OpfSolution, phi, p_e, p_g) -> OpfSolution:
     """sol at the point (phi, p_e, p_g), with its alpha, angles, objective and tightness."""
-    n_pairs = len(sol.layout.pairs)
     return replace(
         sol,
         p_e=p_e,
         p_g=p_g,
-        theta=_recover_theta(phi, n_pairs),
+        theta=_recover_theta(phi, len(sol.layout.pairs)),
         phi=phi,
         alpha=None if sol.variant == "reference" else sol.model.phi_pinv() @ phi,
         objective=sol.objective_spec.value(p_e, p_g) if sol.objective_spec else math.nan,
-        tightness=tightness_report(phi, n_pairs, tight_tol),
+        tightness=tightness_report(phi),
     )
 
 
@@ -489,22 +488,22 @@ def project_onto_circles(
     return phi, p_e, injection_matrix(grid) @ p_e
 
 
-def restore_tightness(sol: OpfSolution, feas_tol: float = 1e-6) -> OpfSolution:
+def restore_tightness(sol: OpfSolution) -> OpfSolution:
     """Project the (cos, sin) pairs onto their circles and re-derive the rest.
 
     See project_onto_circles. Raises ProjectionInfeasible when the projected
-    point violates the application constraints beyond feas_tol.
+    point violates the application constraints beyond _FEAS_TOL.
     """
     t0 = time.perf_counter()
     phi, p_e, p_g = project_onto_circles(sol.variant, sol.grid, sol.model, sol.phi)
     if sol.app is not None:
         violation = sol.app.max_violation(phi, p_e, p_g)
-        if violation > feas_tol:
+        if violation > _FEAS_TOL:
             raise ProjectionInfeasible(
                 f"projected point violates application constraints by {violation:.3e}"
             )
     return replace(
-        _at_point(sol, phi, p_e, p_g, sol.tightness.tol),
+        _at_point(sol, phi, p_e, p_g),
         solve_time=sol.solve_time + (time.perf_counter() - t0),
         restored=True,
     )

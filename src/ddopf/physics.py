@@ -149,16 +149,15 @@ def solve_radial_pf(
     injections: Mapping[int, float],
     slack: int,
     tol: float = 1e-10,
-    angle_bound: float = math.pi / 2,
 ) -> RadialPfResult:
     """Solve for edge angle differences matching the given injections.
 
     `injections` must assign a value to every node except `slack`; the slack
     absorbs the imbalance. The tree is swept leaf-to-root, solving one
     scalar flow equation per edge with a bracketed root finder inside the
-    angle trust region. Each edge's flow depends only on its own angle, so
-    one sweep solves the tree up to roundoff; the replayed balance residual
-    is checked against `tol` (NoConvergence above it).
+    angle trust region |theta| <= pi/2. Each edge's flow depends only on its
+    own angle, so one sweep solves the tree up to roundoff; the replayed
+    balance residual is checked against `tol` (NoConvergence above it).
     """
     # imported here: scipy.optimize takes about a quarter second to import,
     # and nothing else in the package needs it
@@ -201,7 +200,8 @@ def solve_radial_pf(
             f = lambda t: k.const_from - k.cos_coeff * math.cos(t) - k.sin_coeff * math.sin(t) - target
         else:
             f = lambda t: k.const_to - k.cos_coeff * math.cos(t) + k.sin_coeff * math.sin(t) - target
-        lo, hi = -angle_bound, angle_bound
+        hi = math.pi / 2
+        lo = -hi
         flo, fhi = f(lo), f(hi)
         if flo == 0.0:
             theta[e] = lo
@@ -212,7 +212,7 @@ def solve_radial_pf(
         if flo * fhi > 0.0:
             raise AngleOutOfTrustRegion(
                 f"flow {target:.6g} from node {node} over edge {e} is not reachable "
-                f"within |theta| <= {angle_bound:.4g}"
+                f"within |theta| <= {hi:.4g}"
             )
         theta[e] = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 

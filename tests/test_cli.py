@@ -249,6 +249,22 @@ class TestCompare:
         assert code == 0 and "PASS" in out
         assert "ipm_iterations" not in out
 
+    def test_nan_deviation_fails(self, grid_file, config_file, tmp_path, capsys):
+        # max(0.0, nan) is 0.0 in Python: a NaN must not read as no deviation
+        a, _ = self.run_pair(grid_file, config_file, tmp_path)
+        col = (a / "results.csv").read_text().splitlines()[0].split(",").index("conv1_power")
+
+        def nan_power(row, i):
+            return row if i != 1 else row[:col] + ["nan"] + row[col + 1 :]
+
+        b = self.rewrite(a, tmp_path / "nan", nan_power)
+        code = run(["compare", "--runs", a, b, "--tol", "1e-4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "conv1_power  max |dev| = nan  FAIL" in captured.out
+        assert "PASS" not in captured.out
+        assert "columns over tolerance: conv1_power" in captured.err
+
     def test_file_without_work_columns_compares(self, grid_file, config_file, tmp_path, capsys):
         a, b = self.run_pair(grid_file, config_file, tmp_path)
         old = self.rewrite(a, tmp_path / "old", lambda row, i: row[:-3])
@@ -291,16 +307,25 @@ class TestMalformedFiles:
             ("grid-line-type", "invalid grid config: argument of type 'int' is not iterable"),
             ("grid-voltages-type", "grid config key 'voltages' must be a mapping"),
             ("profile-one-renewable", "profiles need the renewable columns wr_1, wr_2, found wr_1"),
+            ("profile-nan", "profiles must be finite"),
+            ("profile-inf", "profiles must be finite"),
+            ("config-nan", "c2 must not be NaN"),
+            ("grid-nan", "line parameters must be finite"),
+            ("grid-voltage-nan", "voltage magnitudes must be positive and finite"),
+            ("demand-nan", "demand must be finite, got '5=nan'"),
+            ("trajectory-nan", "row 3: values must be finite"),
         ],
         ids=[
             "config", "profile-cell", "profile-demand", "grid", "config-type",
             "profile-no-values", "profile-blank-header", "grid-line-type", "grid-voltages-type",
-            "profile-one-renewable",
+            "profile-one-renewable", "profile-nan", "profile-inf", "config-nan", "grid-nan",
+            "grid-voltage-nan", "demand-nan", "trajectory-nan",
         ],
     )
     def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
-        # values that parse as YAML or CSV but break the documented schema
-        # exit with the schema code and a message, not a traceback
+        # values that parse as YAML or CSV but break the documented schema,
+        # non-finite numbers among them, exit with the schema code and a
+        # message, not a traceback
         import yaml
 
         rows = ["k,wd_1,wr_1,wr_2"] + [f"{k},0.3,0.1,0.1" for k in range(8)]
@@ -308,6 +333,10 @@ class TestMalformedFiles:
             rows[3] = "2,abc,0.1,0.1"
         elif kind == "profile-demand":
             rows[3] = "2,-0.3,0.1,0.1"
+        elif kind == "profile-nan":
+            rows[3] = "2,0.3,nan,0.1"
+        elif kind == "profile-inf":
+            rows[3] = "2,inf,0.1,0.1"
         elif kind == "profile-no-values":
             rows[1:] = [str(k) for k in range(8)]
         elif kind == "profile-blank-header":
@@ -318,7 +347,10 @@ class TestMalformedFiles:
         profiles.write_text("\n".join(rows) + "\n")
         if kind.startswith("config"):
             doc = yaml.safe_load(config_file.read_text())
-            doc["gamma"] = 1.5 if kind == "config" else "abc"
+            if kind == "config-nan":
+                doc["c2"] = [float("nan"), 1.43]
+            else:
+                doc["gamma"] = 1.5 if kind == "config" else "abc"
             config_file.write_text(yaml.safe_dump(doc))
         if kind.startswith("grid"):
             doc = yaml.safe_load(grid_file.read_text())
@@ -326,10 +358,27 @@ class TestMalformedFiles:
                 doc["lines"][0].update(g=0.0, b=0.0)
             elif kind == "grid-line-type":
                 doc["lines"][0] = 5
+            elif kind == "grid-nan":
+                doc["lines"][0]["g"] = float("nan")
+            elif kind == "grid-voltage-nan":
+                doc["voltages"][2] = float("nan")
             else:
                 doc["voltages"] = [1.0, 1.0]
             grid_file.write_text(yaml.safe_dump(doc))
             argv = ["solve-opf", "--grid", grid_file, "--variant", "reference",
+                    "--out", tmp_path / "x.csv"]
+            if kind == "grid-nan":  # must not write a trajectory of NaN
+                argv = ["generate-data", "--grid", grid_file, "--samples", 9,
+                        "--out", tmp_path / "t.csv"]
+        elif kind == "demand-nan":
+            argv = ["solve-opf", "--grid", grid_file, "--variant", "reference",
+                    "--demand", "5=nan", "--out", tmp_path / "x.csv"]
+        elif kind == "trajectory-nan":
+            traj = make_data(grid_file, tmp_path)
+            lines = traj.read_text().splitlines()
+            lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+            traj.write_text("\n".join(lines) + "\n")
+            argv = ["solve-opf", "--grid", grid_file, "--data", traj, "--variant", "dd-convex",
                     "--out", tmp_path / "x.csv"]
         else:
             argv = ["run-mpc", "--config", config_file, "--grid", grid_file,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility
 
@@ -27,6 +28,23 @@ class TestConstruction:
             ConicProgram.build(c=[1.0, 2.0], balls=[(0, 2)])
         with pytest.raises(ValueError):
             ConicProgram.build(c=np.ones(4), balls=[(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("c", 0, np.nan), ("c", 1, np.inf), ("b_eq", 0, np.nan), ("b_in", 0, -np.inf),
+            ("A_eq", 1, np.nan), ("A_in", 1, np.inf), ("lb", 1, np.nan), ("ub", 0, np.nan),
+            ("lb", 0, np.inf), ("ub", 2, -np.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, index, value):
+        # NaN nowhere, +-inf only as an absent bound: standard_form would
+        # read a NaN or wrong-signed infinite bound as no bound at all
+        prog = small_program()
+        arr = getattr(prog, field)
+        (arr.data if sp.issparse(arr) else arr)[index] = value
+        with pytest.raises(ValueError, match="finite|lb must be below"):
+            prog.validate()
 
     def test_binary_indices_need_unit_box(self):
         prog = ConicProgram.build(c=[1.0], lb=[0.0], ub=[2.0])

@@ -35,6 +35,13 @@ class TestLineParams:
         with pytest.raises(ValueError):
             LineParams(g=1.0, b=0.0, g_shunt_from=-0.1)
 
+    @pytest.mark.parametrize(
+        "params", [dict(g=np.nan, b=-20.0), dict(g=2.0, b=-np.inf), dict(g=2.0, b=-20.0, b_shunt_to=np.nan)]
+    )
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="line parameters must be finite"):
+            LineParams(**params)
+
     def test_negative_shunt_susceptance_allowed(self):
         LineParams(g=1.0, b=0.0, b_shunt_from=-0.5, b_shunt_to=-0.5)
 
@@ -180,3 +187,9 @@ def test_voltage_defaults_and_overrides():
     assert g.voltages == {1: 1.05, 2: 1.0}
     with pytest.raises(ValueError):
         grid_of([1, 2], [(1, 2)], voltages={1: -1.0})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_voltages_rejected(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        grid_of([1, 2], [(1, 2)], voltages={2: bad})

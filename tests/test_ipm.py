@@ -122,7 +122,7 @@ class TestConeAlgebra:
         s = random_cone_point(rng, self.dims)
         z = random_cone_point(rng, self.dims)
         sc = NTScaling(self.dims, s, z)
-        for k, blk in enumerate(sc.w2_soc_stack()):
+        for k, blk in enumerate(sc.soc_w2):
             v = rng.normal(size=self.dims.total)
             np.testing.assert_allclose(
                 blk @ self.dims.soc_view(v)[k], self.dims.soc_view(sc.apply_W2(v))[k], atol=1e-10
@@ -765,6 +765,18 @@ def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):
     monkeypatch.setattr(KktSolver, "factor", failing)
     with pytest.raises(NumericalBreakdown, match="at iteration 0: injected") as info:
         solve_convex(prog)
+    assert info.value.iteration == 0
+
+
+def test_initial_point_factor_failure_raises_breakdown():
+    # c overflows the initial point's right-hand side: every rung of the
+    # regularization ladder leaves a non-finite solve
+    prog = ConicProgram.build(
+        c=[1e308, -1e308], A_eq=[[1.0, 1.0]], b_eq=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalBreakdown, match="at iteration 0: initial point") as info:
+            solve_convex(prog)
     assert info.value.iteration == 0
 
 

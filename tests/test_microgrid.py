@@ -89,6 +89,33 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("c2", [np.nan, 1.0], "c2 must not be NaN"),
+            ("pe_max", [np.nan], "pe_max must not be NaN"),
+            ("beta", np.inf, "beta must be finite"),
+            ("pt_max", [np.inf, 0.6], "pt_max must be finite"),
+            ("b_s", np.diag([np.inf, 0.5]), "b_s must be finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=message):
+            MicrogridConfig(**{**{k: getattr(CFG, k) for k in CFG.__dataclass_fields__}, name: value})
+
+    def test_infinite_limits_mean_no_limit(self):
+        cfg = MicrogridConfig(
+            **{
+                **{k: getattr(CFG, k) for k in CFG.__dataclass_fields__},
+                "ps_min": [-np.inf, -1.0], "ps_max": [np.inf, 1.0],
+                "pe_min": [-np.inf], "pe_max": [np.inf],
+                "x_min": [-np.inf, 0.0], "x_max": [np.inf, 4.0],
+            }
+        )
+        profiles = generate_profiles(7, 8, cfg)
+        res = run_closed_loop(cfg, GRID, profiles, "reference", steps=2)
+        assert audit_closed_loop(res, profiles).passed
+
     def test_unit_map_columns(self):
         u = CFG.unit_map(GRID)
         assert u.shape == (5, 7)
@@ -122,6 +149,13 @@ class TestProfiles:
         back = load_profiles(path)
         np.testing.assert_array_equal(back.w_d, p.w_d)
         np.testing.assert_array_equal(back.w_r, p.w_r)
+
+    @pytest.mark.parametrize("column, value", [("w_r", np.nan), ("w_d", np.inf)])
+    def test_non_finite_values_rejected(self, column, value):
+        data = {"w_r": np.zeros((3, 2)), "w_d": np.zeros(3)}
+        data[column][1] = value
+        with pytest.raises(ValueError, match="profiles must be finite"):
+            Profiles(**data)
 
     def test_window_pads_by_repetition(self):
         p = Profiles(w_r=np.arange(6).reshape(3, 2), w_d=np.array([1.0, 2.0, 3.0]))
@@ -318,6 +352,21 @@ class TestClosedLoop:
         audit = audit_closed_loop(res, profiles)
         assert audit.passed, audit.violations
         assert res.column("tightness").max() <= 1e-6
+
+    def test_non_finite_replay_fails_audit(self):
+        # max(0.0, nan) is 0.0 in Python: a NaN must not read as no violation
+        profiles = generate_profiles(7, 20, CFG)
+        res = run_closed_loop(CFG, GRID, profiles, "reference", steps=2)
+        assert audit_closed_loop(res, profiles).passed
+        p_e = res.records[1].p_e.copy()
+        res.records[1].p_e[0] = np.nan
+        audit = audit_closed_loop(res, profiles)
+        assert not audit.passed and np.isnan(audit.violations["line_limits"])
+        assert np.isnan(audit.max_violation)
+        res.records[1].p_e = p_e
+        profiles.w_r[0, 1] = np.nan  # past Profiles' own check
+        audit = audit_closed_loop(res, profiles)
+        assert not audit.passed and np.isnan(audit.violations["res_availability"])
 
     def test_dd_steps_are_projected_onto_circles(self):
         # every dd first move is projected, as solve_opf projects every dd OPF

@@ -205,12 +205,12 @@ class TestDemandInstances:
 class TestTightnessAndRestoration:
     def test_report_on_circle(self):
         phi = np.array([1.0, 1.0, 0.0, 0.6, 0.8])
-        rep = tightness_report(phi, 2)
+        rep = tightness_report(phi)
         assert rep.passed and rep.max_residual == pytest.approx(0.0, abs=1e-15)
 
     def test_report_inside_disk(self):
         phi = np.array([1.0, 0.5, 0.5])
-        rep = tightness_report(phi, 1)
+        rep = tightness_report(phi)
         assert not rep.passed
         assert rep.residuals[0] == pytest.approx(0.5, abs=1e-15)
 
