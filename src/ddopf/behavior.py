@@ -197,6 +197,8 @@ class DataDrivenLineModel:
     pe_report: PeReport | None = None
     _pinv: np.ndarray | None = field(default=None, repr=False)
     _out: np.ndarray | None = field(default=None, repr=False)
+    # solve_opf's last program per variant family over this model (opf._program)
+    _opf_programs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_samples(

@@ -55,7 +55,14 @@ def _model_from_trajectory(path, variant):
     return DataDrivenLineModel.from_trajectory(traj, include_injections=include_pg)
 
 
+def _check_flag(flag: str, value, ok: bool, requirement: str) -> None:
+    """SchemaError naming the flag when its parsed value fails ok."""
+    if not ok:
+        raise SchemaError(f"--{flag} must be {requirement}, got {value}")
+
+
 def cmd_generate_data(args) -> int:
+    _check_flag("range", args.range, 0.0 < args.range <= math.pi / 2, "in (0, pi/2]")
     grid = load_grid(args.grid)
     validate_radial(grid)
     traj = generate_excitation(
@@ -87,6 +94,8 @@ def _parse_demands(specs):
 
 
 def cmd_solve_opf(args) -> int:
+    _check_flag("cap", args.cap, math.isfinite(args.cap), "finite")
+    _check_flag("beta", args.beta, math.isfinite(args.beta), "finite")
     grid = load_grid(args.grid)
     validate_radial(grid)
     model = _model_from_trajectory(args.data, args.variant) if args.data else None
@@ -128,6 +137,7 @@ def cmd_solve_opf(args) -> int:
 
 
 def cmd_run_mpc(args) -> int:
+    _check_flag("steps", args.steps, args.steps >= 1, "at least 1")
     config = load_config(args.config)
     grid = load_grid(args.grid)
     validate_radial(grid)
@@ -164,6 +174,7 @@ def cmd_run_mpc(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_flag("tol", args.tol, 0.0 <= args.tol < math.inf, "finite and nonnegative")
     runs = [read_results_csv(Path(d) / "results.csv") for d in args.runs]
     lengths = {cols["k"].size for cols in runs}
     if len(lengths) != 1:

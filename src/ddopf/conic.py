@@ -5,12 +5,15 @@ equalities, linear inequalities, box bounds, and two-dimensional unit-ball
 constraints x_i^2 + x_j^2 <= 1 on disjoint index pairs. There is no
 modeling sugar here: absolute values and max(0, .) terms must be
 pre-linearized by the caller.
+
+Programs that differ only in c, the right-hand sides and the bounds share
+one Structure, which holds what depends on A_eq, A_in and the balls alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,9 +33,49 @@ def _as_csr(mat, n_cols: int) -> sp.csr_matrix:
     return out
 
 
+class Structure:
+    """The constraint structure a family of programs shares: A_eq, A_in and
+    the balls, and the work that depends on them alone.
+
+    ConicProgram.build gives each program a structure of its own; the
+    programs dataclasses.replace derives from it keep the field and share the
+    structure for as long as they keep its A_eq, A_in and balls objects
+    (owns). fix_variables keeps its reductions here, one per fixed index set,
+    and the solver its structure-only set-up (ipm writes `solver`). A shared
+    structure is immutable: nothing may write into the A_eq, A_in or balls
+    of a program that carries one. It lives as long as its programs, so its
+    memory goes with their owner (an MPC template, a model or a grid).
+    """
+
+    __slots__ = ("A_eq", "A_in", "balls", "ball_members", "reductions", "solver")
+
+    def __init__(self, A_eq: sp.csr_matrix, A_in: sp.csr_matrix, balls: tuple):
+        self.A_eq, self.A_in, self.balls = A_eq, A_in, balls
+        self.ball_members = frozenset(k for pair in balls for k in pair)
+        self.reductions: dict[frozenset, _Reduction] = {}
+        self.solver = None
+
+    def owns(self, prog: "ConicProgram") -> bool:
+        return prog.A_eq is self.A_eq and prog.A_in is self.A_in and prog.balls is self.balls
+
+
+@dataclass
+class _Reduction:
+    """What fix_variables derives from the fixed index set alone."""
+
+    keep: np.ndarray
+    A_eq: sp.csr_matrix
+    A_in: sp.csr_matrix
+    balls: tuple[tuple[int, int], ...]  # the pairs with no fixed member, renumbered
+    structure: Structure | None = None
+
+
 @dataclass
 class ConicProgram:
-    """min c'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,  lb <= x <= ub, balls."""
+    """min c'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,  lb <= x <= ub, balls.
+
+    structure, when set, is the Structure the program shares (see there).
+    """
 
     c: np.ndarray
     A_eq: sp.csr_matrix
@@ -42,6 +85,7 @@ class ConicProgram:
     lb: np.ndarray
     ub: np.ndarray
     balls: tuple[tuple[int, int], ...] = ()
+    structure: Structure | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -68,6 +112,7 @@ class ConicProgram:
             balls=tuple((int(i), int(j)) for i, j in balls),
         )
         prog.validate()
+        prog.structure = Structure(prog.A_eq, prog.A_in, prog.balls)
         return prog
 
     @property
@@ -105,56 +150,74 @@ class ConicProgram:
         Ball pairs with one fixed member become box bounds on the survivor;
         a fully fixed pair that violates its ball is encoded as an
         unsatisfiable inequality so the solver reports infeasibility.
+
+        The reduced matrices depend on the fixed index set alone unless a
+        ball member is fixed. Otherwise a program with a shared structure
+        computes them once per index set, and its reductions of one set share
+        them, and a structure of their own.
         """
         fixed = {int(k): float(v) for k, v in fixed.items()}
-        keep = np.array([k for k in range(self.n) if k not in fixed], dtype=int)
         vals = np.zeros(self.n)
         for k, v in fixed.items():
             vals[k] = v
-        old_to_new = {int(o): m for m, o in enumerate(keep)}
-
-        c = self.c[keep]
+        structure = self.structure
+        shared = structure is not None and structure.owns(self)
+        if shared and structure.ball_members.isdisjoint(fixed):
+            key = frozenset(fixed)
+            red = structure.reductions.get(key)
+            if red is None:
+                red = structure.reductions[key] = self._reduce(fixed)
+                red.structure = Structure(red.A_eq, red.A_in, red.balls)
+        else:
+            red = self._reduce(fixed)
+        keep = red.keep
         offset = float(np.dot(self.c, vals))
-        A_eq = self.A_eq[:, keep]
-        b_eq = self.b_eq - self.A_eq @ vals
-        in_rows = [self.A_in[:, keep]]
+        in_rows = [red.A_in]
         in_rhs = [self.b_in - self.A_in @ vals]
         lb, ub = self.lb[keep].copy(), self.ub[keep].copy()
-
-        balls = []
+        old_to_new = None
         for i, j in self.balls:
             fi, fj = i in fixed, j in fixed
-            if not fi and not fj:
-                balls.append((old_to_new[i], old_to_new[j]))
-            elif fi and fj:
+            if fi and fj:
                 if fixed[i] ** 2 + fixed[j] ** 2 > 1.0 + 1e-12:
-                    row = sp.csr_matrix((1, keep.size))
-                    in_rows.append(row)
+                    in_rows.append(sp.csr_matrix((1, keep.size)))
                     in_rhs.append(np.array([-1.0]))
-            else:
+            elif fi or fj:
                 fixed_val = fixed[i] if fi else fixed[j]
-                free_new = old_to_new[j] if fi else old_to_new[i]
                 slack = 1.0 - fixed_val * fixed_val
                 if slack < -1e-12:
-                    row = sp.csr_matrix((1, keep.size))
-                    in_rows.append(row)
+                    in_rows.append(sp.csr_matrix((1, keep.size)))
                     in_rhs.append(np.array([-1.0]))
                 else:
+                    if old_to_new is None:
+                        old_to_new = {int(o): m for m, o in enumerate(keep)}
+                    free_new = old_to_new[j] if fi else old_to_new[i]
                     r = math.sqrt(max(slack, 0.0))
                     lb[free_new] = max(lb[free_new], -r)
                     ub[free_new] = min(ub[free_new], r)
 
         reduced = ConicProgram(
-            c=c,
-            A_eq=A_eq.tocsr(),
-            b_eq=b_eq,
-            A_in=sp.vstack(in_rows).tocsr() if len(in_rows) > 1 else in_rows[0].tocsr(),
+            c=self.c[keep],
+            A_eq=red.A_eq,
+            b_eq=self.b_eq - self.A_eq @ vals,
+            A_in=sp.vstack(in_rows).tocsr() if len(in_rows) > 1 else red.A_in,
             b_in=np.concatenate(in_rhs),
             lb=lb,
             ub=ub,
-            balls=tuple(balls),
+            balls=red.balls,
+            structure=red.structure,
         )
         return reduced, keep, offset
+
+    def _reduce(self, fixed: Mapping[int, float]) -> _Reduction:
+        keep = np.array([k for k in range(self.n) if k not in fixed], dtype=int)
+        old_to_new = {int(o): m for m, o in enumerate(keep)}
+        balls = tuple(
+            (old_to_new[i], old_to_new[j])
+            for i, j in self.balls
+            if i not in fixed and j not in fixed
+        )
+        return _Reduction(keep, self.A_eq[:, keep].tocsr(), self.A_in[:, keep].tocsr(), balls)
 
 
 @dataclass

@@ -118,6 +118,8 @@ class Grid:
         for i, j in self.edges:
             self._adjacency[i].add(j)
             self._adjacency[j].add(i)
+        # solve_opf's last reference program over this grid (opf._program)
+        self._opf_programs: dict = {}
 
     @property
     def n_nodes(self) -> int:

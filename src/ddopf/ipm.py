@@ -72,6 +72,61 @@ class StandardForm:
     G: sp.csr_matrix
     h: np.ndarray
     dims: ConeDims
+    # the structure-only set-up A, G and dims come from; see _Setup
+    setup: _Setup | None = None
+
+
+class _Setup:
+    """The structure-only work of standard_form and KktSolver: A, G, the
+    cone layout and, once a KktSolver has built it, the KKT data that
+    depends on A and G alone (_KktPattern).
+
+    Programs that share a conic.Structure and their finite-bound pattern
+    share one _Setup, kept in the structure's `solver` slot; the slot holds
+    one, replaced when a program with another pattern is solved. Nothing
+    writes into a _Setup's arrays once it is built.
+    """
+
+    __slots__ = ("finite_ub", "finite_lb", "placeholder", "A", "G", "dims", "kkt")
+
+    def __init__(self, prog: ConicProgram, finite_ub: np.ndarray, finite_lb: np.ndarray):
+        n = prog.n
+        A_in = prog.A_in.tocsr()
+        n_balls = len(prog.balls)
+        orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
+        # keep the cone block nonempty so the embedding stays uniform
+        placeholder = int(orthant == 0 and n_balls == 0)
+        orthant += placeholder
+
+        # entries per appended row: one per bound row, none in the placeholder,
+        # (0, 1, 1) per ball block
+        row_nnz = np.concatenate(
+            [
+                np.ones(finite_ub.size + finite_lb.size, dtype=np.int64),
+                np.zeros(placeholder, dtype=np.int64),
+                np.tile(np.array([0, 1, 1]), n_balls),
+            ]
+        )
+        indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
+        ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
+        indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
+        data = np.concatenate(
+            [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
+        )
+        self.finite_ub, self.finite_lb = finite_ub, finite_lb
+        self.placeholder = placeholder
+        self.A = prog.A_eq.tocsr()
+        self.G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
+        self.dims = ConeDims(orthant=orthant, n_socs=n_balls)
+        self.kkt: _KktPattern | None = None
+
+    def fits(self, finite_ub: np.ndarray, finite_lb: np.ndarray) -> bool:
+        return np.array_equal(self.finite_ub, finite_ub) and np.array_equal(
+            self.finite_lb, finite_lb
+        )
+
+    def owns(self, form: StandardForm) -> bool:
+        return form.A is self.A and form.G is self.G and form.dims is self.dims
 
 
 def standard_form(prog: ConicProgram) -> StandardForm:
@@ -81,51 +136,35 @@ def standard_form(prog: ConicProgram) -> StandardForm:
     bound, one -e_k row per finite lower bound, then three rows per ball
     (i, j) with -1 at (1, i) and (2, j) of the block, so that h - G x is
     (1, x_i, x_j). A program with no cone rows gets one empty placeholder
-    row with h = 1. G is assembled directly in CSR, row by row.
+    row with h = 1. G is assembled directly in CSR, row by row, once per
+    shared structure and finite-bound pattern (_Setup); h per call.
     """
-    n = prog.n
-    A_in = prog.A_in.tocsr()
     finite_ub = np.flatnonzero(np.isfinite(prog.ub))
     finite_lb = np.flatnonzero(np.isfinite(prog.lb))
-    n_balls = len(prog.balls)
-
-    orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
-    # keep the cone block nonempty so the embedding stays uniform
-    placeholder = int(orthant == 0 and n_balls == 0)
-    orthant += placeholder
-
-    # entries per appended row: one per bound row, none in the placeholder,
-    # (0, 1, 1) per ball block
-    row_nnz = np.concatenate(
-        [
-            np.ones(finite_ub.size + finite_lb.size, dtype=np.int64),
-            np.zeros(placeholder, dtype=np.int64),
-            np.tile(np.array([0, 1, 1]), n_balls),
-        ]
-    )
-    indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
-    ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
-    indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
-    data = np.concatenate(
-        [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
-    )
-    G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
+    structure = prog.structure
+    shared = structure is not None and structure.owns(prog)
+    setup = structure.solver if shared else None
+    if setup is None or not setup.fits(finite_ub, finite_lb):
+        setup = _Setup(prog, finite_ub, finite_lb)
+        if shared:
+            structure.solver = setup
     h = np.concatenate(
         [
             prog.b_in,
             prog.ub[finite_ub],
             -prog.lb[finite_lb],
-            np.ones(placeholder),
-            np.tile(np.array([1.0, 0.0, 0.0]), n_balls),
+            np.ones(setup.placeholder),
+            np.tile(np.array([1.0, 0.0, 0.0]), setup.dims.n_socs),
         ]
     )
     return StandardForm(
         c=prog.c.astype(float),
-        A=prog.A_eq.tocsr(),
+        A=setup.A,
         b=prog.b_eq.astype(float),
-        G=G,
+        G=setup.G,
         h=h,
-        dims=ConeDims(orthant=orthant, n_socs=n_balls),
+        dims=setup.dims,
+        setup=setup,
     )
 
 
@@ -287,6 +326,59 @@ class NTScaling:
 # --- KKT factorization -------------------------------------------------------
 
 
+class _KktPattern:
+    """The KKT data that depends on A and G alone, shared by every KktSolver
+    of one _Setup and never written after construction.
+
+    `fixed` is the part of the matrix no scaling changes, [0 A' G'; A 0 0;
+    G 0 0], as a dense array or CSR matrix; w_flat (dense path) or the tail
+    of raw (sparse path) are the positions of the variable entries, in
+    KktSolver._w_values' order; the sparse path's scatter order and
+    natural-order column pattern place raw's entries into the matrix.
+    """
+
+    def __init__(self, form: StandardForm, dense: bool):
+        n, p = form.c.size, form.b.size
+        dim = n + p + form.h.size
+        self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
+
+        # the variable entries: the regularized x/y diagonals, the orthant's
+        # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
+        # each row-major
+        k, l = n + p, form.dims.orthant
+        starts = k + l + 3 * np.arange(form.dims.n_socs)
+        rr, cc = np.divmod(np.arange(9), 3)
+        w_rows = np.concatenate([np.arange(k + l), (starts[:, None] + rr).ravel()])
+        w_cols = np.concatenate([np.arange(k + l), (starts[:, None] + cc).ravel()])
+        self.n_w = w_rows.size
+
+        if dense:
+            A, G = form.A.toarray(), form.G.toarray()
+            self.fixed = np.zeros((dim, dim))
+            self.fixed[n:k, :n] = A
+            self.fixed[:n, n:k] = A.T
+            self.fixed[k:, :n] = G
+            self.fixed[:n, k:] = G.T
+            self.w_flat = w_rows * dim + w_cols
+            # LAPACK's LU called directly: the routines scipy.linalg's
+            # lu_factor/lu_solve wrap, without their per-call checks
+            self.getrf, self.getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
+        else:
+            A, G = form.A.tocoo(), form.G.tocoo()
+            fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
+            fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
+            fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
+            self.fixed = sp.csr_matrix((fixed_vals, (fixed_rows, fixed_cols)), shape=(dim, dim))
+            # every entry in scatter order: the fixed values, then the
+            # variable ones
+            self.raw = np.concatenate([fixed_vals, np.zeros(self.n_w)])
+            all_rows = np.concatenate([fixed_rows, w_rows])
+            all_cols = np.concatenate([fixed_cols, w_cols])
+            self.order = np.lexsort((all_rows, all_cols))
+            self.indices = all_rows[self.order].astype(np.int32)
+            self.indptr = np.searchsorted(all_cols[self.order], np.arange(dim + 1)).astype(np.int32)
+
+
 class KktSolver:
     """Factor/solve of the 3x3 block system [0 A' G'; A 0 0; G 0 -W^2].
 
@@ -302,7 +394,12 @@ class KktSolver:
 
     `fixed` holds the part of the matrix no scaling changes,
     [0 A' G'; A 0 0; G 0 0], as a dense array or CSR matrix: the IPM forms
-    its residuals and certificate checks from one product with it.
+    its residuals and certificate checks from one product with it. It and
+    the rest of the structure-only data (_KktPattern) are built once per
+    form.setup, by the first solver on a form whose A, G and dims are the
+    setup's own, and shared; any other form gets a pattern of its own.
+    Each solver keeps its own value buffers, factors, column order and
+    stats.
     """
 
     def __init__(self, form: StandardForm):
@@ -311,56 +408,33 @@ class KktSolver:
         self.n, self.p, self.m = n, p, m
         self.dim = n + p + m
         self.dense = self.dim <= _DENSE_LIMIT
+        setup = form.setup
+        if setup is not None and setup.owns(form):
+            if setup.kkt is None:
+                setup.kkt = _KktPattern(form, self.dense)
+            pattern = setup.kkt
+        else:
+            pattern = _KktPattern(form, self.dense)
+        self._pattern = pattern
+        self.fixed = pattern.fixed
         # sign of the regularization on each diagonal entry
-        self._reg_sign = np.concatenate([np.ones(n), -np.ones(p + m)])
-
-        # positions of the variable entries, in _w_values' order: the
-        # regularized x/y diagonals, the orthant's -W^2 diagonal, then the
-        # dense 3 x 3 -W^2 blocks, block after block, each row-major
-        k, l = n + p, form.dims.orthant
-        starts = k + l + 3 * np.arange(form.dims.n_socs)
-        rr, cc = np.divmod(np.arange(9), 3)
-        w_rows = np.concatenate([np.arange(k + l), (starts[:, None] + rr).ravel()])
-        w_cols = np.concatenate([np.arange(k + l), (starts[:, None] + cc).ravel()])
-
+        self._reg_sign = pattern.reg_sign
         if self.dense:
-            A, G = form.A.toarray(), form.G.toarray()
-            self.fixed = np.zeros((self.dim, self.dim))
-            self.fixed[n:k, :n] = A
-            self.fixed[:n, n:k] = A.T
-            self.fixed[k:, :n] = G
-            self.fixed[:n, k:] = G.T
             # the matrix factored last: fixed with the variable entries written in
-            self._kmat = self.fixed.copy()
-            self._w_flat = w_rows * self.dim + w_cols
-            self._w_vals = np.empty(w_rows.size)
-            # LAPACK's LU called directly: the routines scipy.linalg's
-            # lu_factor/lu_solve wrap, without their per-call checks
-            self._getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
+            self._kmat = pattern.fixed.copy()
+            self._w_vals = np.empty(pattern.n_w)
+            self._getrf, self._getrs = pattern.getrf, pattern.getrs
             self._lu = self._piv = None
         else:
-            A, G = form.A.tocoo(), form.G.tocoo()
-            fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
-            fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
-            fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
-            self.fixed = sp.csr_matrix(
-                (fixed_vals, (fixed_rows, fixed_cols)), shape=(self.dim, self.dim)
-            )
-            # every entry in scatter order: the fixed values, then the
-            # variable ones, which _w_values writes in place
-            self._raw = np.concatenate([fixed_vals, np.zeros(w_rows.size)])
-            self._w_vals = self._raw[fixed_vals.size :]
-            all_rows = np.concatenate([fixed_rows, w_rows])
-            all_cols = np.concatenate([fixed_cols, w_cols])
-            order = np.lexsort((all_rows, all_cols))
-            indices = all_rows[order].astype(np.int32)
-            indptr = np.searchsorted(all_cols[order], np.arange(self.dim + 1)).astype(np.int32)
-            self._order = order
-            self._mat = sp.csc_matrix(
-                (np.zeros(all_rows.size), indices, indptr), shape=(self.dim, self.dim)
-            )
-            # column order of _mat once the first factorization has chosen
-            # it: _mat[:, j] holds column _cols[j] of the KKT matrix
+            # every entry in scatter order, of which _w_values writes the
+            # variable ones in place
+            self._raw = pattern.raw.copy()
+            self._w_vals = self._raw[self._raw.size - pattern.n_w :]
+            self._order = pattern.order
+            # the matrix factored last, once the first factorization has
+            # built it in its column order: _mat[:, j] holds column _cols[j]
+            # of the KKT matrix
+            self._mat = None
             self._cols = None
             self._splu = None
             self._splu_cols = None
@@ -385,23 +459,27 @@ class KktSolver:
         self.stats.factorizations += 1
         w_vals = self._w_values(self.scaling, reg)
         if self.dense:
-            self._kmat.ravel()[self._w_flat] = w_vals
+            self._kmat.ravel()[self._pattern.w_flat] = w_vals
             # an exactly singular factor (info > 0) is kept: its solve is not
             # finite, and solve() retries with more regularization
             self._lu, self._piv, _ = self._getrf(self._kmat)
+        elif self._cols is None:
+            pattern = self._pattern
+            self._mat = sp.csc_matrix(
+                (self._raw[self._order], pattern.indices, pattern.indptr),
+                shape=(self.dim, self.dim),
+            )
+            self._splu = spla.splu(self._mat, relax=_RELAX, panel_size=_PANEL_SIZE)
+            self._splu_cols = None
+            self._permute_columns(np.argsort(self._splu.perm_c))
         else:
+            # the columns are already in COLAMD order (postordered by
+            # SuperLU): the fill is the same without reordering again
             self._mat.data[:] = self._raw[self._order]
-            if self._cols is None:
-                self._splu = spla.splu(self._mat, relax=_RELAX, panel_size=_PANEL_SIZE)
-                self._splu_cols = None
-                self._permute_columns(np.argsort(self._splu.perm_c))
-            else:
-                # the columns are already in COLAMD order (postordered by
-                # SuperLU): the fill is the same without reordering again
-                self._splu = spla.splu(
-                    self._mat, permc_spec="NATURAL", relax=_RELAX, panel_size=_PANEL_SIZE
-                )
-                self._splu_cols = self._cols
+            self._splu = spla.splu(
+                self._mat, permc_spec="NATURAL", relax=_RELAX, panel_size=_PANEL_SIZE
+            )
+            self._splu_cols = self._cols
 
     def _permute_columns(self, cols: np.ndarray) -> None:
         """Rebuild _mat, and its scatter order, as KKT[:, cols]."""

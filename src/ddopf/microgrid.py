@@ -118,7 +118,9 @@ class MicrogridConfig:
             raise ValueError("horizon must be at least 1")
         if self.ts_hours <= 0.0:
             raise ValueError("ts_hours must be positive")
-        for lo, hi in (("pt_min", "pt_max"), ("ps_min", "ps_max"), ("x_min", "x_max")):
+        for lo, hi in (
+            ("pt_min", "pt_max"), ("ps_min", "ps_max"), ("pe_min", "pe_max"), ("x_min", "x_max")
+        ):
             if np.any(getattr(self, lo) > getattr(self, hi)):
                 raise ValueError(f"{lo} must not exceed {hi}")
         if np.any(self.pt_min < 0):
@@ -398,7 +400,9 @@ class MpcTemplate:
     stacks them as kron(I_H, stage) + kron(eye(H, k=-1), previous). Only the
     measured state and the forecasts change between steps, so program()
     copies b_eq, b_in and ub and writes them; every step shares c, A_eq,
-    A_in, lb, the balls and the binaries, which no solver layer writes into.
+    A_in, lb, the balls and the binaries, which no solver layer writes into,
+    and so the base's conic.Structure: the solver's set-up and the
+    fix_variables reductions of the run's nodes are built once per run.
     """
 
     def __init__(

@@ -157,7 +157,25 @@ class AppConstraints:
 
     # materialization -------------------------------------------------------
 
-    def _rows(self, rows, layout: OpfLayout):
+    def structure(self) -> tuple:
+        """The rows' term maps without their right-hand sides: apps of equal
+        structure materialize the same matrices over one layout."""
+        return tuple(
+            tuple(
+                tuple((block, tuple(coeffs.items())) for block, coeffs in terms.items())
+                for terms, _ in rows
+            )
+            for rows in (self.eq_rows, self.ineq_rows)
+        )
+
+    def rhs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(b_eq, b_in), the right-hand sides of the equality and inequality rows."""
+        b_eq = np.array([b for _, b in self.eq_rows], dtype=float)
+        b_in = np.array([b for _, b in self.ineq_rows], dtype=float)
+        return b_eq, b_in
+
+    @staticmethod
+    def _matrix(rows, layout: OpfLayout) -> np.ndarray:
         mat = np.zeros((len(rows), layout.n))
         for r, (terms, _) in enumerate(rows):
             for block, coeffs in terms.items():
@@ -169,13 +187,12 @@ class AppConstraints:
                             f"app constraint touches {block}[{k}], width {width}"
                         )
                     mat[r, cols.start + int(k)] += float(v)
-        return mat, np.array([b for _, b in rows], dtype=float)
+        return mat
 
     def materialize(self, layout: OpfLayout):
         """(A_eq, b_eq, A_in, b_in), the rows dense over the layout's columns."""
-        A_eq, b_eq = self._rows(self.eq_rows, layout)
-        A_in, b_in = self._rows(self.ineq_rows, layout)
-        return A_eq, b_eq, A_in, b_in
+        b_eq, b_in = self.rhs()
+        return self._matrix(self.eq_rows, layout), b_eq, self._matrix(self.ineq_rows, layout), b_in
 
     def max_violation(self, phi: np.ndarray, p_e: np.ndarray, p_g: np.ndarray) -> float:
         vals = {"phi": phi, "p_e": p_e, "p_g": p_g}
@@ -285,6 +302,14 @@ def pf_template(
 # --- program builders ----------------------------------------------------------
 
 
+def _objective_vector(
+    grid: Grid, layout: OpfLayout, objective: LinearObjective | None, beta: float
+) -> np.ndarray:
+    c = (objective or losses_objective(grid)).vector(layout)
+    c[layout.cos_cols()] -= beta
+    return c
+
+
 def _assemble(
     grid: Grid,
     template: PfTemplate,
@@ -295,8 +320,7 @@ def _assemble(
     """The template's rows, then the application's, with the objective
     (losses by default) and the relaxation term -beta * cos."""
     layout = template.layout
-    c = (objective or losses_objective(grid)).vector(layout)
-    c[layout.cos_cols()] -= beta
+    c = _objective_vector(grid, layout, objective, beta)
     A_eq, b_eq = template.eq, template.eq_rhs
     A_in = b_in = None
     if app is not None:
@@ -403,16 +427,10 @@ def solve_opf(
     The 'dd' variant (circle equalities) runs the relaxation and then
     projects onto the circles, re-deriving p_e and p_g. alpha is H_phi^+ phi.
     """
-    objective = objective or losses_objective(grid)
-    if variant == "reference":
-        prog, layout = build_reference_opf(grid, app, objective, beta)
-    elif variant in ("dd", "dd-convex"):
-        prog, layout = build_dd_opf(grid, model, app, objective, beta)
-    elif variant == "dd-generalized":
-        prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
-    else:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-
+    objective = objective or losses_objective(grid)
+    prog, layout = _program(grid, variant, model, app, objective, beta)
     raw = solve_convex(prog, tol=_SOLVER_TOL)
     empty = np.zeros(0)
     sol = OpfSolution(
@@ -440,6 +458,64 @@ def solve_opf(
     if variant == "dd":
         sol = restore_tightness(sol)
     return sol
+
+
+@dataclass
+class _CachedProgram:
+    """One program of solve_opf with the structure of its inputs."""
+
+    grid: Grid
+    app_structure: tuple | None  # AppConstraints.structure(), None without an app
+    program: ConicProgram
+    layout: OpfLayout
+    eq_rhs: np.ndarray  # the right-hand side of the template's rows
+
+
+def _program(
+    grid: Grid,
+    variant: str,
+    model: DataDrivenLineModel | None,
+    app: AppConstraints | None,
+    objective: LinearObjective,
+    beta: float,
+) -> tuple[ConicProgram, OpfLayout]:
+    """The program of solve_opf, built only when its structure changes.
+
+    A program's A_eq, A_in and balls depend on the grid, the variant's
+    family (dd and dd-convex pose one program), the model and the app's
+    structure alone. The last program of a family is kept with its owner,
+    the model (data-driven variants) or the grid (reference), in its
+    `_opf_programs`; a call of the same structure writes only c, b_eq and
+    b_in into a copy of it, and a call of another structure builds and
+    replaces it. Both give the same bytes.
+    """
+    family = "dd-convex" if variant == "dd" else variant
+    cache = getattr(grid if family == "reference" else model, "_opf_programs", None)
+    key = None if app is None else app.structure()
+    entry = None if cache is None else cache.get(family)
+    if entry is None or entry.grid is not grid or entry.app_structure != key:
+        if family == "reference":
+            prog, layout = build_reference_opf(grid, app, objective, beta)
+        elif family == "dd-convex":
+            prog, layout = build_dd_opf(grid, model, app, objective, beta)
+        else:
+            prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
+        if cache is not None:
+            n_rows = prog.b_eq.size - (0 if app is None else len(app.eq_rows))
+            cache[family] = _CachedProgram(grid, key, prog, layout, prog.b_eq[:n_rows].copy())
+        return prog, layout
+    b_eq, b_in = entry.eq_rhs, np.zeros(0)
+    if app is not None:
+        app_b_eq, b_in = app.rhs()
+        b_eq = np.concatenate([b_eq, app_b_eq])
+    prog = replace(
+        entry.program,
+        c=_objective_vector(grid, entry.layout, objective, beta),
+        b_eq=b_eq,
+        b_in=b_in,
+    )
+    prog.validate()
+    return prog, entry.layout
 
 
 def _at_point(sol: OpfSolution, phi, p_e, p_g) -> OpfSolution:

@@ -279,6 +279,7 @@ def test_output_map_matches_paper_alpha_form(models):
     print(f"\n[alpha form] output map against H alpha = [phi; p]: PASS (max deviation {worst:.2e})")
 
 
+@pytest.mark.slow
 def test_criterion_6_closed_loop_case_study(case_study):
     profiles, results, elapsed = case_study
     for variant in VARIANTS:
@@ -312,6 +313,7 @@ def test_criterion_6_closed_loop_case_study(case_study):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_solver_correctness():
     """Cross-strategy agreement on 50 random programs (the full 12-binary
     case runs in test_case_study_step_enumerate_equals_branch_and_bound)."""
@@ -349,6 +351,7 @@ def test_criterion_7_solver_correctness():
     print(f"\n[criterion 7] solver correctness: PASS (50 programs, {elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_solve_time_reporting(case_study, tmp_path):
     profiles, results, _ = case_study
     medians = {}
@@ -367,6 +370,7 @@ def test_criterion_8_solve_time_reporting(case_study, tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_case_study_step_enumerate_equals_branch_and_bound(models):
     """Full-scale cross-strategy oracle: one MPC step, 12 binaries, H = 6."""
     profiles = generate_profiles(77, 12, CONFIG)

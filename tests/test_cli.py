@@ -274,6 +274,46 @@ class TestCompare:
         assert capsys.readouterr().out.count("PASS") == 2
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("solve-opf", "--cap", "nan"),
+            ("solve-opf", "--beta", "nan"),
+            ("solve-opf", "--beta", "inf"),
+            ("generate-data", "--range", "nan"),
+            ("generate-data", "--range", "0"),
+            ("run-mpc", "--steps", "0"),
+            ("run-mpc", "--steps", "-3"),
+            ("compare", "--tol", "nan"),
+            ("compare", "--tol", "-1"),
+        ],
+    )
+    def test_out_of_range_value_is_a_schema_error(
+        self, command, flag, value, grid_file, config_file, tmp_path, capsys
+    ):
+        # argparse takes nan, inf and any integer: the command must reject
+        # the value by flag name, with the schema exit code and no output
+        out = tmp_path / "out"
+        if command == "compare":
+            assert run(["run-mpc", "--config", config_file, "--grid", grid_file,
+                        "--profiles", "seed:1", "--variant", "reference", "--steps", 1,
+                        "--out-dir", out]) == 0
+            capsys.readouterr()
+        argv = {
+            "solve-opf": ["--grid", grid_file, "--variant", "reference", "--out", out],
+            "generate-data": ["--grid", grid_file, "--samples", 9, "--out", out],
+            "run-mpc": ["--config", config_file, "--grid", grid_file, "--profiles", "seed:1",
+                        "--variant", "reference", "--out-dir", out],
+            "compare": ["--runs", out, out],
+        }[command]
+        assert run([command, *argv, flag, value]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be ") and value in captured.err
+        assert captured.out == ""
+        assert out.exists() == (command == "compare")
+
+
 class TestSolverFailure:
     def test_numerical_breakdown_exit_code(self, grid_file, tmp_path, capsys, monkeypatch):
         # every factorization after the initial point's fails, far from any
@@ -314,12 +354,13 @@ class TestMalformedFiles:
             ("grid-voltage-nan", "voltage magnitudes must be positive and finite"),
             ("demand-nan", "demand must be finite, got '5=nan'"),
             ("trajectory-nan", "row 3: values must be finite"),
+            ("config-pe-order", "pe_min must not exceed pe_max"),
         ],
         ids=[
             "config", "profile-cell", "profile-demand", "grid", "config-type",
             "profile-no-values", "profile-blank-header", "grid-line-type", "grid-voltages-type",
             "profile-one-renewable", "profile-nan", "profile-inf", "config-nan", "grid-nan",
-            "grid-voltage-nan", "demand-nan", "trajectory-nan",
+            "grid-voltage-nan", "demand-nan", "trajectory-nan", "config-pe-order",
         ],
     )
     def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
@@ -349,6 +390,8 @@ class TestMalformedFiles:
             doc = yaml.safe_load(config_file.read_text())
             if kind == "config-nan":
                 doc["c2"] = [float("nan"), 1.43]
+            elif kind == "config-pe-order":
+                doc["pe_min"], doc["pe_max"] = [0.5], [-0.5]
             else:
                 doc["gamma"] = 1.5 if kind == "config" else "abc"
             config_file.write_text(yaml.safe_dump(doc))

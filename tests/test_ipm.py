@@ -627,6 +627,79 @@ class TestSolveStats:
         assert sol.stats.refinements <= 0.2 * sol.stats.kkt_solves
 
 
+def solution_bytes(sol):
+    return [sol.x.tobytes(), sol.y.tobytes(), sol.z.tobytes(), sol.s.tobytes(),
+            repr((sol.status, sol.objective, sol.kkt_residuals, sol.iterations)),
+            dataclasses.astuple(sol.stats)]
+
+
+def factor_bytes(kkt, s, z, rhs):
+    """Bytes of two factorizations of kkt at NT(s, z) and solves of rhs: the
+    first orders the sparse path's columns, the second reuses the order."""
+    out = []
+    for _ in range(2):
+        kkt.factor(NTScaling(kkt.form.dims, s, z))
+        out.append(kkt.solve(rhs).tobytes())
+        if kkt.dense:
+            out += [kkt._lu.tobytes(), kkt._piv.tobytes()]
+        else:
+            lu = kkt._splu
+            out += [lu.perm_c.tobytes(), lu.perm_r.tobytes()]
+            out += [m.data.tobytes() + m.indices.tobytes() + m.indptr.tobytes() for m in (lu.L, lu.U)]
+    return out
+
+
+class TestSharedSetup:
+    # the second size is above the dense limit: the sparse path
+    @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+    def test_shared_setup_factors_the_bytes_of_a_fresh_one(self, rng, n, p, m, n_balls):
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        assert_optimal(solve_convex(prog))  # builds the structure's set-up
+        shared = perturbed(prog, rng)
+        plain = dataclasses.replace(shared, structure=None)
+        shared_form, plain_form = standard_form(shared), standard_form(plain)
+        setup = prog.structure.solver
+        assert shared_form.setup is setup and shared_form.G is setup.G
+        assert plain_form.setup is not setup and plain_form.G is not setup.G
+        shared_kkt, plain_kkt = KktSolver(shared_form), KktSolver(plain_form)
+        assert shared_kkt.dense == (n + p + m + 3 * n_balls <= _DENSE_LIMIT)
+        assert shared_kkt._pattern is setup.kkt and plain_kkt._pattern is not setup.kkt
+        assert shared_kkt.fixed is setup.kkt.fixed
+        dims = shared_form.dims
+        s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
+        rhs = rng.normal(size=shared_kkt.dim)
+        assert factor_bytes(shared_kkt, s, z, rhs) == factor_bytes(plain_kkt, s, z, rhs)
+        assert solution_bytes(solve_convex(shared)) == solution_bytes(solve_convex(plain))
+
+    def test_new_finite_bound_pattern_gets_its_own_setup(self, rng):
+        prog, _ = random_known_socp(rng)
+        assert_optimal(solve_convex(prog))
+        first = prog.structure.solver
+        boxed = dataclasses.replace(prog, ub=np.where(np.arange(prog.n) == 0, 5.0, np.inf))
+        sol = solve_convex(boxed)
+        second = prog.structure.solver
+        assert second is not first and second.G.shape[0] == first.G.shape[0] + 1
+        plain = dataclasses.replace(boxed, structure=None)
+        assert solution_bytes(sol) == solution_bytes(solve_convex(plain))
+        # the first pattern again: the slot holds one set-up, so it is rebuilt
+        assert solution_bytes(solve_convex(prog)) == solution_bytes(
+            solve_convex(dataclasses.replace(prog, structure=None))
+        )
+        assert prog.structure.solver not in (first, second)
+
+    def test_form_with_foreign_matrices_sets_itself_up(self, rng):
+        # a KktSolver over a form whose A or G is not its setup's own builds
+        # its KKT data from the form, as random_kkt's forms need
+        prog, _ = random_known_socp(rng)
+        assert KktSolver(standard_form(prog))._pattern is prog.structure.solver.kkt
+        form = standard_form(prog)
+        form.A = sp.csr_matrix(rng.normal(size=form.A.shape))
+        kkt = KktSolver(form)
+        assert form.setup.kkt is not None and kkt._pattern is not form.setup.kkt
+        rows = slice(prog.n, prog.n + form.A.shape[0])
+        np.testing.assert_array_equal(kkt.fixed[rows, : prog.n], form.A.toarray())
+
+
 def perturbed(prog, rng):
     """prog with its b_eq moved by N(0, 0.01) and its b_in loosened by up to 0.05."""
     return dataclasses.replace(

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ddopf import opf
 from ddopf.behavior import DataDrivenLineModel, cos_indices, lift_grid, sin_indices
 from ddopf.errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from ddopf.excitation import generate_excitation
 from ddopf.grid import Grid, LineParams
+from ddopf.ipm import solve_convex
 from ddopf.opf import (
     AppConstraints,
     LinearObjective,
@@ -288,3 +292,104 @@ class TestObjectiveVector:
     def test_losses_objective_counts_injections(self):
         obj = LinearObjective(c_pg=np.ones(5))
         assert obj.value(np.zeros(8), np.array([0.1, 0.2, 0.0, 0.0, -0.25])) == pytest.approx(0.05)
+
+
+def raw_bytes(sol):
+    """Every array and count of a convex Solution, as bytes."""
+    arrays = (sol.x, sol.y, sol.z, sol.s)
+    return [a.tobytes() for a in arrays] + [
+        repr((sol.status, sol.objective, sol.kkt_residuals, sol.iterations, sol.dual_objective)),
+        dataclasses.astuple(sol.stats),
+    ]
+
+
+def fresh_solve(grid, variant, app, obj, model=None):
+    """build_*_opf and solve_convex, bypassing solve_opf's program cache."""
+    model = model or model_for(variant)
+    if variant == "reference":
+        prog, _ = build_reference_opf(grid, app, obj)
+    elif variant == "dd-generalized":
+        prog, _ = build_generalized_dd_opf(grid, model, app, obj)
+    else:
+        prog, _ = build_dd_opf(grid, model, app, obj)
+    return solve_convex(prog, tol=1e-8)
+
+
+def counting_builders(monkeypatch):
+    """Names of the build_*_opf calls solve_opf makes from now on."""
+    calls = []
+    for name in ("build_reference_opf", "build_dd_opf", "build_generalized_dd_opf"):
+        def wrapped(*args, _name=name, _orig=getattr(opf, name), **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(opf, name, wrapped)
+    return calls
+
+
+class TestProgramCache:
+    INSTANCES = [
+        ({5: 0.4}, 1.0, {1: 0.2, 2: 0.35, 3: 0.1, 4: 0.5}),
+        ({5: 0.55}, 0.9, {1: 0.4, 2: 0.05, 3: 0.3, 4: 0.15}),
+        ({5: 0.3}, 1.1, None),
+    ]
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_cold_and_cached_calls_are_byte_identical(self, variant, monkeypatch):
+        # the first call builds the program, the later ones write c, b_eq and
+        # b_in into it: each returns the bytes of a fresh build and solve
+        grid = five_bus()
+        instances = [
+            demand_instance(grid, demands, source_cap=cap, source_costs=costs)
+            for demands, cap, costs in self.INSTANCES
+        ]
+        calls = counting_builders(monkeypatch)
+        sols = [solve_opf(grid, variant, model_for(variant), app, obj) for app, obj in instances]
+        assert len(calls) == 1
+        for sol, (app, obj) in zip(sols, instances):
+            assert sol.status == "optimal"
+            assert raw_bytes(sol.raw) == raw_bytes(fresh_solve(grid, variant, app, obj))
+            # a cold call over a grid of its own gives the same bytes too
+            cold = solve_opf(five_bus(), variant, model_for(variant), app, obj)
+            assert raw_bytes(cold.raw) == raw_bytes(sol.raw)
+            for name in ("p_e", "p_g", "phi", "theta"):
+                assert getattr(cold, name).tobytes() == getattr(sol, name).tobytes()
+
+    def test_structure_changes_miss_the_cache(self, monkeypatch):
+        grid = five_bus()
+        calls = counting_builders(monkeypatch)
+        app, obj = demand_instance(grid, {5: 0.4})
+
+        def solve(grid=grid, model=EDGE_MODEL, app=app):
+            sol = solve_opf(grid, "dd-convex", model, app, obj)
+            builds = len(calls)
+            assert raw_bytes(sol.raw) == raw_bytes(fresh_solve(grid, "dd-convex", app, obj, model))
+            del calls[builds:]
+            return builds
+
+        assert solve() == 1
+        # new right-hand sides, same structure: cached
+        assert solve(app=demand_instance(grid, {5: 0.6}, source_cap=0.8)[0]) == 1
+        # dd and dd-convex pose one program
+        solve_opf(grid, "dd", EDGE_MODEL, app, obj)
+        assert len(calls) == 1
+        # an app coefficient changes the structure
+        scaled = demand_instance(grid, {5: 0.4})[0]
+        scaled.ineq_rows[0][0]["p_g"] = {0: 2.0}
+        assert solve(app=scaled) == 2
+        assert solve() == 3
+        # so do one row more, another model and another grid
+        assert solve(app=demand_instance(grid, {5: 0.4})[0].bound_injection(grid, 5, lo=-1.0)) == 4
+        other_model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=7))
+        assert solve(model=other_model) == 5
+        assert solve() == 6
+        assert solve(grid=five_bus()) == 7
+
+    def test_cache_lives_on_the_owner(self):
+        grid = five_bus()
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=8))
+        app, obj = demand_instance(grid, {5: 0.4})
+        solve_opf(grid, "reference", None, app, obj)
+        solve_opf(grid, "dd", model, app, obj)
+        assert list(grid._opf_programs) == ["reference"]
+        assert list(model._opf_programs) == ["dd-convex"]
