@@ -13,8 +13,6 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping
 
-import yaml
-
 from .errors import (
     CycleDetected,
     Disconnected,
@@ -221,6 +219,10 @@ def _find_cycle(grid: Grid, closing_edge: Edge) -> list[Edge]:
 
 
 def load_grid(path) -> Grid:
+    # imported here: only the four YAML load and save functions need
+    # PyYAML, so `import ddopf` does without it
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -279,5 +281,7 @@ def save_grid(grid: Grid, path) -> None:
             for p in [grid.lines[e]]
         ],
     }
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)

@@ -579,16 +579,25 @@ def _warm_point(form: StandardForm, e: np.ndarray, warm: Solution | None):
     """Starting point near an earlier optimum, or None when it does not fit.
 
     The warm start of Skajaa, Andersen and Ye 2013 for this embedding:
-    x = lam x*, y = lam y*, s = lam s* + (1 - lam) e, z = lam z* + (1 - lam) e,
+    x = lam x*, y = lam y*, s = lam s~ + (1 - lam) e, z = lam z* + (1 - lam) e,
     tau = 1 and kappa = s'z / degree, with lam = _WARM_LAMBDA. It needs the
     dual iterate of an optimal solve whose x, y and z sizes match the program.
+
+    The start assumes s~ is the slack x* leaves in the program being solved;
+    s* is the slack of the earlier program, whose h may differ. So the
+    orthant part of s~ is max(h - G x*, 0) with this program's h, and its
+    SOC part is s*: a row that x* now violates starts at 1 - lam, and a row
+    that x* now leaves slack starts from its new slack. One sparse product.
     """
     if warm is None or warm.y is None:
         return None
     if (warm.x.size, warm.y.size, warm.z.size) != (form.c.size, form.b.size, form.h.size):
         return None
     lam = _WARM_LAMBDA
-    s = lam * warm.s + (1.0 - lam) * e
+    orth = form.dims.orthant
+    slack = warm.s.copy()
+    slack[:orth] = np.maximum(form.h[:orth] - (form.G @ warm.x)[:orth], 0.0)
+    s = lam * slack + (1.0 - lam) * e
     z = lam * warm.z + (1.0 - lam) * e
     return lam * warm.x, lam * warm.y, z, s, 1.0, (s @ z) / form.dims.degree
 
@@ -608,10 +617,11 @@ def solve_convex(
 
     warm_start, an earlier optimal Solution of a program of the same sizes,
     starts the iteration near its optimum (_warm_point) instead of at the
-    cold initial point. A warm attempt that ends without a certificate
-    within _WARM_MAX_ITER iterations, or breaks down, is dropped and the
-    program is solved cold; the result then counts the work of both
-    attempts and has stats.warm_restarts = 1.
+    cold initial point: from its x, y and z and the slack its x leaves in
+    this program's orthant rows, whose h may have moved. A warm attempt that
+    ends without a certificate within _WARM_MAX_ITER iterations, or breaks
+    down, is dropped and the program is solved cold; the result then counts
+    the work of both attempts and has stats.warm_restarts = 1.
     """
     t0 = time.perf_counter()
     prog.validate()

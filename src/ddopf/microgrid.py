@@ -25,7 +25,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
-import yaml
 
 from .behavior import DataDrivenLineModel, cos_indices, sin_indices
 from .conic import ConicProgram, MixedBinaryProgram
@@ -209,6 +208,10 @@ def default_grid() -> Grid:
 
 
 def load_config(path) -> MicrogridConfig:
+    # imported here: only the four YAML load and save functions need
+    # PyYAML, so `import ddopf` does without it
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -231,6 +234,8 @@ def save_config(config: MicrogridConfig, path) -> None:
         elif isinstance(value, tuple):
             value = list(value)
         doc[key] = value
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 

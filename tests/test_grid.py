@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +163,15 @@ def test_grid_yaml_roundtrip(tmp_path, five_bus_grid):
     assert loaded.voltages == five_bus_grid.voltages
     for e in loaded.edges:
         assert loaded.lines[e] == five_bus_grid.lines[e]
+
+
+def test_package_import_leaves_yaml_unloaded():
+    # load_grid, save_grid, load_config and save_config import PyYAML when
+    # they run, so `import ddopf` stays clear of its memory and import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ddopf; assert 'yaml' not in sys.modules, 'loaded'"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 def test_load_grid_sorts_edges(tmp_path):

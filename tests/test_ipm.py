@@ -7,8 +7,8 @@ import scipy.optimize
 import scipy.sparse as sp
 
 from ddopf.behavior import DataDrivenLineModel
-from ddopf import ipm
-from ddopf.conic import ConicProgram, check_feasibility
+from ddopf import ipm, mip
+from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility
 from ddopf.errors import NumericalBreakdown
 from ddopf.excitation import generate_excitation
 from ddopf.ipm import (
@@ -811,17 +811,101 @@ class TestWarmStart:
     def test_warm_point_formula(self, rng):
         prog, _ = random_known_socp(rng)
         sol = solve_convex(prog)
-        form = standard_form(prog)
+        form = standard_form(perturbed(prog, rng))
         e = cone_e(form.dims)
         x, y, z, s, tau, kappa = ipm._warm_point(form, e, sol)
-        lam = ipm._WARM_LAMBDA
+        lam, orth = ipm._WARM_LAMBDA, form.dims.orthant
+        # the orthant slack is the one x* leaves in the program being solved,
+        # the SOC slack the earlier solve's
+        slack = sol.s.copy()
+        slack[:orth] = np.maximum(form.h[:orth] - (form.G @ sol.x)[:orth], 0.0)
         np.testing.assert_array_equal(x, lam * sol.x)
         np.testing.assert_array_equal(y, lam * sol.y)
         np.testing.assert_array_equal(z, lam * sol.z + (1.0 - lam) * e)
-        np.testing.assert_array_equal(s, lam * sol.s + (1.0 - lam) * e)
+        np.testing.assert_array_equal(s, lam * slack + (1.0 - lam) * e)
         assert tau == 1.0
         assert kappa == pytest.approx((s @ z) / form.dims.degree, rel=1e-15)
         assert ipm._warm_point(form, e, None) is None
+
+    def test_moved_rows_start_from_their_new_slack(self, rng):
+        # an LP with a known interior point x0; at its optimum x* some rows
+        # of A_in are active
+        n, p, m = 6, 2, 8
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        A_eq, A_in = rng.normal(size=(p, n)), rng.normal(size=(m, n))
+        prog = ConicProgram.build(
+            c=rng.normal(size=n), A_eq=A_eq, b_eq=A_eq @ x0, A_in=A_in,
+            b_in=A_in @ x0 + rng.uniform(0.05, 1.0, size=m),
+            lb=x0 - rng.uniform(0.5, 2.0, size=n), ub=x0 + rng.uniform(0.5, 2.0, size=n),
+        )
+        first = solve_convex(prog)
+        assert_optimal(first)
+        # tighten every active row halfway back to x0, which x* then
+        # violates and x0 still meets; loosen every other row by 0.3
+        at_x0, at_opt = A_in @ x0, A_in @ first.x
+        active = prog.b_in - at_opt < 1e-6
+        assert active.any() and not active.all()
+        b_in = np.where(active, 0.5 * (at_x0 + at_opt), prog.b_in + 0.3)
+        moved = dataclasses.replace(prog, b_in=b_in)
+        form = standard_form(moved)
+        e = cone_e(form.dims)
+        lam, orth = ipm._WARM_LAMBDA, form.dims.orthant
+        s = ipm._warm_point(form, e, first)[3]
+        new_slack = form.h[:orth] - (form.G @ first.x)[:orth]
+        assert (new_slack[:m][active] < 0).all() and (new_slack[:m][~active] > 0.3).all()
+        np.testing.assert_array_equal(s[:orth], lam * np.maximum(new_slack, 0.0) + (1.0 - lam))
+        np.testing.assert_array_equal(s[:m][active], 1.0 - lam)
+        assert (s[:m][~active] > lam * first.s[:m][~active] + (1.0 - lam) + 0.26).all()
+
+        cold = solve_convex(moved)
+        warm = solve_convex(moved, warm_start=first)
+        assert_optimal(cold)
+        assert_optimal(warm)
+        assert warm.stats.warm_restarts == 0
+        assert warm.objective == pytest.approx(
+            cold.objective, abs=1e-8 * max(1.0, abs(cold.objective))
+        )
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-6)
+
+    def test_enumeration_warm_solves_beat_the_earlier_slack(self, monkeypatch):
+        # enumeration over 4 of the 12 commitment binaries of the case
+        # study's first dd-convex MPC step: each warm solve crosses one
+        # flipped binary, so h moves under x*. Starting from x*'s new slack
+        # must take fewer iterations in total than the start that blends
+        # in the earlier solve's slack s*.
+        grid, config = default_grid(), default_config()
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
+        window = generate_profiles(2024, 12, config).window(0, config.horizon)
+        prog, _ = build_mpc_step(config, grid, "dd-convex", initial_state(config), window, model)
+        calls = []
+
+        def recording(p, tol, max_iter=100, warm_start=None):
+            sol = solve_convex(p, tol=tol, max_iter=max_iter, warm_start=warm_start)
+            calls.append((p, tol, warm_start, sol))
+            return sol
+
+        monkeypatch.setattr(mip, "solve_convex", recording)
+        enum = mip.solve_mixed_binary(
+            MixedBinaryProgram(prog.base, prog.binary_indices[:4]), strategy="enumerate", tol=1e-8
+        )
+        assert_optimal(enum)
+        lam = ipm._WARM_LAMBDA
+        ours = earlier = 0
+        for p, tol, warm, sol in calls:
+            if warm is None:
+                continue
+            assert_optimal(sol)
+            assert sol.stats.warm_restarts == 0
+            form = standard_form(p)
+            e = cone_e(form.dims)
+            s, z = lam * warm.s + (1.0 - lam) * e, lam * warm.z + (1.0 - lam) * e
+            start = (lam * warm.x, lam * warm.y, z, s, 1.0, (s @ z) / form.dims.degree)
+            old = ipm._iterate(KktSolver(form), form, e, start, tol, ipm._WARM_MAX_ITER, 0.0)
+            assert_optimal(old)
+            ours += sol.stats.iterations
+            earlier += old.stats.iterations
+        assert len(calls) == 16
+        assert ours < earlier
 
 
 def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):

@@ -168,6 +168,23 @@ class TestDemandInstances:
             np.testing.assert_allclose(sols[v].p_e, ref.p_e, atol=1e-4)
             np.testing.assert_allclose(sols[v].p_g, ref.p_g, atol=1e-4)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the gap test is absolute below |pcost| = 1, so a losses-only optimum "
+        "is certified on a nearly flat face (ROADMAP open item 2)",
+    )
+    def test_losses_only_variants_agree(self):
+        # no source costs: the objective is the losses alone, 7.7e-5 here, and
+        # every variant ends 'optimal', yet dd-generalized's p_g sits 1.46e-3
+        # from the reference's (1.48e-3 with the acceptance suite's models)
+        app, obj = demand_instance(GRID, {5: 0.1755}, source_cap=0.9618)
+        sols = {v: solve_opf(GRID, v, model_for(v), app, obj) for v in ALL_VARIANTS}
+        assert all(sol.status == "optimal" for sol in sols.values())
+        ref = sols["reference"]
+        for v in ("dd", "dd-convex", "dd-generalized"):
+            np.testing.assert_allclose(sols[v].p_g, ref.p_g, atol=1e-4)
+
     def test_theta_round_trip_against_radial_pf(self):
         app, obj = demand_instance(GRID, {5: 0.45})
         sol = solve_opf(GRID, "dd-convex", EDGE_MODEL, app, obj)
