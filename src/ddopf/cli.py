@@ -62,7 +62,9 @@ def _check_flag(flag: str, value, ok: bool, requirement: str) -> None:
 
 
 def cmd_generate_data(args) -> int:
+    _check_flag("samples", args.samples, args.samples >= 1, "at least 1")
     _check_flag("range", args.range, 0.0 < args.range <= math.pi / 2, "in (0, pi/2]")
+    _check_flag("seed", args.seed, args.seed >= 0, "nonnegative")
     grid = load_grid(args.grid)
     validate_radial(grid)
     traj = generate_excitation(
@@ -136,8 +138,21 @@ def cmd_solve_opf(args) -> int:
     return EXIT_OK
 
 
+def _profiles_seed(spec: str) -> int | None:
+    """The seed of a seed:<int> --profiles value, None for a file path."""
+    if not spec.startswith("seed:"):
+        return None
+    try:
+        seed = int(spec.split(":", 1)[1])
+    except ValueError:
+        seed = -1
+    _check_flag("profiles", spec, seed >= 0, "a profiles CSV path or seed:<nonnegative integer>")
+    return seed
+
+
 def cmd_run_mpc(args) -> int:
     _check_flag("steps", args.steps, args.steps >= 1, "at least 1")
+    seed = _profiles_seed(args.profiles)
     config = load_config(args.config)
     grid = load_grid(args.grid)
     validate_radial(grid)
@@ -145,8 +160,7 @@ def cmd_run_mpc(args) -> int:
     if args.variant != "reference" and model is None:
         raise SchemaError("data-driven variants need --data with a trajectory file")
 
-    if args.profiles.startswith("seed:"):
-        seed = int(args.profiles.split(":", 1)[1])
+    if seed is not None:
         profiles = generate_profiles(seed, args.steps + config.horizon, config)
     else:
         profiles = load_profiles(args.profiles)

@@ -246,13 +246,15 @@ class SolveStats:
 
     iterations counts the IPM iterations run, those of a dropped warm
     attempt and those after the best iterate of a 'tolerance_not_met' solve
-    included; factorizations counts LU factorizations, retries at a larger
-    regularization included; kkt_solves counts KKT solve calls, refinements
-    the iterative-refinement passes over all of them, reg_bumps the retries
-    at a larger regularization after a non-finite solve, and warm_restarts
-    the warm attempts dropped for a cold solve. The stats of a
-    solve_convex result count that one call; those of a solve_mixed_binary
-    result are the sum (+) over every convex solve of the call.
+    included; factorizations counts LU factorizations run, retries at a
+    larger regularization included, but not the W = I factorization a cold
+    start adopts from its structure (ipm._KktPattern); kkt_solves counts
+    KKT solve calls, refinements the iterative-refinement passes over all
+    of them, reg_bumps the retries at a larger regularization after a
+    non-finite solve, and warm_restarts the warm attempts dropped for a
+    cold solve. The stats of a solve_convex result count that one call;
+    those of a solve_mixed_binary result are the sum (+) over every convex
+    solve of the call.
     """
 
     iterations: int = 0

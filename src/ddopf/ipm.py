@@ -40,6 +40,12 @@ _REG_MAX = 1e-4
 # arrays than they save in arithmetic
 _PANEL_SIZE = 1
 _RELAX = 1
+# SuperLU's diagonal pivot threshold on the symmetrically permuted sparse
+# KKT matrix: a diagonal entry at least this fraction of its column's
+# largest stays the pivot, which keeps most of the fill of the COLAMD
+# order; at 0.01 or 0.03 the fill is lower, but the less accurate solves
+# stall two marginal steps of the 336-step case study (README)
+_PIVOT_THRESH = 0.1
 # warm start: weight of the earlier optimum in the starting point, and the
 # iterations a warm attempt may run before the solve restarts cold
 _WARM_LAMBDA = 0.9
@@ -327,20 +333,30 @@ class NTScaling:
 
 
 class _KktPattern:
-    """The KKT data that depends on A and G alone, shared by every KktSolver
-    of one _Setup and never written after construction.
+    """The factor plan of one _Setup: the KKT data that depends on A and G
+    alone, shared by every KktSolver of the setup.
 
     `fixed` is the part of the matrix no scaling changes, [0 A' G'; A 0 0;
-    G 0 0], as a dense array or CSR matrix; w_flat (dense path) or the tail
-    of raw (sparse path) are the positions of the variable entries, in
-    KktSolver._w_values' order; the sparse path's scatter order and
-    natural-order column pattern place raw's entries into the matrix.
+    G 0 0], as a dense array or CSR matrix in the natural order. w_pos are
+    the positions of the variable entries, in KktSolver._w_values' order,
+    in the matrix as it is factored: the row-major dense matrix, or on the
+    sparse path the data `values` of the CSC matrix (indices, indptr) of
+    KKT[perm][:, perm], whose rows and columns are permuted symmetrically by
+    a COLAMD order of the pattern, computed here once; `values` holds the
+    fixed entries and zeros, iperm is perm's inverse, and reg_sign, the sign
+    of the regularization on each diagonal entry, is in the same order.
+
+    `eye` is the factorization at W = I and _REG that every cold start
+    begins with: None until the first solver that needs it makes it
+    (KktSolver.factor_identity), then (scaling, lu, piv, splu). Nothing else
+    is written after construction, and nothing writes into `eye`'s arrays.
     """
 
     def __init__(self, form: StandardForm, dense: bool):
         n, p = form.c.size, form.b.size
         dim = n + p + form.h.size
         self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
+        self.eye = None
 
         # the variable entries: the regularized x/y diagonals, the orthant's
         # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
@@ -359,24 +375,46 @@ class _KktPattern:
             self.fixed[:n, n:k] = A.T
             self.fixed[k:, :n] = G
             self.fixed[:n, k:] = G.T
-            self.w_flat = w_rows * dim + w_cols
+            self.w_pos = w_rows * dim + w_cols
             # LAPACK's LU called directly: the routines scipy.linalg's
             # lu_factor/lu_solve wrap, without their per-call checks
             self.getrf, self.getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
-        else:
-            A, G = form.A.tocoo(), form.G.tocoo()
-            fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
-            fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
-            fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
-            self.fixed = sp.csr_matrix((fixed_vals, (fixed_rows, fixed_cols)), shape=(dim, dim))
-            # every entry in scatter order: the fixed values, then the
-            # variable ones
-            self.raw = np.concatenate([fixed_vals, np.zeros(self.n_w)])
-            all_rows = np.concatenate([fixed_rows, w_rows])
-            all_cols = np.concatenate([fixed_cols, w_cols])
-            self.order = np.lexsort((all_rows, all_cols))
-            self.indices = all_rows[self.order].astype(np.int32)
-            self.indptr = np.searchsorted(all_cols[self.order], np.arange(dim + 1)).astype(np.int32)
+            return
+
+        A, G = form.A.tocoo(), form.G.tocoo()
+        fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
+        fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
+        fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
+        self.fixed = sp.csr_matrix((fixed_vals, (fixed_rows, fixed_cols)), shape=(dim, dim))
+        # every entry, the fixed ones first, then the variable ones
+        rows = np.concatenate([fixed_rows, w_rows])
+        cols = np.concatenate([fixed_cols, w_cols])
+
+        def csc(data, perm_rows, perm_cols):
+            order = np.lexsort((perm_rows, perm_cols))
+            indptr = np.searchsorted(perm_cols[order], np.arange(dim + 1)).astype(np.int32)
+            mat = sp.csc_matrix(
+                (data[order], perm_rows[order].astype(np.int32), indptr), shape=(dim, dim)
+            )
+            return mat, order
+
+        # COLAMD orders the pattern once; a diagonally dominant matrix of
+        # the pattern (every diagonal entry is a variable one) factors
+        # whatever A and G hold, and the order depends on the pattern alone
+        dominant = np.where(rows == cols, float(dim), 1.0)
+        colamd = spla.splu(
+            csc(dominant, rows, cols)[0], permc_spec="COLAMD", relax=_RELAX, panel_size=_PANEL_SIZE
+        )
+        self.perm = np.argsort(colamd.perm_c)
+        self.iperm = np.argsort(self.perm)
+        self.reg_sign = self.reg_sign[self.perm]
+        mat, order = csc(
+            np.concatenate([fixed_vals, np.zeros(self.n_w)]), self.iperm[rows], self.iperm[cols]
+        )
+        self.values, self.indices, self.indptr = mat.data, mat.indices, mat.indptr
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        self.w_pos = where[fixed_vals.size :]
 
 
 class KktSolver:
@@ -388,18 +426,26 @@ class KktSolver:
     equalities or a variable in no row; iterative refinement against the
     unregularized operator removes its effect.
 
-    Every matrix one solver factors has the same sparsity pattern. The sparse
-    path therefore orders the columns once, with COLAMD on the first matrix,
-    and factors every later matrix in that column order with no reordering.
+    The structure-only data (_KktPattern) are built once per form.setup, by
+    the first solver on a form whose A, G and dims are the setup's own, and
+    shared; any other form gets a pattern of its own. `fixed` holds the part
+    of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a dense
+    array or CSR matrix: the IPM forms its residuals and certificate checks
+    from one product with it.
 
-    `fixed` holds the part of the matrix no scaling changes,
-    [0 A' G'; A 0 0; G 0 0], as a dense array or CSR matrix: the IPM forms
-    its residuals and certificate checks from one product with it. It and
-    the rest of the structure-only data (_KktPattern) are built once per
-    form.setup, by the first solver on a form whose A, G and dims are the
-    setup's own, and shared; any other form gets a pattern of its own.
-    Each solver keeps its own value buffers, factors, column order and
-    stats.
+    Every matrix of a setup has the same sparsity pattern. The sparse path
+    therefore factors KKT[perm][:, perm], permuted symmetrically by the
+    pattern's COLAMD order, with no reordering and SuperLU's diagonal
+    pivot threshold at _PIVOT_THRESH: the quasidefinite matrix keeps most
+    of its diagonal pivots and so the fill of the order. solve() permutes
+    the right-hand side into that order, solves and refines there, and
+    permutes the solution back.
+
+    A cold start factors at W = I (factor_identity); the first solver of a
+    pattern makes that factorization and leaves it on the pattern, and
+    later solvers adopt it instead of factoring. Each solver keeps its own
+    value buffers, factors and stats, and a regularization retry refactors
+    into its own buffers.
     """
 
     def __init__(self, form: StandardForm):
@@ -417,27 +463,21 @@ class KktSolver:
             pattern = _KktPattern(form, self.dense)
         self._pattern = pattern
         self.fixed = pattern.fixed
-        # sign of the regularization on each diagonal entry
+        # sign of the regularization on each diagonal entry, in the pattern's layout
         self._reg_sign = pattern.reg_sign
+        self._w_vals = np.empty(pattern.n_w)
+        # the matrix factored last, in the pattern's layout, and its factors
+        self._lu = self._piv = self._splu = None
         if self.dense:
-            # the matrix factored last: fixed with the variable entries written in
             self._kmat = pattern.fixed.copy()
-            self._w_vals = np.empty(pattern.n_w)
+            self._values = self._kmat.reshape(-1)
             self._getrf, self._getrs = pattern.getrf, pattern.getrs
-            self._lu = self._piv = None
         else:
-            # every entry in scatter order, of which _w_values writes the
-            # variable ones in place
-            self._raw = pattern.raw.copy()
-            self._w_vals = self._raw[self._raw.size - pattern.n_w :]
-            self._order = pattern.order
-            # the matrix factored last, once the first factorization has
-            # built it in its column order: _mat[:, j] holds column _cols[j]
-            # of the KKT matrix
-            self._mat = None
-            self._cols = None
-            self._splu = None
-            self._splu_cols = None
+            self._mat = sp.csc_matrix(
+                (pattern.values.copy(), pattern.indices, pattern.indptr),
+                shape=(self.dim, self.dim),
+            )
+            self._values = self._mat.data
         # counts of LU factorizations, solve calls, refinement passes and
         # regularization bumps over the solver's lifetime
         self.stats = SolveStats()
@@ -455,68 +495,57 @@ class KktSolver:
         w[kl:].reshape(-1, 9)[:, ::4] -= reg
         return w
 
+    def _write(self, reg: float) -> None:
+        """Write the variable entries at self.scaling and reg into the
+        solver's own matrix; reg becomes the current regularization."""
+        self._current_reg = reg
+        self._values[self._pattern.w_pos] = self._w_values(self.scaling, reg)
+
     def _factor_at(self, reg: float) -> None:
         self.stats.factorizations += 1
-        w_vals = self._w_values(self.scaling, reg)
+        self._write(reg)
         if self.dense:
-            self._kmat.ravel()[self._pattern.w_flat] = w_vals
             # an exactly singular factor (info > 0) is kept: its solve is not
             # finite, and solve() retries with more regularization
             self._lu, self._piv, _ = self._getrf(self._kmat)
-        elif self._cols is None:
-            pattern = self._pattern
-            self._mat = sp.csc_matrix(
-                (self._raw[self._order], pattern.indices, pattern.indptr),
-                shape=(self.dim, self.dim),
-            )
-            self._splu = spla.splu(self._mat, relax=_RELAX, panel_size=_PANEL_SIZE)
-            self._splu_cols = None
-            self._permute_columns(np.argsort(self._splu.perm_c))
         else:
-            # the columns are already in COLAMD order (postordered by
-            # SuperLU): the fill is the same without reordering again
-            self._mat.data[:] = self._raw[self._order]
             self._splu = spla.splu(
-                self._mat, permc_spec="NATURAL", relax=_RELAX, panel_size=_PANEL_SIZE
+                self._mat,
+                permc_spec="NATURAL",
+                diag_pivot_thresh=_PIVOT_THRESH,
+                relax=_RELAX,
+                panel_size=_PANEL_SIZE,
             )
-            self._splu_cols = self._cols
-
-    def _permute_columns(self, cols: np.ndarray) -> None:
-        """Rebuild _mat, and its scatter order, as KKT[:, cols]."""
-        mat = self._mat
-        lengths = np.diff(mat.indptr)[cols]
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        src = np.repeat(mat.indptr[cols] - indptr[:-1], lengths) + np.arange(indptr[-1])
-        self._order = self._order[src]
-        self._mat = sp.csc_matrix(
-            (mat.data[src], mat.indices[src], indptr.astype(np.int32)), shape=mat.shape
-        )
-        self._cols = cols
 
     def factor(self, scaling: NTScaling) -> None:
         self.scaling = scaling
-        self._current_reg = _REG
-        self._factor_at(self._current_reg)
+        self._factor_at(_REG)
+
+    def factor_identity(self, e: np.ndarray) -> None:
+        """Factor at W = I, the scaling of a cold start, e the cone's
+        identity: adopt the pattern's factors of it, or make them (one
+        factor call, counted in stats) and leave them on the pattern."""
+        pattern = self._pattern
+        if pattern.eye is None:
+            self.factor(NTScaling(self.form.dims, e * 2.0, e * 2.0))
+            pattern.eye = (self.scaling, self._lu, self._piv, self._splu)
+            return
+        self.scaling, self._lu, self._piv, self._splu = pattern.eye
+        self._write(_REG)
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve with the factors, in the layout of the factored matrix."""
         if self.dense:
             return self._getrs(self._lu, self._piv, rhs)[0]
-        sol = self._splu.solve(rhs)
-        if self._splu_cols is None:
-            return sol
-        out = np.empty_like(sol)
-        out[self._splu_cols] = sol
-        return out
+        return self._splu.solve(rhs)
 
     def _exact_matvec(self, sol: np.ndarray) -> np.ndarray:
-        """Unregularized KKT operator times sol, from the matrix just factored.
+        """Unregularized KKT operator times sol, from the matrix just factored,
+        in its layout.
 
         One matvec on the assembled matrix, less its regularization diagonal.
         """
-        if self.dense:
-            kv = self._kmat @ sol
-        else:
-            kv = self._mat @ sol[self._cols]
+        kv = self._kmat @ sol if self.dense else self._mat @ sol
         return kv - (self._current_reg * self._reg_sign) * sol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -525,17 +554,19 @@ class KktSolver:
 
         A singular or non-finite factorization bumps the regularization
         (x1e3 per retry, at most _REG_MAX) and refactors; iterative
-        refinement then removes the perturbation.
+        refinement then removes the perturbation. The sparse path solves and
+        refines in its factored layout, permuted by the pattern's order.
         """
         self.stats.kkt_solves += 1
         scale = max(1.0, float(np.abs(rhs).max()))
+        if not self.dense:
+            rhs = rhs[self._pattern.perm]
         sol = self._raw_solve(rhs)
         while not np.isfinite(sol).all():
             if self._current_reg >= _REG_MAX:
                 raise FloatingPointError("KKT factorization unusable at maximum regularization")
-            self._current_reg = min(self._current_reg * 1e3, _REG_MAX)
             self.stats.reg_bumps += 1
-            self._factor_at(self._current_reg)
+            self._factor_at(min(self._current_reg * 1e3, _REG_MAX))
             sol = self._raw_solve(rhs)
         best_resid = math.inf
         for _ in range(4):
@@ -546,7 +577,7 @@ class KktSolver:
             best_resid = err
             self.stats.refinements += 1
             sol = sol + self._raw_solve(resid)
-        return sol
+        return sol if self.dense else sol[self._pattern.iperm]
 
 
 # --- main loop ---------------------------------------------------------------
@@ -559,8 +590,7 @@ def _norm(v: np.ndarray) -> float:
 
 def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     dims = form.dims
-    eye = NTScaling(dims, e * 2.0, e * 2.0)  # W = I
-    kkt.factor(eye)
+    kkt.factor_identity(e)
     n, k = kkt.n, kkt.n + kkt.p
     x_z = kkt.solve(np.concatenate([np.zeros(n), form.b, form.h]))
     x, s = x_z[:n], -x_z[k:]
@@ -639,8 +669,7 @@ def solve_convex(
     except NumericalBreakdown as exc:
         ran = exc.iteration
     warm_work = replace(kkt.stats, iterations=ran, warm_restarts=1)
-    # a fresh solver, so that the cold solve chooses its column order as a
-    # call without a warm start does and returns the same bytes
+    # a fresh solver, whose stats count the cold solve alone
     sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
     sol.iterations += ran
     sol.stats = sol.stats + warm_work

@@ -487,7 +487,8 @@ def _program(
     the model (data-driven variants) or the grid (reference), in its
     `_opf_programs`; a call of the same structure writes only c, b_eq and
     b_in into a copy of it, and a call of another structure builds and
-    replaces it. Both give the same bytes.
+    replaces it. Both give the same bytes. solve_convex validates the
+    program it is given, so the copy is not validated here.
     """
     family = "dd-convex" if variant == "dd" else variant
     cache = getattr(grid if family == "reference" else model, "_opf_programs", None)
@@ -514,7 +515,6 @@ def _program(
         b_eq=b_eq,
         b_in=b_in,
     )
-    prog.validate()
     return prog, entry.layout
 
 

@@ -57,6 +57,29 @@ def test_solve_opf_records_template_and_build(traced, variant):
     assert counts == [[1, 1, 1], [1, 1, 2]]
 
 
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_adopted_cold_start_records_only_the_factorizations_run(traced, path):
+    # a second cold solve of a structure adopts the W = I factorization the
+    # first one made: it neither calls factor for it nor counts it
+    if path == "dense":
+        app, objective = opf.demand_instance(GRID, {5: 0.4})
+        prog, _ = opf.build_reference_opf(GRID, app, objective)
+    else:
+        config = microgrid.default_config()
+        window = microgrid.generate_profiles(3, config.horizon, config).window(0, config.horizon)
+        prog = microgrid.build_mpc_step(
+            config, GRID, "reference", microgrid.initial_state(config), window
+        )[0].base
+    first = ipm.solve_convex(prog)
+    before = traced.names.count("ipm.kkt_factor")
+    sol = ipm.solve_convex(prog)
+    assert sol.status == first.status == "optimal"
+    assert ipm.KktSolver(ipm.standard_form(prog)).dense == (path == "dense")
+    spans = traced.names.count("ipm.kkt_factor") - before
+    assert spans == sol.stats.factorizations == sol.iterations
+    assert first.stats.factorizations == first.iterations + 1
+
+
 def test_closed_loop_records_mpc_step(traced):
     config = microgrid.default_config()
     profiles = microgrid.generate_profiles(3, 1 + config.horizon, config)

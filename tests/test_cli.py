@@ -283,8 +283,13 @@ class TestNumericFlags:
             ("solve-opf", "--beta", "inf"),
             ("generate-data", "--range", "nan"),
             ("generate-data", "--range", "0"),
+            ("generate-data", "--samples", "0"),
+            ("generate-data", "--samples", "-3"),
+            ("generate-data", "--seed", "-1"),
             ("run-mpc", "--steps", "0"),
             ("run-mpc", "--steps", "-3"),
+            ("run-mpc", "--profiles", "seed:abc"),
+            ("run-mpc", "--profiles", "seed:-5"),
             ("compare", "--tol", "nan"),
             ("compare", "--tol", "-1"),
         ],

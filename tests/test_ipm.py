@@ -617,36 +617,66 @@ class TestSolveStats:
 
     def test_case_study_node_refines_rarely(self):
         # the root node of the case study's first dd-convex MPC step
-        grid, config = default_grid(), default_config()
-        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
-        window = generate_profiles(2024, 12, config).window(0, config.horizon)
-        prog, _ = build_mpc_step(config, grid, "dd-convex", initial_state(config), window, model)
-        sol = solve_convex(prog.base, tol=1e-8)
+        sol = solve_convex(case_study_step().base, tol=1e-8)
         assert_optimal(sol)
         assert sol.stats.factorizations == sol.iterations + 1
         assert sol.stats.refinements <= 0.2 * sol.stats.kkt_solves
 
 
-def solution_bytes(sol):
+def solution_bytes(sol, adopted=False):
+    """Arrays and counts of an optimal solve as bytes. adopted: the solve
+    started cold from the W = I factorization an earlier solve of its
+    structure made, so it ran one factorization fewer than one that makes
+    it; that one is counted back in."""
+    stats = dataclasses.replace(sol.stats, factorizations=sol.stats.factorizations + adopted)
     return [sol.x.tobytes(), sol.y.tobytes(), sol.z.tobytes(), sol.s.tobytes(),
             repr((sol.status, sol.objective, sol.kkt_residuals, sol.iterations)),
-            dataclasses.astuple(sol.stats)]
+            dataclasses.astuple(stats)]
+
+
+def case_study_step(variant="dd-convex"):
+    """The MPC program of the case study's first step."""
+    grid, config = default_grid(), default_config()
+    model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
+    window = generate_profiles(2024, 12, config).window(0, config.horizon)
+    prog, _ = build_mpc_step(config, grid, variant, initial_state(config), window, model)
+    return prog
+
+
+def lu_bytes(lu, piv, splu):
+    """Bytes of the dense factors (lu, piv) or of the SuperLU factors."""
+    if splu is None:
+        return [lu.tobytes(), piv.tobytes()]
+    out = [splu.perm_c.tobytes(), splu.perm_r.tobytes()]
+    for m in (splu.L, splu.U):
+        out.append(m.data.tobytes() + m.indices.tobytes() + m.indptr.tobytes())
+    return out
+
+
+def kkt_bytes(kkt, rhs):
+    """Bytes of kkt's solve of rhs, its factors and the matrix it factored."""
+    sol = kkt.solve(rhs).tobytes()
+    return [sol, kkt._values.tobytes(), *lu_bytes(kkt._lu, kkt._piv, kkt._splu)]
 
 
 def factor_bytes(kkt, s, z, rhs):
-    """Bytes of two factorizations of kkt at NT(s, z) and solves of rhs: the
-    first orders the sparse path's columns, the second reuses the order."""
+    """Bytes of two factorizations of kkt at NT(s, z) and solves of rhs."""
     out = []
     for _ in range(2):
         kkt.factor(NTScaling(kkt.form.dims, s, z))
-        out.append(kkt.solve(rhs).tobytes())
-        if kkt.dense:
-            out += [kkt._lu.tobytes(), kkt._piv.tobytes()]
-        else:
-            lu = kkt._splu
-            out += [lu.perm_c.tobytes(), lu.perm_r.tobytes()]
-            out += [m.data.tobytes() + m.indices.tobytes() + m.indptr.tobytes() for m in (lu.L, lu.U)]
+        out += kkt_bytes(kkt, rhs)
     return out
+
+
+def pattern_bytes(pattern):
+    """Bytes of every array of a _KktPattern, its W = I factorization's included."""
+    fixed = pattern.fixed
+    out = [fixed.tobytes()] if isinstance(fixed, np.ndarray) else [fixed.data.tobytes()]
+    for name in ("w_pos", "reg_sign", "values", "indices", "indptr", "perm", "iperm"):
+        if hasattr(pattern, name):
+            out.append(getattr(pattern, name).tobytes())
+    scaling, lu, piv, splu = pattern.eye
+    return out + [scaling.w2_orth.tobytes(), scaling.soc_w2.tobytes(), *lu_bytes(lu, piv, splu)]
 
 
 class TestSharedSetup:
@@ -669,7 +699,30 @@ class TestSharedSetup:
         s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
         rhs = rng.normal(size=shared_kkt.dim)
         assert factor_bytes(shared_kkt, s, z, rhs) == factor_bytes(plain_kkt, s, z, rhs)
-        assert solution_bytes(solve_convex(shared)) == solution_bytes(solve_convex(plain))
+        # shared starts from the W = I factorization prog's solve made
+        assert solution_bytes(solve_convex(shared), adopted=True) == solution_bytes(
+            solve_convex(plain)
+        )
+
+    @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+    def test_shared_cold_start_factors_the_bytes_of_a_fresh_one(self, rng, n, p, m, n_balls):
+        # a solver of the structure adopts the W = I factorization its first
+        # solve made; one of its own makes it: the same bytes either way
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        assert_optimal(solve_convex(prog))
+        shared = perturbed(prog, rng)
+        shared_kkt = KktSolver(standard_form(shared))
+        plain_kkt = KktSolver(standard_form(dataclasses.replace(shared, structure=None)))
+        assert shared_kkt._pattern is prog.structure.solver.kkt is not plain_kkt._pattern
+        rhs = rng.normal(size=shared_kkt.dim)
+        out = []
+        for kkt in (shared_kkt, plain_kkt):
+            kkt.factor_identity(cone_e(kkt.form.dims))
+            out.append(kkt_bytes(kkt, rhs))
+        assert out[0] == out[1]
+        assert (shared_kkt.stats.factorizations, plain_kkt.stats.factorizations) == (0, 1)
+        assert shared_kkt._lu is shared_kkt._pattern.eye[1]
+        assert shared_kkt._splu is shared_kkt._pattern.eye[3]
 
     def test_new_finite_bound_pattern_gets_its_own_setup(self, rng):
         prog, _ = random_known_socp(rng)
@@ -698,6 +751,108 @@ class TestSharedSetup:
         assert form.setup.kkt is not None and kkt._pattern is not form.setup.kkt
         rows = slice(prog.n, prog.n + form.A.shape[0])
         np.testing.assert_array_equal(kkt.fixed[rows, : prog.n], form.A.toarray())
+
+
+class TestFactorPlan:
+    @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+    def test_cold_solve_adopting_the_identity_factorization(self, rng, n, p, m, n_balls):
+        # the first cold solve of a structure makes the W = I factorization
+        # and counts it; a later one adopts it, runs one factorization
+        # fewer and returns the same bytes
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        first = solve_convex(prog)
+        assert_optimal(first)
+        assert prog.structure.solver.kkt.eye is not None
+        assert first.stats.factorizations == first.iterations + 1
+        again = solve_convex(prog)
+        assert again.stats.factorizations == again.iterations
+        assert solution_bytes(again, adopted=True) == solution_bytes(first)
+
+    @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+    def test_regularization_bump_leaves_the_shared_factorization(
+        self, rng, monkeypatch, n, p, m, n_balls
+    ):
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        assert_optimal(solve_convex(prog))
+        pattern = prog.structure.solver.kkt
+        before = pattern_bytes(pattern)
+        kkt = KktSolver(standard_form(prog))
+        kkt.factor_identity(cone_e(kkt.form.dims))
+        adopted = kkt._values.copy()
+        # the first solve at W = I comes out non-finite: one bump, which
+        # refactors into the solver's own buffers
+        raw_solve, regs = kkt._raw_solve, []
+
+        def first_non_finite(rhs):
+            regs.append(kkt._current_reg)
+            sol = raw_solve(rhs)
+            return np.full_like(sol, np.nan) if len(regs) == 1 else sol
+
+        monkeypatch.setattr(kkt, "_raw_solve", first_non_finite)
+        assert np.isfinite(kkt.solve(rng.normal(size=kkt.dim))).all()
+        assert regs[:2] == pytest.approx([_REG, 1e3 * _REG], rel=1e-12)
+        assert (kkt.stats.reg_bumps, kkt.stats.factorizations) == (1, 1)
+        factors = kkt._lu if kkt.dense else kkt._splu
+        assert factors is not pattern.eye[1 if kkt.dense else 3]
+        assert not np.array_equal(kkt._values, adopted)
+        assert pattern_bytes(pattern) == before
+
+    def test_colamd_runs_once_per_structure(self, monkeypatch):
+        # a 16-node enumeration of one reduced structure orders its KKT
+        # pattern once; every factorization after that is in natural order
+        prog = case_study_step()
+        specs = []
+        splu = ipm.spla.splu
+
+        def recording(*args, **kwargs):
+            specs.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(ipm.spla, "splu", recording)
+        enum = mip.solve_mixed_binary(
+            MixedBinaryProgram(prog.base, prog.binary_indices[:4]), strategy="enumerate", tol=1e-8
+        )
+        assert_optimal(enum)
+        assert enum.node_count == 16
+        assert len(specs) - specs.count("NATURAL") == 1
+        assert specs.count("NATURAL") == enum.stats.factorizations
+
+    def test_late_iterations_meet_the_refinement_test(self, monkeypatch):
+        # every KKT solve of the last three iterations of each node of a
+        # case-study enumeration, where W^2 spans many orders of magnitude:
+        # the search directions meet solve()'s refinement test, and every
+        # solve, the one of -q included, has a roundoff-level backward error
+        prog = case_study_step()
+        solves = {}
+        solve = KktSolver.solve
+
+        def recording(self, rhs):
+            sol = solve(self, rhs)
+            solves.setdefault(self, []).append((self.scaling, rhs, sol))
+            return sol
+
+        monkeypatch.setattr(KktSolver, "solve", recording)
+        enum = mip.solve_mixed_binary(
+            MixedBinaryProgram(prog.base, prog.binary_indices[:4]), strategy="enumerate", tol=1e-8
+        )
+        assert_optimal(enum)
+        assert enum.stats.reg_bumps == 0 and len(solves) == 16
+        checked = 0
+        for kkt, records in solves.items():
+            k = kkt.n + kkt.p
+            late = records[-9:]  # three iterations of three solves each
+            assert len({id(scaling) for scaling, _, _ in late}) == 3
+            for i, (scaling, rhs, sol) in enumerate(late):
+                K = kkt.fixed + sp.block_diag(
+                    [sp.csr_matrix((k, k)), sp.diags(-scaling.w2_orth), *-scaling.soc_w2]
+                )
+                err = np.abs(rhs - K @ sol).max()
+                norm_k = np.abs(K).sum(axis=1).max()
+                assert err <= 1e-15 * (norm_k * np.abs(sol).max() + np.abs(rhs).max())
+                if i % 3:
+                    assert err <= 1e-12 * max(1.0, np.abs(rhs).max())
+                checked += 1
+        assert checked == 16 * 9
 
 
 def perturbed(prog, rng):
@@ -745,6 +900,7 @@ class TestWarmStart:
     def test_mismatched_sizes_start_cold(self, rng):
         small = solve_convex(random_lp(rng, n=5))
         prog = random_lp(rng)
+        solve_convex(prog)  # makes the W = I factorization both solves below adopt
         cold = solve_convex(prog)
         warm = solve_convex(prog, warm_start=small)
         assert warm.x.tobytes() == cold.x.tobytes()
@@ -754,9 +910,11 @@ class TestWarmStart:
     def test_unfinished_warm_attempt_restarts_cold(self, rng, monkeypatch):
         prog = random_lp(rng)
         nxt = perturbed(prog, rng)
+        # first makes the W = I factorization that cold and the restart adopt
+        first = solve_convex(prog)
         cold = solve_convex(nxt)
         monkeypatch.setattr(ipm, "_WARM_MAX_ITER", 1)
-        sol = solve_convex(nxt, warm_start=solve_convex(prog))
+        sol = solve_convex(nxt, warm_start=first)
         assert_optimal(sol)
         assert sol.x.tobytes() == cold.x.tobytes()
         # one warm iteration (one factorization, three KKT solves) and the
@@ -873,10 +1031,7 @@ class TestWarmStart:
         # flipped binary, so h moves under x*. Starting from x*'s new slack
         # must take fewer iterations in total than the start that blends
         # in the earlier solve's slack s*.
-        grid, config = default_grid(), default_config()
-        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
-        window = generate_profiles(2024, 12, config).window(0, config.horizon)
-        prog, _ = build_mpc_step(config, grid, "dd-convex", initial_state(config), window, model)
+        prog = case_study_step()
         calls = []
 
         def recording(p, tol, max_iter=100, warm_start=None):
