@@ -81,7 +81,7 @@ def cmd_generate_data(args) -> int:
     return EXIT_OK
 
 
-def _parse_demands(specs):
+def _parse_demands(specs, grid):
     demands = {}
     for spec in specs:
         try:
@@ -91,6 +91,7 @@ def _parse_demands(specs):
             raise SchemaError(f"demand must look like NODE=VALUE, got {spec!r}") from None
         if not math.isfinite(value):
             raise SchemaError(f"demand must be finite, got {spec!r}")
+        _check_flag("demand", spec, node in grid.nodes, "at a node of the grid")
         demands[node] = value
     return demands
 
@@ -103,7 +104,7 @@ def cmd_solve_opf(args) -> int:
     model = _model_from_trajectory(args.data, args.variant) if args.data else None
     if args.variant != "reference" and model is None:
         raise SchemaError("data-driven variants need --data with a trajectory file")
-    demands = _parse_demands(args.demand) if args.demand else {grid.nodes[-1]: 0.4}
+    demands = _parse_demands(args.demand, grid) if args.demand else {grid.nodes[-1]: 0.4}
     app, objective = demand_instance(grid, demands, source_cap=args.cap)
     sol = solve_opf(grid, args.variant, model, app, objective, beta=args.beta)
     if sol.status == "infeasible":

@@ -34,17 +34,18 @@ def _as_csr(mat, n_cols: int) -> sp.csr_matrix:
 
 
 class Structure:
-    """The constraint structure a family of programs shares: A_eq, A_in and
-    the balls, and the work that depends on them alone.
+    """The constraint structure of a program: its A_eq, A_in and balls, and
+    the work that depends on them alone.
 
-    ConicProgram.build gives each program a structure of its own; the
-    programs dataclasses.replace derives from it keep the field and share the
-    structure for as long as they keep its A_eq, A_in and balls objects
-    (owns). fix_variables keeps its reductions here, one per fixed index set,
-    and the solver its structure-only set-up (ipm writes `solver`). A shared
-    structure is immutable: nothing may write into the A_eq, A_in or balls
-    of a program that carries one. It lives as long as its programs, so its
-    memory goes with their owner (an MPC template, a model or a grid).
+    Every ConicProgram holds a structure that owns it (owns: the same A_eq,
+    A_in and balls objects). The programs dataclasses.replace derives from
+    one share its structure for as long as they keep those three objects;
+    any other program gets a structure of its own. fix_variables keeps its
+    reductions here, a (keep, Structure) pair per fixed index set, and the
+    solver its plan (ipm writes `solver`). Its matrices are immutable:
+    nothing may write into or reassign the A_eq, A_in or balls of a
+    program. It lives as long as its programs, so its memory goes with
+    their owner (an MPC template, a model or a grid).
     """
 
     __slots__ = ("A_eq", "A_in", "balls", "ball_members", "reductions", "solver")
@@ -52,7 +53,7 @@ class Structure:
     def __init__(self, A_eq: sp.csr_matrix, A_in: sp.csr_matrix, balls: tuple):
         self.A_eq, self.A_in, self.balls = A_eq, A_in, balls
         self.ball_members = frozenset(k for pair in balls for k in pair)
-        self.reductions: dict[frozenset, _Reduction] = {}
+        self.reductions: dict[frozenset, tuple[np.ndarray, Structure]] = {}
         self.solver = None
 
     def owns(self, prog: "ConicProgram") -> bool:
@@ -60,21 +61,11 @@ class Structure:
 
 
 @dataclass
-class _Reduction:
-    """What fix_variables derives from the fixed index set alone."""
-
-    keep: np.ndarray
-    A_eq: sp.csr_matrix
-    A_in: sp.csr_matrix
-    balls: tuple[tuple[int, int], ...]  # the pairs with no fixed member, renumbered
-    structure: Structure | None = None
-
-
-@dataclass
 class ConicProgram:
     """min c'x  s.t.  A_eq x = b_eq,  A_in x <= b_in,  lb <= x <= ub, balls.
 
-    structure, when set, is the Structure the program shares (see there).
+    structure is the program's Structure (see there): the one it is given
+    when that owns the program, else a new one.
     """
 
     c: np.ndarray
@@ -85,7 +76,11 @@ class ConicProgram:
     lb: np.ndarray
     ub: np.ndarray
     balls: tuple[tuple[int, int], ...] = ()
-    structure: Structure | None = field(default=None, repr=False, compare=False)
+    structure: Structure = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.structure is None or not self.structure.owns(self):
+            self.structure = Structure(self.A_eq, self.A_in, self.balls)
 
     @classmethod
     def build(
@@ -112,7 +107,6 @@ class ConicProgram:
             balls=tuple((int(i), int(j)) for i, j in balls),
         )
         prog.validate()
-        prog.structure = Structure(prog.A_eq, prog.A_in, prog.balls)
         return prog
 
     @property
@@ -152,27 +146,29 @@ class ConicProgram:
         unsatisfiable inequality so the solver reports infeasibility.
 
         The reduced matrices depend on the fixed index set alone unless a
-        ball member is fixed. Otherwise a program with a shared structure
-        computes them once per index set, and its reductions of one set share
-        them, and a structure of their own.
+        ball member is fixed. Otherwise they are computed once per index set
+        and kept on the structure, and the reductions of one set share them
+        and a structure of their own. An index outside [0, n) raises
+        ValueError.
         """
         fixed = {int(k): float(v) for k, v in fixed.items()}
-        vals = np.zeros(self.n)
+        n = self.n
+        for k in fixed:
+            if not 0 <= k < n:
+                raise ValueError(f"fixed index {k} outside [0, {n})")
+        vals = np.zeros(n)
         for k, v in fixed.items():
             vals[k] = v
         structure = self.structure
-        shared = structure is not None and structure.owns(self)
-        if shared and structure.ball_members.isdisjoint(fixed):
-            key = frozenset(fixed)
-            red = structure.reductions.get(key)
-            if red is None:
-                red = structure.reductions[key] = self._reduce(fixed)
-                red.structure = Structure(red.A_eq, red.A_in, red.balls)
-        else:
-            red = self._reduce(fixed)
-        keep = red.keep
+        key = frozenset(fixed)
+        red = structure.reductions.get(key)
+        if red is None:
+            red = self._reduce(key)
+            if structure.ball_members.isdisjoint(key):
+                structure.reductions[key] = red
+        keep, sub = red
         offset = float(np.dot(self.c, vals))
-        in_rows = [red.A_in]
+        in_rows = [sub.A_in]
         in_rhs = [self.b_in - self.A_in @ vals]
         lb, ub = self.lb[keep].copy(), self.ub[keep].copy()
         old_to_new = None
@@ -198,18 +194,18 @@ class ConicProgram:
 
         reduced = ConicProgram(
             c=self.c[keep],
-            A_eq=red.A_eq,
+            A_eq=sub.A_eq,
             b_eq=self.b_eq - self.A_eq @ vals,
-            A_in=sp.vstack(in_rows).tocsr() if len(in_rows) > 1 else red.A_in,
+            A_in=sp.vstack(in_rows).tocsr() if len(in_rows) > 1 else sub.A_in,
             b_in=np.concatenate(in_rhs),
             lb=lb,
             ub=ub,
-            balls=red.balls,
-            structure=red.structure,
+            balls=sub.balls,
+            structure=sub,
         )
         return reduced, keep, offset
 
-    def _reduce(self, fixed: Mapping[int, float]) -> _Reduction:
+    def _reduce(self, fixed: frozenset) -> tuple[np.ndarray, Structure]:
         keep = np.array([k for k in range(self.n) if k not in fixed], dtype=int)
         old_to_new = {int(o): m for m, o in enumerate(keep)}
         balls = tuple(
@@ -217,7 +213,7 @@ class ConicProgram:
             for i, j in self.balls
             if i not in fixed and j not in fixed
         )
-        return _Reduction(keep, self.A_eq[:, keep].tocsr(), self.A_in[:, keep].tocsr(), balls)
+        return keep, Structure(self.A_eq[:, keep].tocsr(), self.A_in[:, keep].tocsr(), balls)
 
 
 @dataclass
@@ -248,7 +244,7 @@ class SolveStats:
     attempt and those after the best iterate of a 'tolerance_not_met' solve
     included; factorizations counts LU factorizations run, retries at a
     larger regularization included, but not the W = I factorization a cold
-    start adopts from its structure (ipm._KktPattern); kkt_solves counts
+    start adopts from its structure's plan (ipm._Plan); kkt_solves counts
     KKT solve calls, refinements the iterative-refinement passes over all
     of them, reg_bumps the retries at a larger regularization after a
     non-finite solve, and warm_restarts the warm attempts dropped for a

@@ -72,67 +72,25 @@ class ConeDims:
 
 @dataclass
 class StandardForm:
+    """A program as min c'x s.t. A x = b, G x + s = h, s in K: c, b and h
+    per program, and A, G and the cone layout from its plan (_Plan)."""
+
     c: np.ndarray
-    A: sp.csr_matrix
     b: np.ndarray
-    G: sp.csr_matrix
     h: np.ndarray
-    dims: ConeDims
-    # the structure-only set-up A, G and dims come from; see _Setup
-    setup: _Setup | None = None
+    plan: _Plan
 
+    @property
+    def A(self) -> sp.csr_matrix:
+        return self.plan.A
 
-class _Setup:
-    """The structure-only work of standard_form and KktSolver: A, G, the
-    cone layout and, once a KktSolver has built it, the KKT data that
-    depends on A and G alone (_KktPattern).
+    @property
+    def G(self) -> sp.csr_matrix:
+        return self.plan.G
 
-    Programs that share a conic.Structure and their finite-bound pattern
-    share one _Setup, kept in the structure's `solver` slot; the slot holds
-    one, replaced when a program with another pattern is solved. Nothing
-    writes into a _Setup's arrays once it is built.
-    """
-
-    __slots__ = ("finite_ub", "finite_lb", "placeholder", "A", "G", "dims", "kkt")
-
-    def __init__(self, prog: ConicProgram, finite_ub: np.ndarray, finite_lb: np.ndarray):
-        n = prog.n
-        A_in = prog.A_in.tocsr()
-        n_balls = len(prog.balls)
-        orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
-        # keep the cone block nonempty so the embedding stays uniform
-        placeholder = int(orthant == 0 and n_balls == 0)
-        orthant += placeholder
-
-        # entries per appended row: one per bound row, none in the placeholder,
-        # (0, 1, 1) per ball block
-        row_nnz = np.concatenate(
-            [
-                np.ones(finite_ub.size + finite_lb.size, dtype=np.int64),
-                np.zeros(placeholder, dtype=np.int64),
-                np.tile(np.array([0, 1, 1]), n_balls),
-            ]
-        )
-        indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
-        ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
-        indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
-        data = np.concatenate(
-            [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
-        )
-        self.finite_ub, self.finite_lb = finite_ub, finite_lb
-        self.placeholder = placeholder
-        self.A = prog.A_eq.tocsr()
-        self.G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
-        self.dims = ConeDims(orthant=orthant, n_socs=n_balls)
-        self.kkt: _KktPattern | None = None
-
-    def fits(self, finite_ub: np.ndarray, finite_lb: np.ndarray) -> bool:
-        return np.array_equal(self.finite_ub, finite_ub) and np.array_equal(
-            self.finite_lb, finite_lb
-        )
-
-    def owns(self, form: StandardForm) -> bool:
-        return form.A is self.A and form.G is self.G and form.dims is self.dims
+    @property
+    def dims(self) -> ConeDims:
+        return self.plan.dims
 
 
 def standard_form(prog: ConicProgram) -> StandardForm:
@@ -142,36 +100,24 @@ def standard_form(prog: ConicProgram) -> StandardForm:
     bound, one -e_k row per finite lower bound, then three rows per ball
     (i, j) with -1 at (1, i) and (2, j) of the block, so that h - G x is
     (1, x_i, x_j). A program with no cone rows gets one empty placeholder
-    row with h = 1. G is assembled directly in CSR, row by row, once per
-    shared structure and finite-bound pattern (_Setup); h per call.
+    row with h = 1. G and the rest of the plan are built once per structure
+    and finite-bound pattern (_Plan.of); h per call.
     """
     finite_ub = np.flatnonzero(np.isfinite(prog.ub))
     finite_lb = np.flatnonzero(np.isfinite(prog.lb))
-    structure = prog.structure
-    shared = structure is not None and structure.owns(prog)
-    setup = structure.solver if shared else None
-    if setup is None or not setup.fits(finite_ub, finite_lb):
-        setup = _Setup(prog, finite_ub, finite_lb)
-        if shared:
-            structure.solver = setup
+    plan = prog.structure.solver
+    if plan is None or not plan.fits(finite_ub, finite_lb):
+        plan = prog.structure.solver = _Plan.of(prog, finite_ub, finite_lb)
     h = np.concatenate(
         [
             prog.b_in,
             prog.ub[finite_ub],
             -prog.lb[finite_lb],
-            np.ones(setup.placeholder),
-            np.tile(np.array([1.0, 0.0, 0.0]), setup.dims.n_socs),
+            np.ones(plan.placeholder),
+            np.tile(np.array([1.0, 0.0, 0.0]), plan.dims.n_socs),
         ]
     )
-    return StandardForm(
-        c=prog.c.astype(float),
-        A=setup.A,
-        b=prog.b_eq.astype(float),
-        G=setup.G,
-        h=h,
-        dims=setup.dims,
-        setup=setup,
-    )
+    return StandardForm(c=prog.c.astype(float), b=prog.b_eq.astype(float), h=h, plan=plan)
 
 
 # --- Jordan-algebra helpers on cone-partitioned vectors ----------------------
@@ -332,44 +278,63 @@ class NTScaling:
 # --- KKT factorization -------------------------------------------------------
 
 
-class _KktPattern:
-    """The factor plan of one _Setup: the KKT data that depends on A and G
-    alone, shared by every KktSolver of the setup.
+class _Plan:
+    """The structure-only work of standard_form and KktSolver: A, G, the
+    cone layout and the KKT data that depends on them alone.
 
-    `fixed` is the part of the matrix no scaling changes, [0 A' G'; A 0 0;
-    G 0 0], as a dense array or CSR matrix in the natural order. w_pos are
-    the positions of the variable entries, in KktSolver._w_values' order,
-    in the matrix as it is factored: the row-major dense matrix, or on the
-    sparse path the data `values` of the CSC matrix (indices, indptr) of
-    KKT[perm][:, perm], whose rows and columns are permuted symmetrically by
-    a COLAMD order of the pattern, computed here once; `values` holds the
-    fixed entries and zeros, iperm is perm's inverse, and reg_sign, the sign
-    of the regularization on each diagonal entry, is in the same order.
+    Programs that share a conic.Structure and their finite-bound pattern
+    (finite_ub, finite_lb) share one plan, kept in the structure's `solver`
+    slot; the slot holds one, replaced when a program with another pattern
+    is solved. placeholder is 1 when G has the placeholder row, else 0.
+
+    `dense` is whether the KKT matrix, of dimension n + p + m, is factored
+    by dense LU (at most _DENSE_LIMIT rows) or sparse. `fixed` is the part
+    of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a dense
+    array or CSR matrix in the natural order. w_pos are the positions of the
+    variable entries, in KktSolver._w_values' order, in the matrix as it is
+    factored: the row-major dense matrix, or on the sparse path the data
+    `values` of the CSC matrix (indices, indptr) of KKT[perm][:, perm],
+    whose rows and columns are permuted symmetrically by a COLAMD order of
+    the pattern, computed here once; `values` holds the fixed entries and
+    zeros, iperm is perm's inverse, and reg_sign, the sign of the
+    regularization on each diagonal entry, is in the same order.
 
     `eye` is the factorization at W = I and _REG that every cold start
     begins with: None until the first solver that needs it makes it
     (KktSolver.factor_identity), then (scaling, lu, piv, splu). Nothing else
-    is written after construction, and nothing writes into `eye`'s arrays.
+    is written after construction, and nothing writes into the plan's
+    arrays or `eye`'s.
     """
 
-    def __init__(self, form: StandardForm, dense: bool):
-        n, p = form.c.size, form.b.size
-        dim = n + p + form.h.size
+    def __init__(
+        self,
+        A: sp.csr_matrix,
+        G: sp.csr_matrix,
+        dims: ConeDims,
+        finite_ub: np.ndarray | None = None,
+        finite_lb: np.ndarray | None = None,
+        placeholder: int = 0,
+    ):
+        self.A, self.G, self.dims = A, G, dims
+        self.finite_ub, self.finite_lb, self.placeholder = finite_ub, finite_lb, placeholder
+        p, n = A.shape
+        dim = n + p + G.shape[0]
+        self.dense = dim <= _DENSE_LIMIT
         self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
         self.eye = None
 
         # the variable entries: the regularized x/y diagonals, the orthant's
         # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
         # each row-major
-        k, l = n + p, form.dims.orthant
-        starts = k + l + 3 * np.arange(form.dims.n_socs)
+        k, l = n + p, dims.orthant
+        starts = k + l + 3 * np.arange(dims.n_socs)
         rr, cc = np.divmod(np.arange(9), 3)
         w_rows = np.concatenate([np.arange(k + l), (starts[:, None] + rr).ravel()])
         w_cols = np.concatenate([np.arange(k + l), (starts[:, None] + cc).ravel()])
         self.n_w = w_rows.size
 
-        if dense:
-            A, G = form.A.toarray(), form.G.toarray()
+        if self.dense:
+            A, G = A.toarray(), G.toarray()
             self.fixed = np.zeros((dim, dim))
             self.fixed[n:k, :n] = A
             self.fixed[:n, n:k] = A.T
@@ -381,7 +346,7 @@ class _KktPattern:
             self.getrf, self.getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
             return
 
-        A, G = form.A.tocoo(), form.G.tocoo()
+        A, G = A.tocoo(), G.tocoo()
         fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
         fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
         fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
@@ -416,6 +381,42 @@ class _KktPattern:
         where[order] = np.arange(order.size)
         self.w_pos = where[fixed_vals.size :]
 
+    @classmethod
+    def of(cls, prog: ConicProgram, finite_ub: np.ndarray, finite_lb: np.ndarray) -> _Plan:
+        """The plan of prog's structure and finite-bound pattern, its G in
+        the row layout of standard_form."""
+        n = prog.n
+        A_in = prog.A_in.tocsr()
+        n_balls = len(prog.balls)
+        orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
+        # keep the cone block nonempty so the embedding stays uniform
+        placeholder = int(orthant == 0 and n_balls == 0)
+        orthant += placeholder
+
+        # entries per appended row: one per bound row, none in the placeholder,
+        # (0, 1, 1) per ball block
+        row_nnz = np.concatenate(
+            [
+                np.ones(finite_ub.size + finite_lb.size, dtype=np.int64),
+                np.zeros(placeholder, dtype=np.int64),
+                np.tile(np.array([0, 1, 1]), n_balls),
+            ]
+        )
+        indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
+        ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
+        indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
+        data = np.concatenate(
+            [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
+        )
+        G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
+        dims = ConeDims(orthant=orthant, n_socs=n_balls)
+        return cls(prog.A_eq.tocsr(), G, dims, finite_ub, finite_lb, placeholder)
+
+    def fits(self, finite_ub: np.ndarray, finite_lb: np.ndarray) -> bool:
+        return np.array_equal(self.finite_ub, finite_ub) and np.array_equal(
+            self.finite_lb, finite_lb
+        )
+
 
 class KktSolver:
     """Factor/solve of the 3x3 block system [0 A' G'; A 0 0; G 0 -W^2].
@@ -426,55 +427,47 @@ class KktSolver:
     equalities or a variable in no row; iterative refinement against the
     unregularized operator removes its effect.
 
-    The structure-only data (_KktPattern) are built once per form.setup, by
-    the first solver on a form whose A, G and dims are the setup's own, and
-    shared; any other form gets a pattern of its own. `fixed` holds the part
-    of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a dense
-    array or CSR matrix: the IPM forms its residuals and certificate checks
-    from one product with it.
+    The structure-only data are the form's plan (_Plan), shared by every
+    solver of its structure and finite-bound pattern. `fixed` is the plan's
+    part of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a
+    dense array or CSR matrix: the IPM forms its residuals and certificate
+    checks from one product with it.
 
-    Every matrix of a setup has the same sparsity pattern. The sparse path
+    Every matrix of a plan has the same sparsity pattern. The sparse path
     therefore factors KKT[perm][:, perm], permuted symmetrically by the
-    pattern's COLAMD order, with no reordering and SuperLU's diagonal
-    pivot threshold at _PIVOT_THRESH: the quasidefinite matrix keeps most
-    of its diagonal pivots and so the fill of the order. solve() permutes
-    the right-hand side into that order, solves and refines there, and
-    permutes the solution back.
+    plan's COLAMD order, with no reordering and SuperLU's diagonal pivot
+    threshold at _PIVOT_THRESH: the quasidefinite matrix keeps most of its
+    diagonal pivots and so the fill of the order. solve() permutes the
+    right-hand side into that order, solves and refines there, and permutes
+    the solution back.
 
     A cold start factors at W = I (factor_identity); the first solver of a
-    pattern makes that factorization and leaves it on the pattern, and
-    later solvers adopt it instead of factoring. Each solver keeps its own
-    value buffers, factors and stats, and a regularization retry refactors
-    into its own buffers.
+    plan makes that factorization and leaves it on the plan, and later
+    solvers adopt it instead of factoring. Each solver keeps its own value
+    buffers, factors and stats, and a regularization retry refactors into
+    its own buffers.
     """
 
     def __init__(self, form: StandardForm):
         self.form = form
+        plan = self._plan = form.plan
         n, p, m = form.c.size, form.b.size, form.h.size
         self.n, self.p, self.m = n, p, m
         self.dim = n + p + m
-        self.dense = self.dim <= _DENSE_LIMIT
-        setup = form.setup
-        if setup is not None and setup.owns(form):
-            if setup.kkt is None:
-                setup.kkt = _KktPattern(form, self.dense)
-            pattern = setup.kkt
-        else:
-            pattern = _KktPattern(form, self.dense)
-        self._pattern = pattern
-        self.fixed = pattern.fixed
-        # sign of the regularization on each diagonal entry, in the pattern's layout
-        self._reg_sign = pattern.reg_sign
-        self._w_vals = np.empty(pattern.n_w)
-        # the matrix factored last, in the pattern's layout, and its factors
+        self.dense = plan.dense
+        self.fixed = plan.fixed
+        # sign of the regularization on each diagonal entry, in the plan's layout
+        self._reg_sign = plan.reg_sign
+        self._w_vals = np.empty(plan.n_w)
+        # the matrix factored last, in the plan's layout, and its factors
         self._lu = self._piv = self._splu = None
         if self.dense:
-            self._kmat = pattern.fixed.copy()
+            self._kmat = plan.fixed.copy()
             self._values = self._kmat.reshape(-1)
-            self._getrf, self._getrs = pattern.getrf, pattern.getrs
+            self._getrf, self._getrs = plan.getrf, plan.getrs
         else:
             self._mat = sp.csc_matrix(
-                (pattern.values.copy(), pattern.indices, pattern.indptr),
+                (plan.values.copy(), plan.indices, plan.indptr),
                 shape=(self.dim, self.dim),
             )
             self._values = self._mat.data
@@ -499,7 +492,7 @@ class KktSolver:
         """Write the variable entries at self.scaling and reg into the
         solver's own matrix; reg becomes the current regularization."""
         self._current_reg = reg
-        self._values[self._pattern.w_pos] = self._w_values(self.scaling, reg)
+        self._values[self._plan.w_pos] = self._w_values(self.scaling, reg)
 
     def _factor_at(self, reg: float) -> None:
         self.stats.factorizations += 1
@@ -523,14 +516,14 @@ class KktSolver:
 
     def factor_identity(self, e: np.ndarray) -> None:
         """Factor at W = I, the scaling of a cold start, e the cone's
-        identity: adopt the pattern's factors of it, or make them (one
-        factor call, counted in stats) and leave them on the pattern."""
-        pattern = self._pattern
-        if pattern.eye is None:
+        identity: adopt the plan's factors of it, or make them (one factor
+        call, counted in stats) and leave them on the plan."""
+        plan = self._plan
+        if plan.eye is None:
             self.factor(NTScaling(self.form.dims, e * 2.0, e * 2.0))
-            pattern.eye = (self.scaling, self._lu, self._piv, self._splu)
+            plan.eye = (self.scaling, self._lu, self._piv, self._splu)
             return
-        self.scaling, self._lu, self._piv, self._splu = pattern.eye
+        self.scaling, self._lu, self._piv, self._splu = plan.eye
         self._write(_REG)
 
     def _raw_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -555,12 +548,12 @@ class KktSolver:
         A singular or non-finite factorization bumps the regularization
         (x1e3 per retry, at most _REG_MAX) and refactors; iterative
         refinement then removes the perturbation. The sparse path solves and
-        refines in its factored layout, permuted by the pattern's order.
+        refines in its factored layout, permuted by the plan's order.
         """
         self.stats.kkt_solves += 1
         scale = max(1.0, float(np.abs(rhs).max()))
         if not self.dense:
-            rhs = rhs[self._pattern.perm]
+            rhs = rhs[self._plan.perm]
         sol = self._raw_solve(rhs)
         while not np.isfinite(sol).all():
             if self._current_reg >= _REG_MAX:
@@ -577,7 +570,7 @@ class KktSolver:
             best_resid = err
             self.stats.refinements += 1
             sol = sol + self._raw_solve(resid)
-        return sol if self.dense else sol[self._pattern.iperm]
+        return sol if self.dense else sol[self._plan.iperm]
 
 
 # --- main loop ---------------------------------------------------------------

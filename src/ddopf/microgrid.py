@@ -406,7 +406,7 @@ class MpcTemplate:
     measured state and the forecasts change between steps, so program()
     copies b_eq, b_in and ub and writes them; every step shares c, A_eq,
     A_in, lb, the balls and the binaries, which no solver layer writes into,
-    and so the base's conic.Structure: the solver's set-up and the
+    and so the base's conic.Structure: the solver's plan and the
     fix_variables reductions of the run's nodes are built once per run.
     """
 

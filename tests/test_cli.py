@@ -281,6 +281,7 @@ class TestNumericFlags:
             ("solve-opf", "--cap", "nan"),
             ("solve-opf", "--beta", "nan"),
             ("solve-opf", "--beta", "inf"),
+            ("solve-opf", "--demand", "9=0.4"),
             ("generate-data", "--range", "nan"),
             ("generate-data", "--range", "0"),
             ("generate-data", "--samples", "0"),

@@ -178,21 +178,54 @@ class TestFixVariables:
     )
     def test_ball_members_are_reduced_afresh(self, fixed):
         # a fixed ball member makes the reduction depend on its value: no
-        # memo, no shared structure, and the result of the general path
+        # memo, a structure of each reduction's own, and the result of the
+        # general path
         prog = ball_program()
         first, _, _ = prog.fix_variables(fixed)
         second, _, _ = prog.fix_variables(fixed)
         assert prog.structure.reductions == {}
-        assert first.structure is None and first.A_eq is not second.A_eq
+        assert first.structure.owns(first) and first.structure is not second.structure
+        assert first.A_eq is not second.A_eq
         assert program_bytes(first) == program_bytes(reference_fix_variables(prog, fixed))
 
     def test_unshared_program_reduces_afresh(self):
         prog = ball_program()
+        # structure=None asks for a new structure, which keeps reductions
+        # of its own
         plain = dataclasses.replace(prog, structure=None)
-        assert plain.structure is None
+        assert plain.structure is not prog.structure and plain.structure.owns(plain)
         reduced, _, _ = plain.fix_variables({0: 0.5})
-        assert reduced.structure is None
+        assert reduced.structure.owns(reduced)
+        assert reduced.structure is not prog.fix_variables({0: 0.5})[0].structure
         assert program_bytes(reduced) == program_bytes(reference_fix_variables(prog, {0: 0.5}))
+
+    def test_replaced_matrix_reduces_as_a_fresh_build(self):
+        # a program derived with another A_eq gets a structure that owns it:
+        # its reductions are a fresh build's, kept on its own structure, and
+        # the old structure's reductions are never read
+        prog = ball_program()
+        prog.fix_variables({0: 0.5})
+        moved = dataclasses.replace(prog, A_eq=2.0 * prog.A_eq, b_eq=2.0 * prog.b_eq)
+        assert moved.structure is not prog.structure and moved.structure.owns(moved)
+        fresh = ConicProgram.build(
+            c=moved.c, A_eq=moved.A_eq.copy(), b_eq=moved.b_eq, A_in=moved.A_in.copy(),
+            b_in=moved.b_in, lb=moved.lb, ub=moved.ub, balls=moved.balls,
+        )
+        prog.structure.reductions = None
+        first, keep, offset = moved.fix_variables({0: 0.5})
+        second, _, _ = moved.fix_variables({0: 0.25})
+        ref, ref_keep, ref_offset = fresh.fix_variables({0: 0.5})
+        assert program_bytes(first) == program_bytes(ref)
+        assert (keep.tobytes(), offset) == (ref_keep.tobytes(), ref_offset)
+        assert first.structure is second.structure is not ref.structure
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_outside_the_program_rejected(self, index):
+        # -1 would wrap to the last variable, 3 is past the end
+        prog = small_program()
+        with pytest.raises(ValueError, match="outside"):
+            prog.fix_variables({index: 0.5})
+        assert prog.structure.reductions == {}
 
     def test_feasibility_replay(self):
         prog = small_program()

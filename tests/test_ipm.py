@@ -18,6 +18,8 @@ from ddopf.ipm import (
     ConeDims,
     KktSolver,
     NTScaling,
+    StandardForm,
+    _Plan,
     cone_e,
     jdiv,
     jprod,
@@ -210,19 +212,20 @@ class TestConeAlgebra:
                 )
 
 
-def random_kkt(rng, n, p, orth, n_socs):
-    """KktSolver over random dense A and G with the given cone layout."""
-    dims = ConeDims(orthant=orth, n_socs=n_socs)
-    m = dims.total
-    form = standard_form(ConicProgram.build(c=np.zeros(n)))
-    form.A = sp.csr_matrix(rng.normal(size=(p, n)))
-    form.G = sp.csr_matrix(rng.normal(size=(m, n)))
-    form.dims = dims
-    form.b, form.h = np.zeros(p), np.zeros(m)
-    form.c = np.zeros(n)
+def plan_kkt(A, G, dims):
+    """KktSolver over a _Plan of its own for A, G and dims, with zero c, b and h."""
+    (p, n), m = A.shape, G.shape[0]
+    form = StandardForm(c=np.zeros(n), b=np.zeros(p), h=np.zeros(m), plan=_Plan(A, G, dims))
     kkt = KktSolver(form)
     assert kkt.dense == (n + p + m <= _DENSE_LIMIT)
     return kkt
+
+
+def random_kkt(rng, n, p, orth, n_socs):
+    """KktSolver over random dense A and G with the given cone layout."""
+    dims = ConeDims(orthant=orth, n_socs=n_socs)
+    A = sp.csr_matrix(rng.normal(size=(p, n)))
+    return plan_kkt(A, sp.csr_matrix(rng.normal(size=(dims.total, n))), dims)
 
 
 def assert_matches_dense_assembly(rng, kkt, s, z):
@@ -265,16 +268,15 @@ class TestKktSolver:
         # the fixed blocks written directly equal, bit for bit, the scatter of
         # the COO entries of A, A', G and G' into zeros
         for n, p, orth, n_socs in KKT_SHAPES[:2] * 3:
-            kkt = random_kkt(rng, n, p, orth, n_socs)
-            form = kkt.form
-            for name in ("A", "G"):
-                shape = getattr(form, name).shape
+            form = random_kkt(rng, n, p, orth, n_socs).form
+            mats = []
+            for shape in (form.A.shape, form.G.shape):
                 mat = sp.random(*shape, density=0.5, random_state=rng, format="csr")
                 mat.data[::3] *= -1.0
                 mat.data[::5] = -0.0  # explicit negative zeros
-                setattr(form, name, mat)
-            kkt = KktSolver(form)
-            A, G = form.A.tocoo(), form.G.tocoo()
+                mats.append(mat)
+            kkt = plan_kkt(*mats, form.dims)
+            A, G = mats[0].tocoo(), mats[1].tocoo()
             rows = np.concatenate([A.row + n, A.col, G.row + n + p, G.col])
             cols = np.concatenate([A.col, A.row + n, G.col, G.row + n + p])
             ref = np.zeros((kkt.dim, kkt.dim))
@@ -331,8 +333,7 @@ class TestKktSolver:
         n, p, orth = 4, 2, 4
         G = np.vstack([rng.normal(size=(orth - 1, n)), np.zeros((1, n))])
         form = random_kkt(rng, n, p, orth, 0).form
-        form.G = sp.csr_matrix(G)
-        kkt = KktSolver(form)
+        kkt = plan_kkt(form.A, sp.csr_matrix(G), form.dims)
         dims = kkt.form.dims
         s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
         s[-1], z[-1] = -_REG, 1.0
@@ -668,14 +669,14 @@ def factor_bytes(kkt, s, z, rhs):
     return out
 
 
-def pattern_bytes(pattern):
-    """Bytes of every array of a _KktPattern, its W = I factorization's included."""
-    fixed = pattern.fixed
+def plan_bytes(plan):
+    """Bytes of every KKT array of a _Plan, its W = I factorization's included."""
+    fixed = plan.fixed
     out = [fixed.tobytes()] if isinstance(fixed, np.ndarray) else [fixed.data.tobytes()]
     for name in ("w_pos", "reg_sign", "values", "indices", "indptr", "perm", "iperm"):
-        if hasattr(pattern, name):
-            out.append(getattr(pattern, name).tobytes())
-    scaling, lu, piv, splu = pattern.eye
+        if hasattr(plan, name):
+            out.append(getattr(plan, name).tobytes())
+    scaling, lu, piv, splu = plan.eye
     return out + [scaling.w2_orth.tobytes(), scaling.soc_w2.tobytes(), *lu_bytes(lu, piv, splu)]
 
 
@@ -688,13 +689,14 @@ class TestSharedSetup:
         shared = perturbed(prog, rng)
         plain = dataclasses.replace(shared, structure=None)
         shared_form, plain_form = standard_form(shared), standard_form(plain)
-        setup = prog.structure.solver
-        assert shared_form.setup is setup and shared_form.G is setup.G
-        assert plain_form.setup is not setup and plain_form.G is not setup.G
+        plan = prog.structure.solver
+        assert shared.structure is prog.structure and plain.structure is not prog.structure
+        assert shared_form.plan is plan and shared_form.G is plan.G
+        assert plain_form.plan is not plan and plain_form.G is not plan.G
         shared_kkt, plain_kkt = KktSolver(shared_form), KktSolver(plain_form)
         assert shared_kkt.dense == (n + p + m + 3 * n_balls <= _DENSE_LIMIT)
-        assert shared_kkt._pattern is setup.kkt and plain_kkt._pattern is not setup.kkt
-        assert shared_kkt.fixed is setup.kkt.fixed
+        assert shared_kkt._plan is plan and plain_kkt._plan is not plan
+        assert shared_kkt.fixed is plan.fixed
         dims = shared_form.dims
         s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
         rhs = rng.normal(size=shared_kkt.dim)
@@ -713,7 +715,7 @@ class TestSharedSetup:
         shared = perturbed(prog, rng)
         shared_kkt = KktSolver(standard_form(shared))
         plain_kkt = KktSolver(standard_form(dataclasses.replace(shared, structure=None)))
-        assert shared_kkt._pattern is prog.structure.solver.kkt is not plain_kkt._pattern
+        assert shared_kkt._plan is prog.structure.solver is not plain_kkt._plan
         rhs = rng.normal(size=shared_kkt.dim)
         out = []
         for kkt in (shared_kkt, plain_kkt):
@@ -721,8 +723,8 @@ class TestSharedSetup:
             out.append(kkt_bytes(kkt, rhs))
         assert out[0] == out[1]
         assert (shared_kkt.stats.factorizations, plain_kkt.stats.factorizations) == (0, 1)
-        assert shared_kkt._lu is shared_kkt._pattern.eye[1]
-        assert shared_kkt._splu is shared_kkt._pattern.eye[3]
+        assert shared_kkt._lu is shared_kkt._plan.eye[1]
+        assert shared_kkt._splu is shared_kkt._plan.eye[3]
 
     def test_new_finite_bound_pattern_gets_its_own_setup(self, rng):
         prog, _ = random_known_socp(rng)
@@ -734,23 +736,38 @@ class TestSharedSetup:
         assert second is not first and second.G.shape[0] == first.G.shape[0] + 1
         plain = dataclasses.replace(boxed, structure=None)
         assert solution_bytes(sol) == solution_bytes(solve_convex(plain))
-        # the first pattern again: the slot holds one set-up, so it is rebuilt
+        # the first pattern again: the slot holds one plan, so it is rebuilt
         assert solution_bytes(solve_convex(prog)) == solution_bytes(
             solve_convex(dataclasses.replace(prog, structure=None))
         )
         assert prog.structure.solver not in (first, second)
 
-    def test_form_with_foreign_matrices_sets_itself_up(self, rng):
-        # a KktSolver over a form whose A or G is not its setup's own builds
-        # its KKT data from the form, as random_kkt's forms need
-        prog, _ = random_known_socp(rng)
-        assert KktSolver(standard_form(prog))._pattern is prog.structure.solver.kkt
-        form = standard_form(prog)
-        form.A = sp.csr_matrix(rng.normal(size=form.A.shape))
-        kkt = KktSolver(form)
-        assert form.setup.kkt is not None and kkt._pattern is not form.setup.kkt
-        rows = slice(prog.n, prog.n + form.A.shape[0])
-        np.testing.assert_array_equal(kkt.fixed[rows, : prog.n], form.A.toarray())
+    @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+    def test_replaced_matrix_gets_a_structure_of_its_own(self, rng, n, p, m, n_balls):
+        # a program derived with another A_eq gets a structure that owns it:
+        # its solves are those of a fresh build, and the old structure's
+        # plan is never read
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        assert_optimal(solve_convex(prog))
+        # rows scaled by d: the same feasible set and optimum, other bytes
+        d = rng.uniform(0.5, 2.0, size=p)
+        moved = dataclasses.replace(
+            prog, A_eq=sp.csr_matrix(sp.diags(d) @ prog.A_eq), b_eq=d * prog.b_eq
+        )
+        assert moved.structure is not prog.structure and moved.structure.owns(moved)
+        fresh = ConicProgram.build(
+            c=moved.c, A_eq=moved.A_eq.copy(), b_eq=moved.b_eq, A_in=moved.A_in.copy(),
+            b_in=moved.b_in, lb=moved.lb, ub=moved.ub, balls=moved.balls,
+        )
+
+        class Unreadable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the old structure's plan was read: {name}")
+
+        prog.structure.solver = Unreadable()
+        # twice: the second solves adopt the W = I factorization of the first
+        for _ in range(2):
+            assert solution_bytes(solve_convex(moved)) == solution_bytes(solve_convex(fresh))
 
 
 class TestFactorPlan:
@@ -762,7 +779,7 @@ class TestFactorPlan:
         prog, _ = random_known_socp(rng, n, p, m, n_balls)
         first = solve_convex(prog)
         assert_optimal(first)
-        assert prog.structure.solver.kkt.eye is not None
+        assert prog.structure.solver.eye is not None
         assert first.stats.factorizations == first.iterations + 1
         again = solve_convex(prog)
         assert again.stats.factorizations == again.iterations
@@ -774,8 +791,8 @@ class TestFactorPlan:
     ):
         prog, _ = random_known_socp(rng, n, p, m, n_balls)
         assert_optimal(solve_convex(prog))
-        pattern = prog.structure.solver.kkt
-        before = pattern_bytes(pattern)
+        plan = prog.structure.solver
+        before = plan_bytes(plan)
         kkt = KktSolver(standard_form(prog))
         kkt.factor_identity(cone_e(kkt.form.dims))
         adopted = kkt._values.copy()
@@ -793,9 +810,9 @@ class TestFactorPlan:
         assert regs[:2] == pytest.approx([_REG, 1e3 * _REG], rel=1e-12)
         assert (kkt.stats.reg_bumps, kkt.stats.factorizations) == (1, 1)
         factors = kkt._lu if kkt.dense else kkt._splu
-        assert factors is not pattern.eye[1 if kkt.dense else 3]
+        assert factors is not plan.eye[1 if kkt.dense else 3]
         assert not np.array_equal(kkt._values, adopted)
-        assert pattern_bytes(pattern) == before
+        assert plan_bytes(plan) == before
 
     def test_colamd_runs_once_per_structure(self, monkeypatch):
         # a 16-node enumeration of one reduced structure orders its KKT
