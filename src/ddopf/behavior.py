@@ -9,7 +9,8 @@ lifted data has full row rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,8 +170,8 @@ def lift_grid(grid: Grid, theta: np.ndarray) -> np.ndarray:
     return lift_pairs(theta)
 
 
-def lift_all_pairs(grid: Grid, node_angles: np.ndarray) -> np.ndarray:
-    """Topology-agnostic lift over all node pairs from per-node angles."""
+def pair_differences(grid: Grid, node_angles: np.ndarray) -> np.ndarray:
+    """theta_i - theta_j of all node pairs (i, j), from (..., n_nodes) node angles."""
     node_angles = np.asarray(node_angles, dtype=float)
     if node_angles.shape[-1] != grid.n_nodes:
         raise DimensionMismatch(
@@ -179,26 +180,38 @@ def lift_all_pairs(grid: Grid, node_angles: np.ndarray) -> np.ndarray:
     pairs = all_node_pairs(grid)
     idx_i = np.array([grid.node_index(i) for i, _ in pairs])
     idx_j = np.array([grid.node_index(j) for _, j in pairs])
-    diffs = node_angles[..., idx_i] - node_angles[..., idx_j]
-    return lift_pairs(diffs)
+    return node_angles[..., idx_i] - node_angles[..., idx_j]
 
 
-@dataclass
+def lift_all_pairs(grid: Grid, node_angles: np.ndarray) -> np.ndarray:
+    """Topology-agnostic lift over all node pairs from per-node angles."""
+    return lift_pairs(pair_differences(grid, node_angles))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class DataDrivenLineModel:
     """Order-1 Hankel blocks of lifted inputs and measured outputs.
 
-    H_phi must have full row rank (certified at construction); H_pg is
-    present only for the topology-agnostic representation.
+    H_phi must have full row rank (certified by from_samples); H_pg is
+    present only for the topology-agnostic representation. A model is a
+    value: its fields are fixed, its blocks read-only copies of the arrays
+    given, and phi_pinv() and output_map() read-only maps computed once.
     """
 
     H_phi: np.ndarray
     H_pe: np.ndarray
     H_pg: np.ndarray | None = None
     pe_report: PeReport | None = None
-    _pinv: np.ndarray | None = field(default=None, repr=False)
-    _out: np.ndarray | None = field(default=None, repr=False)
-    # solve_opf's last program per variant family over this model (opf._program)
-    _opf_programs: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("H_phi", "H_pe", "H_pg"):
+            if (block := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _read_only(np.array(block, dtype=float)))
 
     @classmethod
     def from_samples(
@@ -251,9 +264,7 @@ class DataDrivenLineModel:
         return self.H_phi.shape[1]
 
     def phi_pinv(self) -> np.ndarray:
-        if self._pinv is None:
-            self._pinv = np.linalg.pinv(self.H_phi)
-        return self._pinv
+        return self._maps[0]
 
     def output_map(self) -> np.ndarray:
         """K = [H_pe; H_pg] H_phi^+, so that a lifted input phi has outputs K phi.
@@ -262,10 +273,14 @@ class DataDrivenLineModel:
         data. Solved as min ||K H_phi - H_out||: the product with H_phi^+
         leaves a residual K H_phi - H_out that grows with H_phi's condition.
         """
-        if self._out is None:
-            outputs = self.H_pe if self.H_pg is None else np.vstack([self.H_pe, self.H_pg])
-            self._out = np.linalg.lstsq(self.H_phi.T, outputs.T, rcond=None)[0].T
-        return self._out
+        return self._maps[1]
+
+    @cached_property
+    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H_phi^+, K), read-only, computed on first use."""
+        outputs = self.H_pe if self.H_pg is None else np.vstack([self.H_pe, self.H_pg])
+        out = np.linalg.lstsq(self.H_phi.T, outputs.T, rcond=None)[0].T
+        return _read_only(np.linalg.pinv(self.H_phi)), _read_only(out)
 
 
 def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray) -> np.ndarray:

@@ -47,12 +47,17 @@ EXIT_SCHEMA = 4
 EXIT_DIMENSION = 5
 
 
-def _model_from_trajectory(path, variant):
-    traj = import_trajectory(path)
-    if variant == "reference":
-        return None
-    include_pg = variant == "dd-generalized"
-    return DataDrivenLineModel.from_trajectory(traj, include_injections=include_pg)
+def _grid_and_model(args):
+    """The radial grid of --grid and, for a data-driven --variant, the --data trajectory's model."""
+    grid = load_grid(args.grid)
+    validate_radial(grid)
+    traj = import_trajectory(args.data) if args.data else None
+    if args.variant == "reference":
+        return grid, None
+    if traj is None:
+        raise SchemaError("data-driven variants need --data with a trajectory file")
+    include_pg = args.variant == "dd-generalized"
+    return grid, DataDrivenLineModel.from_trajectory(traj, include_injections=include_pg)
 
 
 def _check_flag(flag: str, value, ok: bool, requirement: str) -> None:
@@ -99,11 +104,7 @@ def _parse_demands(specs, grid):
 def cmd_solve_opf(args) -> int:
     _check_flag("cap", args.cap, math.isfinite(args.cap), "finite")
     _check_flag("beta", args.beta, math.isfinite(args.beta), "finite")
-    grid = load_grid(args.grid)
-    validate_radial(grid)
-    model = _model_from_trajectory(args.data, args.variant) if args.data else None
-    if args.variant != "reference" and model is None:
-        raise SchemaError("data-driven variants need --data with a trajectory file")
+    grid, model = _grid_and_model(args)
     demands = _parse_demands(args.demand, grid) if args.demand else {grid.nodes[-1]: 0.4}
     app, objective = demand_instance(grid, demands, source_cap=args.cap)
     sol = solve_opf(grid, args.variant, model, app, objective, beta=args.beta)
@@ -155,11 +156,7 @@ def cmd_run_mpc(args) -> int:
     _check_flag("steps", args.steps, args.steps >= 1, "at least 1")
     seed = _profiles_seed(args.profiles)
     config = load_config(args.config)
-    grid = load_grid(args.grid)
-    validate_radial(grid)
-    model = _model_from_trajectory(args.data, args.variant) if args.data else None
-    if args.variant != "reference" and model is None:
-        raise SchemaError("data-driven variants need --data with a trajectory file")
+    grid, model = _grid_and_model(args)
 
     if seed is not None:
         profiles = generate_profiles(seed, args.steps + config.horizon, config)

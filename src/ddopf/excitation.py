@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .behavior import Trajectory, is_persistently_exciting, lift_pairs
+from .behavior import Trajectory, is_persistently_exciting, lift_pairs, pair_differences
 from .errors import ExcitationFailed, SchemaError
 from .grid import Grid, all_node_pairs
 from .physics import grid_line_powers, injection_matrix
@@ -63,9 +63,7 @@ def generate_excitation(
                 -angle_range / 2, angle_range / 2, size=(n_samples, grid.n_nodes)
             )
             node_angles[:, 0] = 0.0
-            idx_i = np.array([grid.node_index(i) for i, _ in pairs])
-            idx_j = np.array([grid.node_index(j) for _, j in pairs])
-            pair_theta = node_angles[:, idx_i] - node_angles[:, idx_j]
+            pair_theta = pair_differences(grid, node_angles)
             edge_cols = [pairs.index(e) for e in grid.edges]
             theta = pair_theta[:, edge_cols]
         phi = lift_pairs(pair_theta)

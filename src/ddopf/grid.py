@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -62,11 +63,12 @@ def canonical_edge_order(edges: Iterable[Iterable[int]]) -> list[Edge]:
 
 
 class Grid:
-    """Immutable radial-grid description.
+    """Radial-grid description whose state cannot be written in place.
 
     Node ids are arbitrary nonnegative integers; a dense index maps them to
     0..N_b-1 in sorted order. Construction validates membership and shapes
-    but not topology; call :func:`validate_radial` for that.
+    but not topology; call :func:`validate_radial` for that. `lines` and
+    `voltages` are read-only: a grid with other parameters is a new Grid.
     """
 
     def __init__(
@@ -91,33 +93,27 @@ class Grid:
             if i not in self._node_index or j not in self._node_index:
                 raise UnknownNode(f"edge ({i}, {j}) references a node not in the grid")
 
-        self.lines: dict[Edge, LineParams] = {}
-        for key, params in lines.items():
-            self.lines[normalize_edge(key)] = params
+        self.lines: Mapping[Edge, LineParams] = MappingProxyType(
+            {normalize_edge(key): params for key, params in lines.items()}
+        )
         missing = [e for e in self.edges if e not in self.lines]
         if missing:
             raise ValueError(f"missing line parameters for edges {missing}")
 
-        if voltages is None:
-            volt = {n: 1.0 for n in self.nodes}
-        elif isinstance(voltages, (int, float)):
-            volt = {n: float(voltages) for n in self.nodes}
-        else:
-            volt = {n: 1.0 for n in self.nodes}
-            for n, v in voltages.items():
-                if int(n) not in self._node_index:
-                    raise UnknownNode(f"voltage given for unknown node {n}")
-                volt[int(n)] = float(v)
+        uniform = isinstance(voltages, (int, float))
+        volt = {n: float(voltages) if uniform else 1.0 for n in self.nodes}
+        for n, v in ({} if voltages is None or uniform else voltages).items():
+            if int(n) not in self._node_index:
+                raise UnknownNode(f"voltage given for unknown node {n}")
+            volt[int(n)] = float(v)
         if not all(0.0 < v < math.inf for v in volt.values()):
             raise ValueError("voltage magnitudes must be positive and finite")
-        self.voltages: dict[int, float] = volt
+        self.voltages: Mapping[int, float] = MappingProxyType(volt)
 
         self._adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
         for i, j in self.edges:
             self._adjacency[i].add(j)
             self._adjacency[j].add(i)
-        # solve_opf's last reference program over this grid (opf._program)
-        self._opf_programs: dict = {}
 
     @property
     def n_nodes(self) -> int:

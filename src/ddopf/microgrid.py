@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
-from .behavior import DataDrivenLineModel, cos_indices, sin_indices
+from .behavior import DataDrivenLineModel
 from .conic import ConicProgram, MixedBinaryProgram
 from .errors import (
     DdopfError,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
-from .opf import OpfLayout, pf_template, project_onto_circles, tightness_report
+from .opf import OpfLayout, _recover_theta, pf_template, project_onto_circles, tightness_report
 
 # the config fields that may be infinite, meaning no limit; the generator
 # limits pt_min and pt_max scale the commitment binaries, so they stay finite
@@ -735,11 +735,7 @@ def run_closed_loop(
 
 def _edge_angles(grid: Grid, layout: MpcLayout, phi0: np.ndarray) -> np.ndarray:
     pairs = layout.pf.pairs
-    c = phi0[cos_indices(len(pairs))]
-    s = phi0[sin_indices(len(pairs))]
-    theta_pairs = np.arctan2(s, c)
-    cols = [pairs.index(e) for e in grid.edges]
-    return theta_pairs[cols]
+    return _recover_theta(phi0, len(pairs))[[pairs.index(e) for e in grid.edges]]
 
 
 # --- audits ---------------------------------------------------------------------

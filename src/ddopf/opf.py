@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -193,19 +194,6 @@ class AppConstraints:
         """(A_eq, b_eq, A_in, b_in), the rows dense over the layout's columns."""
         b_eq, b_in = self.rhs()
         return self._matrix(self.eq_rows, layout), b_eq, self._matrix(self.ineq_rows, layout), b_in
-
-    def max_violation(self, phi: np.ndarray, p_e: np.ndarray, p_g: np.ndarray) -> float:
-        vals = {"phi": phi, "p_e": p_e, "p_g": p_g}
-
-        def row_value(terms):
-            return sum(v * vals[block][int(k)] for block, coeffs in terms.items() for k, v in coeffs.items())
-
-        worst = 0.0
-        for terms, rhs in self.eq_rows:
-            worst = max(worst, abs(row_value(terms) - rhs))
-        for terms, rhs in self.ineq_rows:
-            worst = max(worst, row_value(terms) - rhs)
-        return worst
 
 
 # --- power-flow constraint templates ------------------------------------------
@@ -464,11 +452,15 @@ def solve_opf(
 class _CachedProgram:
     """One program of solve_opf with the structure of its inputs."""
 
-    grid: Grid
+    grid: weakref.ref  # to the grid: a program kept with its grid must not keep it alive
     app_structure: tuple | None  # AppConstraints.structure(), None without an app
     program: ConicProgram
     layout: OpfLayout
     eq_rhs: np.ndarray  # the right-hand side of the template's rows
+
+
+# solve_opf's last program per variant family, by owner, for as long as the owner lives
+_opf_programs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _program(
@@ -483,27 +475,30 @@ def _program(
 
     A program's A_eq, A_in and balls depend on the grid, the variant's
     family (dd and dd-convex pose one program), the model and the app's
-    structure alone. The last program of a family is kept with its owner,
-    the model (data-driven variants) or the grid (reference), in its
-    `_opf_programs`; a call of the same structure writes only c, b_eq and
-    b_in into a copy of it, and a call of another structure builds and
-    replaces it. Both give the same bytes. solve_convex validates the
-    program it is given, so the copy is not validated here.
+    structure alone. The last program of a family is kept in _opf_programs
+    with its owner, the model (data-driven variants) or the grid
+    (reference); both are immutable, so it cannot go stale. A call of the
+    same structure writes only c, b_eq and b_in into a copy of it, and a
+    call of another structure builds and replaces it. Both give the same
+    bytes. solve_convex validates the program it is given, so the copy is
+    not validated here.
     """
     family = "dd-convex" if variant == "dd" else variant
-    cache = getattr(grid if family == "reference" else model, "_opf_programs", None)
+    owner = grid if family == "reference" else model
     key = None if app is None else app.structure()
-    entry = None if cache is None else cache.get(family)
-    if entry is None or entry.grid is not grid or entry.app_structure != key:
+    # a missing model is never a key (its build raises ModelNotPE)
+    entry = _opf_programs[owner].get(family) if owner in _opf_programs else None
+    if entry is None or entry.grid() is not grid or entry.app_structure != key:
         if family == "reference":
             prog, layout = build_reference_opf(grid, app, objective, beta)
         elif family == "dd-convex":
             prog, layout = build_dd_opf(grid, model, app, objective, beta)
         else:
             prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
-        if cache is not None:
-            n_rows = prog.b_eq.size - (0 if app is None else len(app.eq_rows))
-            cache[family] = _CachedProgram(grid, key, prog, layout, prog.b_eq[:n_rows].copy())
+        n_rows = prog.b_eq.size - (0 if app is None else len(app.eq_rows))
+        _opf_programs.setdefault(owner, {})[family] = _CachedProgram(
+            weakref.ref(grid), key, prog, layout, prog.b_eq[:n_rows].copy()
+        )
         return prog, layout
     b_eq, b_in = entry.eq_rhs, np.zeros(0)
     if app is not None:
@@ -573,7 +568,9 @@ def restore_tightness(sol: OpfSolution) -> OpfSolution:
     t0 = time.perf_counter()
     phi, p_e, p_g = project_onto_circles(sol.variant, sol.grid, sol.model, sol.phi)
     if sol.app is not None:
-        violation = sol.app.max_violation(phi, p_e, p_g)
+        A_eq, b_eq, A_in, b_in = sol.app.materialize(sol.layout)
+        x = np.concatenate([phi, p_e, p_g])
+        violation = np.max(np.concatenate([np.abs(A_eq @ x - b_eq), A_in @ x - b_in]), initial=0.0)
         if violation > _FEAS_TOL:
             raise ProjectionInfeasible(
                 f"projected point violates application constraints by {violation:.3e}"

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -230,6 +232,50 @@ class TestDataDrivenModel:
         model = DataDrivenLineModel.from_samples(phi, pe)
         with pytest.raises(DimensionMismatch):
             dd_predict(model, np.ones(4))
+
+
+class TestModelIsAValue:
+    @pytest.fixture
+    def model(self):
+        return DataDrivenLineModel.from_trajectory(
+            generate_excitation(default_grid(), 21, seed=3, mode="all-pairs"),
+            include_injections=True,
+        )
+
+    @pytest.mark.parametrize("name", ["H_phi", "H_pe", "H_pg"])
+    def test_blocks_are_read_only(self, model, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("method", ["phi_pinv", "output_map"])
+    def test_maps_are_computed_once_and_read_only(self, model, method):
+        first = getattr(model, method)()
+        assert getattr(model, method)() is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", ["H_phi", "H_pe", "H_pg", "pe_report"])
+    def test_fields_cannot_be_reassigned(self, model, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+
+    def test_caller_arrays_are_copied_and_stay_writable(self, model):
+        blocks = {name: getattr(model, name).copy() for name in ("H_phi", "H_pe", "H_pg")}
+        copy = DataDrivenLineModel(**blocks, pe_report=model.pe_report)
+        for name, block in blocks.items():
+            assert block.flags.writeable
+            assert not np.shares_memory(block, getattr(copy, name))
+            block[0, 0] += 1.0
+        np.testing.assert_array_equal(copy.output_map(), model.output_map())
+
+    def test_constructor_takes_the_four_blocks(self):
+        params = inspect.signature(DataDrivenLineModel).parameters
+        assert {name: p.default for name, p in params.items()} == {
+            "H_phi": inspect.Parameter.empty,
+            "H_pe": inspect.Parameter.empty,
+            "H_pg": None,
+            "pe_report": None,
+        }
 
 
 class TestTrajectory:

@@ -207,3 +207,18 @@ def test_voltage_defaults_and_overrides():
 def test_non_finite_voltages_rejected(bad):
     with pytest.raises(ValueError, match="positive and finite"):
         grid_of([1, 2], [(1, 2)], voltages={2: bad})
+
+
+def test_grid_state_is_read_only():
+    # a grid with other parameters is a new Grid: nothing kept per grid goes stale
+    lines = {(1, 2): LP}
+    g = Grid([1, 2], [(1, 2)], lines)
+    with pytest.raises(TypeError):
+        g.lines[(1, 2)] = LineParams(g=6.0, b=-60.0)
+    with pytest.raises(TypeError):
+        g.voltages[1] = 1.1
+    with pytest.raises(TypeError):
+        del g.lines[(1, 2)]
+    # the caller's mapping is copied, so writing it leaves the grid as it was
+    lines[(1, 2)] = LineParams(g=6.0, b=-60.0)
+    assert g.lines[(1, 2)] is LP

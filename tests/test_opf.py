@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ddopf.errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from ddopf.excitation import generate_excitation
 from ddopf.grid import Grid, LineParams
 from ddopf.ipm import solve_convex
+from ddopf.microgrid import default_grid
 from ddopf.opf import (
     AppConstraints,
     LinearObjective,
@@ -414,10 +417,37 @@ class TestProgramCache:
         assert solve(grid=five_bus()) == 7
 
     def test_cache_lives_on_the_owner(self):
+        # the last program per family is kept with the grid (reference) or the
+        # model (data-driven families), and goes when its owner does
         grid = five_bus()
         model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=8))
         app, obj = demand_instance(grid, {5: 0.4})
         solve_opf(grid, "reference", None, app, obj)
         solve_opf(grid, "dd", model, app, obj)
-        assert list(grid._opf_programs) == ["reference"]
-        assert list(model._opf_programs) == ["dd-convex"]
+        solve_opf(grid, "dd-convex", model, app, obj)
+        assert list(opf._opf_programs[grid]) == ["reference"]
+        assert list(opf._opf_programs[model]) == ["dd-convex"]
+        owners = len(opf._opf_programs)
+        grid_ref, model_ref = weakref.ref(grid), weakref.ref(model)
+        del grid, model
+        gc.collect()
+        assert grid_ref() is None and model_ref() is None
+        assert len(opf._opf_programs) == owners - 2
+
+    def test_rebuilt_grid_gets_a_fresh_program(self, monkeypatch):
+        # a kept program cannot go stale: a line's parameters change only by
+        # building a new Grid, which gets a program of its own
+        grid = default_grid()
+        app, obj = demand_instance(grid, {5: 0.4}, source_cap=0.9)
+        before = solve_opf(grid, "reference", None, app, obj)
+        e0 = grid.edges[0]
+        tripled = LineParams(*(3.0 * v for v in dataclasses.astuple(grid.lines[e0])))
+        with pytest.raises(TypeError):
+            grid.lines[e0] = tripled
+        rebuilt = Grid(grid.nodes, grid.edges, {**grid.lines, e0: tripled}, grid.voltages)
+        calls = counting_builders(monkeypatch)
+        after = solve_opf(rebuilt, "reference", None, app, obj)
+        assert calls == ["build_reference_opf"]
+        assert after.status == "optimal"
+        assert raw_bytes(after.raw) == raw_bytes(fresh_solve(rebuilt, "reference", app, obj))
+        assert np.max(np.abs(after.p_g - before.p_g)) > 1e-4
