@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .behavior import DataDrivenLineModel, is_persistently_exciting
-from .errors import (
-    DdopfError,
-    DimensionMismatch,
-    ExcitationFailed,
-    ModelNotPE,
-    NumericalBreakdown,
-    SchemaError,
-)
+from .errors import DdopfError, DimensionMismatch, NumericalBreakdown, SchemaError
 from .excitation import export_trajectory, generate_excitation, import_trajectory
 from .grid import load_grid, validate_radial
 from .microgrid import (
@@ -283,10 +276,10 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (NumericalBreakdown,) as exc:
+    except NumericalBreakdown as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ExcitationFailed, ModelNotPE, DdopfError) as exc:
+    except DdopfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -12,7 +12,6 @@ one Structure, which holds what depends on A_eq, A_in and the balls alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -41,7 +40,8 @@ class Structure:
     A_in and balls objects). The programs dataclasses.replace derives from
     one share its structure for as long as they keep those three objects;
     any other program gets a structure of its own. fix_variables keeps its
-    reductions here, a (keep, Structure) pair per fixed index set, and the
+    reductions here, a (keep, Structure) pair per fixed index set, which
+    depends on that set alone since no ball member may be fixed, and the
     solver its plan (ipm writes `solver`). Its matrices are immutable:
     nothing may write into or reassign the A_eq, A_in or balls of a
     program. It lives as long as its programs, so its memory goes with
@@ -141,84 +141,54 @@ class ConicProgram:
     def fix_variables(self, fixed: Mapping[int, float]):
         """Substitute fixed variables; returns (reduced, keep_indices, cost_offset).
 
-        Ball pairs with one fixed member become box bounds on the survivor;
-        a fully fixed pair that violates its ball is encoded as an
-        unsatisfiable inequality so the solver reports infeasibility.
-
-        The reduced matrices depend on the fixed index set alone unless a
-        ball member is fixed. Otherwise they are computed once per index set
-        and kept on the structure, and the reductions of one set share them
-        and a structure of their own. An index outside [0, n) raises
-        ValueError.
+        The reduced matrices depend on the fixed index set alone: they are
+        computed once per index set and kept on the structure, and the
+        reductions of one set share them and a structure of their own. An
+        index outside [0, n) or a ball member raises ValueError.
         """
         fixed = {int(k): float(v) for k, v in fixed.items()}
         n = self.n
+        structure = self.structure
         for k in fixed:
             if not 0 <= k < n:
                 raise ValueError(f"fixed index {k} outside [0, {n})")
+            if k in structure.ball_members:
+                raise ValueError(f"fixed index {k} is a ball member")
         vals = np.zeros(n)
         for k, v in fixed.items():
             vals[k] = v
-        structure = self.structure
         key = frozenset(fixed)
         red = structure.reductions.get(key)
         if red is None:
-            red = self._reduce(key)
-            if structure.ball_members.isdisjoint(key):
-                structure.reductions[key] = red
+            red = structure.reductions[key] = self._reduce(key)
         keep, sub = red
-        offset = float(np.dot(self.c, vals))
-        in_rows = [sub.A_in]
-        in_rhs = [self.b_in - self.A_in @ vals]
-        lb, ub = self.lb[keep].copy(), self.ub[keep].copy()
-        old_to_new = None
-        for i, j in self.balls:
-            fi, fj = i in fixed, j in fixed
-            if fi and fj:
-                if fixed[i] ** 2 + fixed[j] ** 2 > 1.0 + 1e-12:
-                    in_rows.append(sp.csr_matrix((1, keep.size)))
-                    in_rhs.append(np.array([-1.0]))
-            elif fi or fj:
-                fixed_val = fixed[i] if fi else fixed[j]
-                slack = 1.0 - fixed_val * fixed_val
-                if slack < -1e-12:
-                    in_rows.append(sp.csr_matrix((1, keep.size)))
-                    in_rhs.append(np.array([-1.0]))
-                else:
-                    if old_to_new is None:
-                        old_to_new = {int(o): m for m, o in enumerate(keep)}
-                    free_new = old_to_new[j] if fi else old_to_new[i]
-                    r = math.sqrt(max(slack, 0.0))
-                    lb[free_new] = max(lb[free_new], -r)
-                    ub[free_new] = min(ub[free_new], r)
-
         reduced = ConicProgram(
             c=self.c[keep],
             A_eq=sub.A_eq,
             b_eq=self.b_eq - self.A_eq @ vals,
-            A_in=sp.vstack(in_rows).tocsr() if len(in_rows) > 1 else sub.A_in,
-            b_in=np.concatenate(in_rhs),
-            lb=lb,
-            ub=ub,
+            A_in=sub.A_in,
+            b_in=self.b_in - self.A_in @ vals,
+            lb=self.lb[keep],
+            ub=self.ub[keep],
             balls=sub.balls,
             structure=sub,
         )
-        return reduced, keep, offset
+        return reduced, keep, float(np.dot(self.c, vals))
 
     def _reduce(self, fixed: frozenset) -> tuple[np.ndarray, Structure]:
         keep = np.array([k for k in range(self.n) if k not in fixed], dtype=int)
         old_to_new = {int(o): m for m, o in enumerate(keep)}
-        balls = tuple(
-            (old_to_new[i], old_to_new[j])
-            for i, j in self.balls
-            if i not in fixed and j not in fixed
-        )
+        balls = tuple((old_to_new[i], old_to_new[j]) for i, j in self.balls)
         return keep, Structure(self.A_eq[:, keep].tocsr(), self.A_in[:, keep].tocsr(), balls)
 
 
 @dataclass
 class MixedBinaryProgram:
-    """Conic program plus a set of variable indices restricted to {0, 1}."""
+    """Conic program plus a set of variable indices restricted to {0, 1}.
+
+    A binary must carry box bounds [0, 1] and lie outside every ball, since
+    the nodes of a search fix binaries and fix_variables fixes no ball member.
+    """
 
     base: ConicProgram
     binary_indices: tuple[int, ...] = ()
@@ -228,6 +198,8 @@ class MixedBinaryProgram:
         for i in self.binary_indices:
             if not 0 <= i < self.base.n:
                 raise ValueError(f"binary index {i} out of range")
+            if i in self.base.structure.ball_members:
+                raise ValueError(f"binary variable {i} is a ball member")
             if self.base.lb[i] != 0.0 or self.base.ub[i] != 1.0:
                 raise ValueError(f"binary variable {i} must carry box bounds [0, 1]")
 

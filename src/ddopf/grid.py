@@ -63,12 +63,13 @@ def canonical_edge_order(edges: Iterable[Iterable[int]]) -> list[Edge]:
 
 
 class Grid:
-    """Radial-grid description whose state cannot be written in place.
+    """Radial-grid description that cannot change after construction.
 
     Node ids are arbitrary nonnegative integers; a dense index maps them to
     0..N_b-1 in sorted order. Construction validates membership and shapes
-    but not topology; call :func:`validate_radial` for that. `lines` and
-    `voltages` are read-only: a grid with other parameters is a new Grid.
+    but not topology; call :func:`validate_radial` for that. No attribute
+    can be assigned or deleted, and `lines` and `voltages` are read-only
+    mappings: a grid with other parameters is a new Grid.
     """
 
     def __init__(
@@ -83,37 +84,50 @@ class Grid:
             raise ValueError("node ids must be nonnegative")
         if len(set(node_list)) != len(node_list):
             raise ValueError("duplicate node ids")
-        self.nodes: tuple[int, ...] = tuple(sorted(node_list))
-        self._node_index = {n: k for k, n in enumerate(self.nodes)}
+        node_tuple = tuple(sorted(node_list))
+        node_index = {n: k for k, n in enumerate(node_tuple)}
 
-        self.edges: tuple[Edge, ...] = tuple(normalize_edge(e) for e in edges)
-        if len(set(self.edges)) != len(self.edges):
+        edge_tuple = tuple(normalize_edge(e) for e in edges)
+        if len(set(edge_tuple)) != len(edge_tuple):
             raise ValueError("duplicate edges")
-        for i, j in self.edges:
-            if i not in self._node_index or j not in self._node_index:
+        for i, j in edge_tuple:
+            if i not in node_index or j not in node_index:
                 raise UnknownNode(f"edge ({i}, {j}) references a node not in the grid")
 
-        self.lines: Mapping[Edge, LineParams] = MappingProxyType(
-            {normalize_edge(key): params for key, params in lines.items()}
-        )
-        missing = [e for e in self.edges if e not in self.lines]
+        line_map = {normalize_edge(key): params for key, params in lines.items()}
+        missing = [e for e in edge_tuple if e not in line_map]
         if missing:
             raise ValueError(f"missing line parameters for edges {missing}")
 
         uniform = isinstance(voltages, (int, float))
-        volt = {n: float(voltages) if uniform else 1.0 for n in self.nodes}
+        volt = {n: float(voltages) if uniform else 1.0 for n in node_tuple}
         for n, v in ({} if voltages is None or uniform else voltages).items():
-            if int(n) not in self._node_index:
+            if int(n) not in node_index:
                 raise UnknownNode(f"voltage given for unknown node {n}")
             volt[int(n)] = float(v)
         if not all(0.0 < v < math.inf for v in volt.values()):
             raise ValueError("voltage magnitudes must be positive and finite")
-        self.voltages: Mapping[int, float] = MappingProxyType(volt)
 
-        self._adjacency: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for i, j in self.edges:
-            self._adjacency[i].add(j)
-            self._adjacency[j].add(i)
+        adjacency: dict[int, set[int]] = {n: set() for n in node_tuple}
+        for i, j in edge_tuple:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+
+        # the one write: __setattr__ refuses every later one
+        vars(self).update(
+            nodes=node_tuple,
+            _node_index=node_index,
+            edges=edge_tuple,
+            lines=MappingProxyType(line_map),
+            voltages=MappingProxyType(volt),
+            _adjacency=adjacency,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Grid is read-only; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Grid is read-only; cannot delete {name!r}")
 
     @property
     def n_nodes(self) -> int:

@@ -133,16 +133,12 @@ def solve_mixed_binary(
     warm-starts each assignment from its Gray-code neighbour within the call
     and returns a cold solve of the winner, so its result depends on no
     earlier call. node_count counts the convex solves run (at most 2^k + 1
-    for enumeration), and the result's stats sum their work.
+    for enumeration, 1 with no binaries), and the result's stats sum their
+    work.
     """
     t0 = time.perf_counter()
-    bidx = prog.binary_indices
-    if not bidx:
-        sol = solve_convex(prog.base, tol=tol)
-        sol.binary_values = ()
-        return sol
     if strategy == "auto":
-        strategy = "enumerate" if 2 ** len(bidx) <= _ENUMERATE_CAP else "branch_and_bound"
+        strategy = "enumerate" if 2**prog.n_binaries <= _ENUMERATE_CAP else "branch_and_bound"
     if strategy == "enumerate":
         out = _enumerate(prog, tol)
     elif strategy == "branch_and_bound":

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -222,3 +224,17 @@ def test_grid_state_is_read_only():
     # the caller's mapping is copied, so writing it leaves the grid as it was
     lines[(1, 2)] = LineParams(g=6.0, b=-60.0)
     assert g.lines[(1, 2)] is LP
+
+
+@pytest.mark.parametrize("name", ["nodes", "edges", "lines", "voltages", "_adjacency", "extra"])
+def test_grid_attributes_cannot_be_assigned(name):
+    # reassigning a whole mapping would leave a kept program stale as well
+    g = Grid([1, 2], [(1, 2)], {(1, 2): LP})
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(g, name, MappingProxyType({(1, 2): LineParams(g=6.0, b=-60.0)}))
+    if hasattr(g, name):
+        with pytest.raises(AttributeError, match="read-only"):
+            delattr(g, name)
+    assert g.lines[(1, 2)] is LP and not hasattr(g, "extra")
+    # it stays a weak-reference key, as solve_opf's program cache needs
+    assert weakref.ref(g)() is g

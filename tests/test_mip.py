@@ -393,10 +393,26 @@ class TestGrayCodeEnumeration:
 
 class TestEdgeCases:
     def test_no_binaries_is_convex_solve(self):
-        prog = ConicProgram.build(c=[-1.0, -1.0], balls=[(0, 1)])
-        sol = solve_mixed_binary(MixedBinaryProgram(prog, ()))
-        assert sol.objective == pytest.approx(-math.sqrt(2), abs=1e-8)
-        assert sol.binary_values == ()
+        # k = 0 runs each strategy's one node: the base program, nothing fixed
+        from ddopf.ipm import solve_convex
+
+        programs = {
+            "optimal": ConicProgram.build(c=[-1.0, -1.0], balls=[(0, 1)]),
+            "unbounded": ConicProgram.build(c=[-1.0, 0.0], lb=[0.0, 0.0], ub=[np.inf, 1.0]),
+            "infeasible": ConicProgram.build(c=[0.0], A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0]),
+        }
+        for status, prog in programs.items():
+            direct = solve_convex(prog)
+            assert direct.status == status
+            for strategy in ("auto", "enumerate", "branch_and_bound"):
+                sol = solve_mixed_binary(MixedBinaryProgram(prog, ()), strategy=strategy)
+                assert sol.status == status
+                np.testing.assert_equal(sol.objective, direct.objective)
+                assert (sol.node_count, sol.stats.iterations) == (1, direct.stats.iterations)
+                assert sol.binary_values == (None if status == "infeasible" else ())
+                if status == "optimal":
+                    assert sol.objective == pytest.approx(-math.sqrt(2), abs=1e-8)
+                    assert sol.x.tobytes() == direct.x.tobytes()
 
     def test_enumerate_cap(self):
         prog = ConicProgram.build(c=np.ones(13), lb=np.zeros(13), ub=np.ones(13))
