@@ -117,6 +117,9 @@ class ConicProgram:
         """Check shapes, ball pairs and values: NaN nowhere, and +-inf only
         in lb and ub, where it means no bound."""
         n = self.n
+        for name in ("A_eq", "A_in"):
+            if (cols := getattr(self, name).shape[1]) != n:
+                raise ValueError(f"{name} has {cols} columns, n is {n}")
         if self.A_eq.shape[0] != self.b_eq.size:
             raise ValueError("A_eq rows != b_eq length")
         if self.A_in.shape[0] != self.b_in.size:

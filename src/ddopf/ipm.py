@@ -142,16 +142,27 @@ def jprod(dims: ConeDims, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _soc_det(u: np.ndarray) -> np.ndarray:
+    """det u = u_0^2 - |u_1|^2 of each of the stacked (..., 3) SOC blocks.
+
+    The difference form (u_0 - |u_1|)(u_0 + |u_1|) keeps the relative
+    accuracy of points grazing the boundary; its first factor is at least
+    1e-15 max(u_0, 1e-30), so that roundoff negatives leave it positive.
+    """
+    u0 = u[..., 0]
+    n1 = np.hypot(u[..., 1], u[..., 2])
+    return np.maximum(u0 - n1, 1e-15 * np.maximum(u0, 1e-30)) * (u0 + n1)
+
+
 def jdiv(dims: ConeDims, lam: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Solve lam o x = w blockwise (lam interior; determinant clamped)."""
     out = np.empty_like(w)
     l = dims.orthant
     np.divide(w[:l], lam[:l], out=out[:l])
     lb, wb, ob = dims.soc_view(lam), dims.soc_view(w), dims.soc_view(out)
-    l0 = lb[:, 0]
-    n1 = np.hypot(lb[:, 1], lb[:, 2])
-    det = np.maximum(l0 - n1, 1e-15 * np.maximum(l0, 1e-30)) * (l0 + n1)
-    x0 = np.divide(l0 * wb[:, 0] - np.vecdot(lb[:, 1:], wb[:, 1:]), det, out=ob[:, 0])
+    x0 = np.divide(
+        lb[:, 0] * wb[:, 0] - np.vecdot(lb[:, 1:], wb[:, 1:]), _soc_det(lb), out=ob[:, 0]
+    )
     np.divide(wb[:, 1:] - x0[:, None] * lb[:, 1:], lb[:, :1], out=ob[:, 1:])
     return out
 
@@ -172,13 +183,11 @@ def _soc_rates(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     alpha * (|rho_1| - rho_0) <= 1 (the line search of ECOS: Domahidi, Chu
     and Boyd 2013). With s = sqrt(det u) and j = u' J du that rate is
     (|du_1 - c u_1| - j / s) / s, c = (j + s du_0) / (s (u_0 + s)). det u
-    uses the difference form, as NTScaling does, so that points grazing the
-    boundary keep their relative accuracy.
+    is _soc_det's, as in jdiv and NTScaling.
     """
     u0, u1 = u[..., 0], u[..., 1:]
     d0, d1 = du[..., 0], du[..., 1:]
-    n1 = np.hypot(u[..., 1], u[..., 2])
-    s = np.sqrt(np.maximum(u0 - n1, 1e-15 * u0) * (u0 + n1))
+    s = np.sqrt(_soc_det(u))
     j = u0 * d0 - np.vecdot(u1, d1)
     c = (j + s * d0) / (s * (u0 + s))
     v = d1 - c[..., None] * u1
@@ -226,12 +235,9 @@ class NTScaling:
         np.sqrt(s[:l] * z[:l], out=lam[:l])
 
         # s and z cones as the two rows of one stack, so that one pass takes
-        # both sqrt(u0^2 - |u1|^2): the difference form, with roundoff
-        # negatives clamped so near-boundary iterates keep a finite scaling
+        # both sqrt(det u); its clamp keeps near-boundary iterates' scaling finite
         u = np.array((dims.soc_view(s), dims.soc_view(z)))
-        u0 = u[..., 0]
-        n1 = np.hypot(u[..., 1], u[..., 2])
-        root = np.sqrt(np.maximum(u0 - n1, 1e-15 * np.maximum(u0, 1e-30)) * (u0 + n1))
+        root = np.sqrt(_soc_det(u))
         sbar, zbar = u / root[..., None]
         a_s, a_z = root
         gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
@@ -289,8 +295,9 @@ class _Plan:
 
     `dense` is whether the KKT matrix, of dimension n + p + m, is factored
     by dense LU (at most _DENSE_LIMIT rows) or sparse. `fixed` is the part
-    of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a dense
-    array or CSR matrix in the natural order. w_pos are the positions of the
+    of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], in the
+    natural order: one CSR matrix assembled from the COO entries of A and
+    G, kept as an array on the dense path. w_pos are the positions of the
     variable entries, in KktSolver._w_values' order, in the matrix as it is
     factored: the row-major dense matrix, or on the sparse path the data
     `values` of the CSC matrix (indices, indptr) of KKT[perm][:, perm],
@@ -333,24 +340,19 @@ class _Plan:
         w_cols = np.concatenate([np.arange(k + l), (starts[:, None] + cc).ravel()])
         self.n_w = w_rows.size
 
+        A, G = A.tocoo(), G.tocoo()
+        fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
+        fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
+        fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
+        self.fixed = sp.csr_matrix((fixed_vals, (fixed_rows, fixed_cols)), shape=(dim, dim))
         if self.dense:
-            A, G = A.toarray(), G.toarray()
-            self.fixed = np.zeros((dim, dim))
-            self.fixed[n:k, :n] = A
-            self.fixed[:n, n:k] = A.T
-            self.fixed[k:, :n] = G
-            self.fixed[:n, k:] = G.T
+            self.fixed = self.fixed.toarray()
             self.w_pos = w_rows * dim + w_cols
             # LAPACK's LU called directly: the routines scipy.linalg's
             # lu_factor/lu_solve wrap, without their per-call checks
             self.getrf, self.getrs = sla.get_lapack_funcs(("getrf", "getrs"), (self.fixed,))
             return
 
-        A, G = A.tocoo(), G.tocoo()
-        fixed_rows = np.concatenate([A.row + n, A.col, G.row + k, G.col]).astype(np.int64)
-        fixed_cols = np.concatenate([A.col, A.row + n, G.col, G.row + k]).astype(np.int64)
-        fixed_vals = np.concatenate([A.data, A.data, G.data, G.data])
-        self.fixed = sp.csr_matrix((fixed_vals, (fixed_rows, fixed_cols)), shape=(dim, dim))
         # every entry, the fixed ones first, then the variable ones
         rows = np.concatenate([fixed_rows, w_rows])
         cols = np.concatenate([fixed_cols, w_cols])
@@ -431,7 +433,9 @@ class KktSolver:
     solver of its structure and finite-bound pattern. `fixed` is the plan's
     part of the matrix no scaling changes, [0 A' G'; A 0 0; G 0 0], as a
     dense array or CSR matrix: the IPM forms its residuals and certificate
-    checks from one product with it.
+    checks from one product with it. `_mat` is the solver's own copy of the
+    matrix it factors, on either path: the dense array, or the CSC matrix
+    of the plan's pattern; refinement multiplies by it.
 
     Every matrix of a plan has the same sparsity pattern. The sparse path
     therefore factors KKT[perm][:, perm], permuted symmetrically by the
@@ -462,8 +466,8 @@ class KktSolver:
         # the matrix factored last, in the plan's layout, and its factors
         self._lu = self._piv = self._splu = None
         if self.dense:
-            self._kmat = plan.fixed.copy()
-            self._values = self._kmat.reshape(-1)
+            self._mat = plan.fixed.copy()
+            self._values = self._mat.reshape(-1)
             self._getrf, self._getrs = plan.getrf, plan.getrs
         else:
             self._mat = sp.csc_matrix(
@@ -500,7 +504,7 @@ class KktSolver:
         if self.dense:
             # an exactly singular factor (info > 0) is kept: its solve is not
             # finite, and solve() retries with more regularization
-            self._lu, self._piv, _ = self._getrf(self._kmat)
+            self._lu, self._piv, _ = self._getrf(self._mat)
         else:
             self._splu = spla.splu(
                 self._mat,
@@ -538,8 +542,7 @@ class KktSolver:
 
         One matvec on the assembled matrix, less its regularization diagonal.
         """
-        kv = self._kmat @ sol if self.dense else self._mat @ sol
-        return kv - (self._current_reg * self._reg_sign) * sol
+        return self._mat @ sol - (self._current_reg * self._reg_sign) * sol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[x | y | z] with K [x | y | z] = rhs for the exact operator K,
@@ -586,16 +589,14 @@ def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     kkt.factor_identity(e)
     n, k = kkt.n, kkt.n + kkt.p
     x_z = kkt.solve(np.concatenate([np.zeros(n), form.b, form.h]))
-    x, s = x_z[:n], -x_z[k:]
-    shift = -jmineig(dims, s)
-    if shift >= -1e-8:
-        s = s + (1.0 + shift) * e
     y_z = kkt.solve(np.concatenate([-form.c, np.zeros(kkt.dim - n)]))
-    y, z = y_z[n:k], y_z[k:]
-    shift = -jmineig(dims, z)
-    if shift >= -1e-8:
-        z = z + (1.0 + shift) * e
-    return x, y, z, s
+    # s and z, each moved into the cone's interior when not safely inside it
+    inside = []
+    for u in (-x_z[k:], y_z[k:]):
+        shift = -jmineig(dims, u)
+        inside.append(u + (1.0 + shift) * e if shift >= -1e-8 else u)
+    s, z = inside
+    return x_z[:n], y_z[n:k], z, s
 
 
 def _warm_point(form: StandardForm, e: np.ndarray, warm: Solution | None):

@@ -142,14 +142,12 @@ class MicrogridConfig:
             if f.name not in _LIMITS and np.isinf(value).any():
                 raise ValueError(f"{f.name} must be finite")
 
-    # unit column order in the node-coupling map: [p_t, p_s, p_r, p_d]
-    def unit_nodes(self) -> tuple[int, ...]:
-        return (*self.generator_nodes, *self.storage_nodes, *self.res_nodes, self.load_node)
-
     def unit_map(self, grid: Grid) -> np.ndarray:
         """Boolean unit-to-node map, one column per unit/load."""
         u = np.zeros((grid.n_nodes, 7))
-        for col, node in enumerate(self.unit_nodes()):
+        # unit column order in the node-coupling map: [p_t, p_s, p_r, p_d]
+        units = (*self.generator_nodes, *self.storage_nodes, *self.res_nodes, self.load_node)
+        for col, node in enumerate(units):
             u[grid.node_index(node), col] = 1.0
         return u
 
@@ -621,9 +619,6 @@ class ClosedLoopResult:
     def column(self, name: str) -> np.ndarray:
         return np.asarray([getattr(r, name) for r in self.records])
 
-    def kpis(self) -> tuple[float, float]:
-        return compute_kpis(self)
-
 
 def compute_kpis(result: ClosedLoopResult) -> tuple[float, float]:
     """(mean unit running cost, mean transmission-loss cost) over the run."""
@@ -719,7 +714,7 @@ def run_closed_loop(
                 cost_loss=cost_loss,
                 solve_time=solve_time,
                 tightness=tight,
-                nodes=sol.node_count or 1,
+                nodes=sol.node_count,
                 ipm_iterations=sol.stats.iterations,
                 warm_restarts=sol.stats.warm_restarts,
             )
@@ -735,7 +730,7 @@ def run_closed_loop(
 
 def _edge_angles(grid: Grid, layout: MpcLayout, phi0: np.ndarray) -> np.ndarray:
     pairs = layout.pf.pairs
-    return _recover_theta(phi0, len(pairs))[[pairs.index(e) for e in grid.edges]]
+    return _recover_theta(phi0)[[pairs.index(e) for e in grid.edges]]
 
 
 # --- audits ---------------------------------------------------------------------

@@ -305,17 +305,17 @@ def _assemble(
     objective: LinearObjective | None,
     beta: float,
 ) -> tuple[ConicProgram, OpfLayout]:
-    """The template's rows, then the application's, with the objective
-    (losses by default) and the relaxation term -beta * cos."""
+    """The template's rows, then the application's (none without an app),
+    with the objective (losses by default) and the relaxation term -beta * cos."""
     layout = template.layout
-    c = _objective_vector(grid, layout, objective, beta)
-    A_eq, b_eq = template.eq, template.eq_rhs
-    A_in = b_in = None
-    if app is not None:
-        app_eq, app_b_eq, A_in, b_in = app.materialize(layout)
-        A_eq, b_eq = np.vstack([A_eq, app_eq]), np.concatenate([b_eq, app_b_eq])
+    app_eq, app_b_eq, A_in, b_in = (app or AppConstraints()).materialize(layout)
     prog = ConicProgram.build(
-        c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, balls=layout.ball_pairs()
+        c=_objective_vector(grid, layout, objective, beta),
+        A_eq=np.vstack([template.eq, app_eq]),
+        b_eq=np.concatenate([template.eq_rhs, app_b_eq]),
+        A_in=A_in,
+        b_in=b_in,
+        balls=layout.ball_pairs(),
     )
     return prog, layout
 
@@ -364,11 +364,9 @@ class TightnessReport:
 
 def tightness_report(phi: np.ndarray) -> TightnessReport:
     """Circle residuals of the lifted vector phi = [1, cos, sin, ...]."""
-    n_pairs = (phi.size - 1) // 2
-    c = phi[cos_indices(n_pairs)]
-    s = phi[sin_indices(n_pairs)]
+    c, s = phi[1::2], phi[2::2]
     residuals = 1.0 - (c * c + s * s)
-    worst = float(np.max(np.abs(residuals))) if n_pairs else 0.0
+    worst = float(np.max(np.abs(residuals), initial=0.0))
     return TightnessReport(
         residuals=residuals, max_residual=worst, tol=_TIGHT_TOL, passed=worst <= _TIGHT_TOL
     )
@@ -396,10 +394,9 @@ class OpfSolution:
     restored: bool = False
 
 
-def _recover_theta(phi: np.ndarray, n_pairs: int) -> np.ndarray:
-    c = phi[cos_indices(n_pairs)]
-    s = phi[sin_indices(n_pairs)]
-    return np.arctan2(s, c)
+def _recover_theta(phi: np.ndarray) -> np.ndarray:
+    """Angles of the (cos, sin) pairs of the lifted vector phi."""
+    return np.arctan2(phi[2::2], phi[1::2])
 
 
 def solve_opf(
@@ -453,7 +450,7 @@ class _CachedProgram:
     """One program of solve_opf with the structure of its inputs."""
 
     grid: weakref.ref  # to the grid: a program kept with its grid must not keep it alive
-    app_structure: tuple | None  # AppConstraints.structure(), None without an app
+    app_structure: tuple  # AppConstraints.structure()
     program: ConicProgram
     layout: OpfLayout
     eq_rhs: np.ndarray  # the right-hand side of the template's rows
@@ -475,17 +472,18 @@ def _program(
 
     A program's A_eq, A_in and balls depend on the grid, the variant's
     family (dd and dd-convex pose one program), the model and the app's
-    structure alone. The last program of a family is kept in _opf_programs
-    with its owner, the model (data-driven variants) or the grid
-    (reference); both are immutable, so it cannot go stale. A call of the
-    same structure writes only c, b_eq and b_in into a copy of it, and a
-    call of another structure builds and replaces it. Both give the same
-    bytes. solve_convex validates the program it is given, so the copy is
-    not validated here.
+    structure alone (an absent app is an empty one). The last program of a
+    family is kept in _opf_programs with its owner, the model (data-driven
+    variants) or the grid (reference); both are immutable, so it cannot go
+    stale. A call of another structure builds and replaces it, and every
+    call, that one included, writes c, b_eq and b_in into a copy of it.
+    solve_convex validates the program it is given, so the copy is not
+    validated here.
     """
     family = "dd-convex" if variant == "dd" else variant
     owner = grid if family == "reference" else model
-    key = None if app is None else app.structure()
+    app = app or AppConstraints()
+    key = app.structure()
     # a missing model is never a key (its build raises ModelNotPE)
     entry = _opf_programs[owner].get(family) if owner in _opf_programs else None
     if entry is None or entry.grid() is not grid or entry.app_structure != key:
@@ -495,19 +493,14 @@ def _program(
             prog, layout = build_dd_opf(grid, model, app, objective, beta)
         else:
             prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
-        n_rows = prog.b_eq.size - (0 if app is None else len(app.eq_rows))
-        _opf_programs.setdefault(owner, {})[family] = _CachedProgram(
-            weakref.ref(grid), key, prog, layout, prog.b_eq[:n_rows].copy()
+        entry = _opf_programs.setdefault(owner, {})[family] = _CachedProgram(
+            weakref.ref(grid), key, prog, layout, prog.b_eq[: prog.b_eq.size - len(app.eq_rows)]
         )
-        return prog, layout
-    b_eq, b_in = entry.eq_rhs, np.zeros(0)
-    if app is not None:
-        app_b_eq, b_in = app.rhs()
-        b_eq = np.concatenate([b_eq, app_b_eq])
+    app_b_eq, b_in = app.rhs()
     prog = replace(
         entry.program,
         c=_objective_vector(grid, entry.layout, objective, beta),
-        b_eq=b_eq,
+        b_eq=np.concatenate([entry.eq_rhs, app_b_eq]),
         b_in=b_in,
     )
     return prog, entry.layout
@@ -519,7 +512,7 @@ def _at_point(sol: OpfSolution, phi, p_e, p_g) -> OpfSolution:
         sol,
         p_e=p_e,
         p_g=p_g,
-        theta=_recover_theta(phi, len(sol.layout.pairs)),
+        theta=_recover_theta(phi),
         phi=phi,
         alpha=None if sol.variant == "reference" else sol.model.phi_pinv() @ phi,
         objective=sol.objective_spec.value(p_e, p_g) if sol.objective_spec else math.nan,
@@ -536,20 +529,19 @@ def project_onto_circles(
     (0, 0) pair has no direction and maps to angle 0.
     """
     phi = phi.copy()
-    n_pairs = (phi.size - 1) // 2
-    ci, si = cos_indices(n_pairs), sin_indices(n_pairs)
-    radius = np.hypot(phi[ci], phi[si])
+    c, s = phi[1::2], phi[2::2]  # views: writes go into phi
+    radius = np.hypot(c, s)
     degenerate = radius < 1e-12
     if np.any(degenerate):
         logger.warning(
             "projection hit %d degenerate (0, 0) pairs; mapping them to angle 0",
             int(np.sum(degenerate)),
         )
-        phi[ci[degenerate]] = 1.0
-        phi[si[degenerate]] = 0.0
+        c[degenerate] = 1.0
+        s[degenerate] = 0.0
     ok = ~degenerate
-    phi[ci[ok]] /= radius[ok]
-    phi[si[ok]] /= radius[ok]
+    c[ok] /= radius[ok]
+    s[ok] /= radius[ok]
     phi[0] = 1.0
 
     p_out = _flow_map(grid, variant, model) @ phi

@@ -95,6 +95,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite|lb must be below"):
             prog.validate()
 
+    @pytest.mark.parametrize("name, other", [("A_eq", "A_in"), ("A_in", "A_eq")])
+    def test_matrix_width_validated(self, name, other):
+        # c, lb and ub one entry longer than `name` is wide, and `other`
+        # widened to match: the solver would fail deep inside its set-up
+        prog = small_program()
+        mat = getattr(prog, other)
+        wide = dataclasses.replace(
+            prog,
+            c=np.append(prog.c, 1.0),
+            lb=np.append(prog.lb, 0.0),
+            ub=np.append(prog.ub, 1.0),
+            **{other: sp.hstack([mat, sp.csr_matrix((mat.shape[0], 1))], format="csr")},
+        )
+        with pytest.raises(ValueError, match=f"{name} has 3 columns, n is 4"):
+            wide.validate()
+
     def test_binary_indices_need_unit_box(self):
         prog = ConicProgram.build(c=[1.0], lb=[0.0], ub=[2.0])
         with pytest.raises(ValueError):

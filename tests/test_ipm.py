@@ -265,8 +265,9 @@ class TestKktSolver:
             )
 
     def test_dense_fixed_part_matches_coo_assembly(self, rng):
-        # the fixed blocks written directly equal, bit for bit, the scatter of
-        # the COO entries of A, A', G and G' into zeros
+        # the dense fixed part, the plan's CSR assembly as an array, equals
+        # bit for bit the scatter of the COO entries of A, A', G and G' into
+        # zeros
         for n, p, orth, n_socs in KKT_SHAPES[:2] * 3:
             form = random_kkt(rng, n, p, orth, n_socs).form
             mats = []
@@ -340,7 +341,7 @@ class TestKktSolver:
         with np.errstate(invalid="ignore"):
             scaling = NTScaling(dims, s, z)
         kkt.factor(scaling)
-        assert kkt.dense and kkt._getrf(kkt._kmat)[2] > 0
+        assert kkt.dense and kkt._getrf(kkt._mat)[2] > 0
         # a right-hand side the exact operator reaches: K v with v = 0 on the
         # empty row, whose exact entry -W^2 = _REG no rung of the ladder holds
         A = kkt.form.A.toarray()

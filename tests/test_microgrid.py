@@ -399,6 +399,26 @@ class TestClosedLoop:
         assert l_op == pytest.approx(rec.cost_sw + rec.cost_p, abs=1e-12)
         assert l_loss == pytest.approx(rec.cost_loss, abs=1e-12)
 
+    @pytest.mark.parametrize("profile_seed", [7, 2024])
+    def test_dd_is_dd_convex_with_projected_first_moves(self, profile_seed):
+        # dd and dd-convex pose one program per step, and the plant and the
+        # hint read only the unprojected solution: the loops are one loop,
+        # and only the quantities derived from the projected phi differ
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(GRID, 9, seed=2024))
+        profiles = generate_profiles(profile_seed, 12 + CFG.horizon, CFG)
+        dd, convex = (
+            run_closed_loop(CFG, GRID, profiles, variant, steps=12, model=model)
+            for variant in ("dd", "dd-convex")
+        )
+        assert dd.x_final.tobytes() == convex.x_final.tobytes()
+        for col in (
+            "delta", "p_t", "p_s", "p_r", "x", "cost_sw", "cost_p", "cost_x",
+            "nodes", "ipm_iterations", "warm_restarts",
+        ):
+            assert dd.column(col).tobytes() == convex.column(col).tobytes(), col
+        for col in ("p_e", "p_g", "theta", "cost_loss"):
+            np.testing.assert_allclose(dd.column(col), convex.column(col), rtol=0, atol=1e-8)
+
     def test_res_bounded_by_availability(self):
         profiles = generate_profiles(9, 20, CFG)
         res = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=10, model=EDGE_MODEL)

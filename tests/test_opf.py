@@ -286,6 +286,44 @@ class TestTightnessAndRestoration:
         assert restored.phi[ci[0]] == pytest.approx(1.0, abs=1e-12)
         assert restored.phi[si[0]] == pytest.approx(0.0, abs=1e-12)
 
+    def test_degenerate_pair_maps_to_angle_zero(self, caplog):
+        # a (0, 0) pair has no direction: it goes to (1, 0) with a warning,
+        # and every other pair is scaled radially onto its circle
+        phi = np.array([0.5, 0.0, 0.0, 0.3, 0.4, -0.6, 0.0, 0.0, 2.0])
+        with caplog.at_level("WARNING", logger="ddopf.opf"):
+            projected, p_e, p_g = opf.project_onto_circles("reference", GRID, None, phi)
+        assert "1 degenerate (0, 0) pairs" in caplog.text
+        expected = np.array([1.0, 1.0, 0.0, 0.6, 0.8, -1.0, 0.0, 0.0, 1.0])
+        np.testing.assert_allclose(projected, expected, rtol=0, atol=1e-15)
+        assert phi[1] == 0.0  # the input is left as it was
+        x = np.concatenate([projected, p_e, p_g])
+        template = pf_template(GRID, "reference")
+        assert np.max(np.abs(template.eq @ x - template.eq_rhs)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["reference", "dd-generalized"])
+    def test_restore_meets_the_template_rows(self, variant):
+        # p_g comes from the coupling M p_e (reference) or from the flow
+        # map's injection rows (dd-generalized, which has no coupling); the
+        # latter's model measures a constant 0.01 more at node 1, so that
+        # M p_e misses its rows
+        model = model_for(variant)
+        if variant == "dd-generalized":
+            H_pg = model.H_pg.copy()
+            H_pg[0] += 0.01  # H_phi's first row is phi_0 = 1
+            model = DataDrivenLineModel(model.H_phi, model.H_pe, H_pg, model.pe_report)
+        app, obj = demand_instance(GRID, {5: 0.4})
+        sol = solve_opf(GRID, variant, model, app, obj)
+        sol.phi = sol.phi.copy()
+        sol.phi[1:3] *= 0.6  # pull the first pair inside its circle
+        sol.app = None  # projected point no longer meets the fixed demand
+        restored = restore_tightness(sol)
+        assert restored.restored and restored.tightness.max_residual <= 1e-12
+        radius = np.hypot(*sol.phi[1:3])
+        np.testing.assert_allclose(restored.phi[1:3], sol.phi[1:3] / radius, rtol=0, atol=1e-15)
+        x = np.concatenate([restored.phi, restored.p_e, restored.p_g])
+        template = pf_template(GRID, variant, model)
+        assert np.max(np.abs(template.eq @ x - template.eq_rhs)) <= 1e-12
+
     def test_restore_detects_app_violation(self):
         app, obj = demand_instance(GRID, {5: 0.4})
         sol = solve_opf(GRID, "dd-convex", EDGE_MODEL, app, obj)
