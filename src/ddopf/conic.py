@@ -222,10 +222,12 @@ class SolveStats:
     start adopts from its structure's plan (ipm._Plan); kkt_solves counts
     KKT solve calls, refinements the iterative-refinement passes over all
     of them, reg_bumps the retries at a larger regularization after a
-    non-finite solve, and warm_restarts the warm attempts dropped for a
-    cold solve. The stats of a solve_convex result count that one call;
-    those of a solve_mixed_binary result are the sum (+) over every convex
-    solve of the call.
+    non-finite solve, warm_restarts the warm attempts dropped for a cold
+    solve, and reused the cold solves returned from their plan's last one
+    (ipm.solve_convex) instead of run: a reused result ran nothing, so its
+    stats are SolveStats(reused=1). The stats of a solve_convex result
+    count that one call; those of a solve_mixed_binary result are the sum
+    (+) over every convex solve of the call.
     """
 
     iterations: int = 0
@@ -234,6 +236,7 @@ class SolveStats:
     refinements: int = 0
     reg_bumps: int = 0
     warm_restarts: int = 0
+    reused: int = 0
 
     def __add__(self, other: "SolveStats") -> "SolveStats":
         return SolveStats(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))

@@ -308,9 +308,11 @@ class _Plan:
 
     `eye` is the factorization at W = I and _REG that every cold start
     begins with: None until the first solver that needs it makes it
-    (KktSolver.factor_identity), then (scaling, lu, piv, splu). Nothing else
-    is written after construction, and nothing writes into the plan's
-    arrays or `eye`'s.
+    (KktSolver.factor_identity), then (scaling, lu, piv, splu). `last` is
+    the last cold solve on the plan (_solve_cold): None until there is one,
+    then (key, Solution), the solution a private copy. Nothing else is
+    written after construction, and nothing writes into the plan's arrays,
+    `eye`'s or `last`'s.
     """
 
     def __init__(
@@ -328,7 +330,7 @@ class _Plan:
         dim = n + p + G.shape[0]
         self.dense = dim <= _DENSE_LIMIT
         self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
-        self.eye = None
+        self.eye = self.last = None
 
         # the variable entries: the regularized x/y diagonals, the orthant's
         # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
@@ -646,15 +648,24 @@ def solve_convex(
     ends without a certificate within _WARM_MAX_ITER iterations, or breaks
     down, is dropped and the program is solved cold; the result then counts
     the work of both attempts and has stats.warm_restarts = 1.
+
+    A solve with no warm start, or one that does not fit, is a function of
+    the form's c, b and h and of tol and max_iter alone, since the plan
+    fixes everything else. The plan keeps the last one, whatever its status
+    (_solve_cold): asked for again with the same bytes and limits, it
+    returns a copy of that certificate, with its status, iterations,
+    residuals and objectives, stats == SolveStats(reused=1) and its own
+    solve_time. A warm attempt, and the cold solve after one, neither read
+    nor replace it.
     """
     t0 = time.perf_counter()
     prog.validate()
     form = standard_form(prog)
     e = cone_e(form.dims)
-    kkt = KktSolver(form)
     start = _warm_point(form, e, warm_start)
     if start is None:
-        return _iterate(kkt, form, e, None, tol, max_iter, t0)
+        return _solve_cold(form, e, tol, max_iter, t0)
+    kkt = KktSolver(form)
     try:
         sol = _iterate(kkt, form, e, start, tol, min(max_iter, _WARM_MAX_ITER), t0)
         if sol.status != "tolerance_not_met":
@@ -667,6 +678,24 @@ def solve_convex(
     sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
     sol.iterations += ran
     sol.stats = sol.stats + warm_work
+    return sol
+
+
+def _copy(sol: Solution, **changes) -> Solution:
+    """sol with arrays of its own and the given fields changed."""
+    arrays = {name: getattr(sol, name) for name in ("x", "y", "z", "s")}
+    return replace(sol, **{k: a.copy() for k, a in arrays.items() if a is not None}, **changes)
+
+
+def _solve_cold(form: StandardForm, e: np.ndarray, tol, max_iter, t0) -> Solution:
+    """The cold solve of form, iterated, or copied from the plan's last one
+    when that had the same c, b and h, bit for bit, and the same limits."""
+    plan = form.plan
+    key = (form.c.tobytes(), form.b.tobytes(), form.h.tobytes(), tol, max_iter)
+    if plan.last is not None and plan.last[0] == key:
+        return _copy(plan.last[1], stats=SolveStats(reused=1), solve_time=time.perf_counter() - t0)
+    sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
+    plan.last = (key, _copy(sol))
     return sol
 
 

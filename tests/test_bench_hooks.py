@@ -5,6 +5,7 @@ inlined layer silently drops out of the traced metrics. These tests run the
 tracer over real calls and check that the spans still appear.
 """
 
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -59,8 +60,9 @@ def test_solve_opf_records_template_and_build(traced, variant):
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_adopted_cold_start_records_only_the_factorizations_run(traced, path):
-    # a second cold solve of a structure adopts the W = I factorization the
-    # first one made: it neither calls factor for it nor counts it
+    # a second cold solve of a structure, of looser inequalities so that it
+    # is solved and not reused, adopts the W = I factorization the first
+    # one made: it neither calls factor for it nor counts it
     if path == "dense":
         app, objective = opf.demand_instance(GRID, {5: 0.4})
         prog, _ = opf.build_reference_opf(GRID, app, objective)
@@ -72,12 +74,25 @@ def test_adopted_cold_start_records_only_the_factorizations_run(traced, path):
         )[0].base
     first = ipm.solve_convex(prog)
     before = traced.names.count("ipm.kkt_factor")
-    sol = ipm.solve_convex(prog)
+    sol = ipm.solve_convex(dataclasses.replace(prog, b_in=prog.b_in + 1e-3))
     assert sol.status == first.status == "optimal"
     assert ipm.KktSolver(ipm.standard_form(prog)).dense == (path == "dense")
     spans = traced.names.count("ipm.kkt_factor") - before
     assert spans == sol.stats.factorizations == sol.iterations
     assert first.stats.factorizations == first.iterations + 1
+
+
+def test_dd_convex_after_dd_records_a_solve_but_no_factorization(traced):
+    # the four variants of one instance make four solve_convex spans, but
+    # dd-convex reuses dd's solve: three solves' worth of factorizations
+    grid = microgrid.default_grid()
+    app, objective = opf.demand_instance(grid, {5: 0.4})
+    sols = [opf.solve_opf(grid, v, MODELS[v], app, objective) for v in opf.VARIANTS]
+    assert [sol.raw.stats.reused for sol in sols] == [0, 0, 1, 0]
+    assert traced.names.count("ipm.solve_convex") == 4
+    factors = [sol.raw.stats.factorizations for sol in sols]
+    assert traced.names.count("ipm.kkt_factor") == sum(factors)
+    assert factors[2] == 0 and min(factors[:2] + factors[3:]) > 0
 
 
 def test_closed_loop_records_mpc_step(traced):

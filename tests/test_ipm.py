@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 
 from ddopf.behavior import DataDrivenLineModel
 from ddopf import ipm, mip
-from ddopf.conic import ConicProgram, MixedBinaryProgram, check_feasibility
+from ddopf.conic import ConicProgram, MixedBinaryProgram, SolveStats, check_feasibility
 from ddopf.errors import NumericalBreakdown
 from ddopf.excitation import generate_excitation
 from ddopf.ipm import (
@@ -766,25 +767,32 @@ class TestSharedSetup:
                 raise AssertionError(f"the old structure's plan was read: {name}")
 
         prog.structure.solver = Unreadable()
-        # twice: the second solves adopt the W = I factorization of the first
+        # twice: the second solves, of looser inequalities so that they are
+        # solved and not reused, adopt the W = I factorization of the first
         for _ in range(2):
             assert solution_bytes(solve_convex(moved)) == solution_bytes(solve_convex(fresh))
+            b_in = moved.b_in + rng.uniform(0.0, 0.05, size=moved.b_in.size)
+            moved, fresh = (dataclasses.replace(q, b_in=b_in) for q in (moved, fresh))
 
 
 class TestFactorPlan:
     @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
     def test_cold_solve_adopting_the_identity_factorization(self, rng, n, p, m, n_balls):
         # the first cold solve of a structure makes the W = I factorization
-        # and counts it; a later one adopts it, runs one factorization
-        # fewer and returns the same bytes
+        # and counts it; a later one, of other right-hand sides so that it
+        # is solved and not reused, adopts it, runs one factorization fewer
+        # and returns the bytes of a solve on a fresh structure
         prog, _ = random_known_socp(rng, n, p, m, n_balls)
         first = solve_convex(prog)
         assert_optimal(first)
         assert prog.structure.solver.eye is not None
         assert first.stats.factorizations == first.iterations + 1
-        again = solve_convex(prog)
+        nxt = perturbed(prog, rng)
+        again = solve_convex(nxt)
         assert again.stats.factorizations == again.iterations
-        assert solution_bytes(again, adopted=True) == solution_bytes(first)
+        fresh = solve_convex(dataclasses.replace(nxt, structure=None))
+        assert fresh.stats.factorizations == fresh.iterations + 1
+        assert solution_bytes(again, adopted=True) == solution_bytes(fresh)
 
     @pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
     def test_regularization_bump_leaves_the_shared_factorization(
@@ -873,6 +881,93 @@ class TestFactorPlan:
         assert checked == 16 * 9
 
 
+def certificate_bytes(sol):
+    """Arrays and certificate of a convex solve as bytes, its stats left out."""
+    arrays = [None if a is None else a.tobytes() for a in (sol.x, sol.y, sol.z, sol.s)]
+    return arrays + [
+        repr((sol.status, sol.objective, sol.kkt_residuals, sol.iterations, sol.dual_objective))
+    ]
+
+
+class TestColdSolveReuse:
+    # the second size is above the dense limit: the sparse path
+    SIZES = pytest.mark.parametrize("n,p,m,n_balls", [(8, 2, 6, 2), (80, 20, 150, 10)])
+
+    @SIZES
+    @pytest.mark.parametrize("max_iter", [100, 3])
+    def test_repeat_returns_the_bytes_of_a_fresh_solve(self, rng, n, p, m, n_balls, max_iter):
+        # a repeated cold solve, optimal or not, is not run again: it returns
+        # the bytes a solve on a fresh structure gives, and reports no work
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        first = solve_convex(prog, max_iter=max_iter)
+        assert first.status == ("optimal" if max_iter == 100 else "tolerance_not_met")
+        assert prog.structure.solver.dense == (n + p + m + 3 * n_balls <= _DENSE_LIMIT)
+        t0 = time.perf_counter()
+        again = solve_convex(prog, max_iter=max_iter)
+        elapsed = time.perf_counter() - t0
+        assert again.stats == SolveStats(reused=1)
+        # its own call's time, not the earlier solve's
+        assert 0.0 < again.solve_time <= elapsed
+        fresh = solve_convex(dataclasses.replace(prog, structure=None), max_iter=max_iter)
+        assert fresh.stats.reused == 0 and fresh.stats.iterations > 0
+        assert certificate_bytes(again) == certificate_bytes(fresh) == certificate_bytes(first)
+
+    @SIZES
+    def test_other_data_limits_or_a_warm_start_miss(self, rng, monkeypatch, n, p, m, n_balls):
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        # finite bounds, so that lb and ub are rows of h
+        prog = dataclasses.replace(prog, lb=np.full(n, -10.0), ub=np.full(n, 10.0))
+        first = solve_convex(prog)
+        assert_optimal(first)
+        plan = prog.structure.solver
+
+        def moved(name, by):
+            value = getattr(prog, name).copy()
+            value[0] += by
+            return dataclasses.replace(prog, **{name: value})
+
+        changes = [
+            lambda: solve_convex(moved("c", 1e-3)),
+            lambda: solve_convex(moved("b_eq", 1e-3)),
+            lambda: solve_convex(moved("b_in", 1e-3)),
+            lambda: solve_convex(moved("lb", -1.0)),
+            lambda: solve_convex(moved("ub", 1.0)),
+            lambda: solve_convex(prog, tol=1e-9),
+            lambda: solve_convex(prog, max_iter=99),
+        ]
+        for change in changes:
+            solve_convex(prog)  # the plan's last solve is prog's again
+            sol = change()
+            assert prog.structure.solver is plan
+            assert sol.stats.reused == 0 and sol.stats.iterations == sol.iterations > 0
+        # a fitting warm start solves warm and leaves the kept solve; so does
+        # the cold solve after a dropped warm attempt
+        solve_convex(prog)
+        kept = plan.last
+        warm = solve_convex(prog, warm_start=first)
+        assert (warm.stats.reused, warm.stats.warm_restarts) == (0, 0)
+        assert 0 < warm.stats.iterations < first.iterations
+        monkeypatch.setattr(ipm, "_WARM_MAX_ITER", 1)
+        restarted = solve_convex(prog, warm_start=first)
+        assert (restarted.stats.reused, restarted.stats.warm_restarts) == (0, 1)
+        assert plan.last is kept
+        again = solve_convex(prog)
+        assert again.stats == SolveStats(reused=1)
+        assert restarted.x.tobytes() == again.x.tobytes() != warm.x.tobytes()
+
+    @SIZES
+    def test_writes_into_a_result_leave_the_kept_solve(self, rng, n, p, m, n_balls):
+        prog, _ = random_known_socp(rng, n, p, m, n_balls)
+        first = solve_convex(prog)
+        expected = certificate_bytes(first)
+        for sol in (first, solve_convex(prog)):
+            for name in ("x", "y", "z", "s"):
+                getattr(sol, name)[:] = np.nan
+        again = solve_convex(prog)
+        assert again.stats == SolveStats(reused=1)
+        assert certificate_bytes(again) == expected
+
+
 def perturbed(prog, rng):
     """prog with its b_eq moved by N(0, 0.01) and its b_in loosened by up to 0.05."""
     return dataclasses.replace(
@@ -918,7 +1013,7 @@ class TestWarmStart:
     def test_mismatched_sizes_start_cold(self, rng):
         small = solve_convex(random_lp(rng, n=5))
         prog = random_lp(rng)
-        solve_convex(prog)  # makes the W = I factorization both solves below adopt
+        solve_convex(prog)  # the plan's last cold solve, which both solves below reuse
         cold = solve_convex(prog)
         warm = solve_convex(prog, warm_start=small)
         assert warm.x.tobytes() == cold.x.tobytes()
@@ -1096,6 +1191,8 @@ def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):
     with pytest.raises(NumericalBreakdown, match="at iteration 0: injected") as info:
         solve_convex(prog)
     assert info.value.iteration == 0
+    # a breakdown is not kept: the plan has no last cold solve to reuse
+    assert prog.structure.solver.last is None
 
 
 def test_initial_point_factor_failure_raises_breakdown():

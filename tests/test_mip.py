@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -90,7 +91,11 @@ class TestStrategyEquivalence:
 
     def test_determinism(self, rng):
         mbp = random_mbp(rng, n_bin=5)
-        sols = [solve_mixed_binary(mbp, strategy="branch_and_bound") for _ in range(2)]
+        # the second run on a structure of its own, so that it solves every
+        # node again rather than reuse the first run's cold solves
+        base = dataclasses.replace(mbp.base, structure=None)
+        fresh = MixedBinaryProgram(base, mbp.binary_indices)
+        sols = [solve_mixed_binary(p, strategy="branch_and_bound") for p in (mbp, fresh)]
         assert sols[0].binary_values == sols[1].binary_values
         np.testing.assert_array_equal(sols[0].x, sols[1].x)
 
@@ -279,6 +284,19 @@ class TestWarmStarts:
         assert len(seen) == sol.node_count > 1
         assert sol.stats == sum(seen, SolveStats())
 
+    def test_repeat_call_counts_its_reused_root(self, rng):
+        # branch & bound solves its root cold, alone on its reduction's plan:
+        # a second call on the program reuses it, returns the same bytes and
+        # counts the reuse in its stats
+        mbp = random_mbp(rng)
+        first = solve_mixed_binary(mbp, strategy="branch_and_bound")
+        again = solve_mixed_binary(mbp, strategy="branch_and_bound")
+        assert first.status == again.status == "optimal"
+        assert (first.stats.reused, again.node_count) == (0, first.node_count)
+        assert again.stats.reused >= 1
+        assert again.stats.iterations < first.stats.iterations
+        assert again.x.tobytes() == first.x.tobytes()
+
 
 def spy_enumeration(monkeypatch, stall=()):
     """Record every convex solve of solve_mixed_binary as (fixed binaries,
@@ -384,7 +402,8 @@ class TestGrayCodeEnumeration:
             reduced, keep, offset = mbp.base.fix_variables(
                 dict(zip(mbp.binary_indices, sol.binary_values))
             )
-            cold = solve_convex(reduced, tol=1e-9)
+            # on a structure of its own: solved, not reused from the call's last solve
+            cold = solve_convex(dataclasses.replace(reduced, structure=None), tol=1e-9)
             assert sol.x[keep].tobytes() == cold.x.tobytes()
             assert sol.objective == cold.objective + offset
             assert sol.stats == sum((node.stats for _, _, node, _ in calls), SolveStats())
@@ -405,7 +424,10 @@ class TestEdgeCases:
             direct = solve_convex(prog)
             assert direct.status == status
             for strategy in ("auto", "enumerate", "branch_and_bound"):
-                sol = solve_mixed_binary(MixedBinaryProgram(prog, ()), strategy=strategy)
+                # a structure of its own, so that its one node is solved,
+                # not reused from the last strategy's
+                fresh = dataclasses.replace(prog, structure=None)
+                sol = solve_mixed_binary(MixedBinaryProgram(fresh, ()), strategy=strategy)
                 assert sol.status == status
                 np.testing.assert_equal(sol.objective, direct.objective)
                 assert (sol.node_count, sol.stats.iterations) == (1, direct.stats.iterations)

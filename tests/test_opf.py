@@ -7,6 +7,7 @@ import pytest
 
 from ddopf import opf
 from ddopf.behavior import DataDrivenLineModel, cos_indices, lift_grid, sin_indices
+from ddopf.conic import SolveStats
 from ddopf.errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from ddopf.excitation import generate_excitation
 from ddopf.grid import Grid, LineParams
@@ -489,3 +490,22 @@ class TestProgramCache:
         assert after.status == "optimal"
         assert raw_bytes(after.raw) == raw_bytes(fresh_solve(rebuilt, "reference", app, obj))
         assert np.max(np.abs(after.p_g - before.p_g)) > 1e-4
+
+
+def test_dd_convex_after_dd_reuses_its_solve():
+    # dd and dd-convex pose one program: run in VARIANTS order, dd-convex
+    # gets dd's certificate back without a solve, the bytes of a fresh one
+    grid = five_bus()
+    app, obj = demand_instance(grid, {5: 0.4})
+    sols = {v: solve_opf(grid, v, model_for(v), app, obj) for v in opf.VARIANTS}
+    for variant, sol in sols.items():
+        assert sol.status == "optimal"
+        assert (sol.raw.stats == SolveStats(reused=1)) == (variant == "dd-convex")
+    reused = sols["dd-convex"]
+    # every byte of the solve, its stats aside
+    assert raw_bytes(reused.raw)[:-1] == raw_bytes(fresh_solve(grid, "dd-convex", app, obj))[:-1]
+    # a cold call over a grid of its own builds and solves the program
+    cold = solve_opf(five_bus(), "dd-convex", EDGE_MODEL, app, obj)
+    assert cold.raw.stats.reused == 0
+    for name in ("p_e", "p_g", "phi", "theta"):
+        assert getattr(reused, name).tobytes() == getattr(cold, name).tobytes()
