@@ -6,7 +6,7 @@ lifted line power flow from trajectory data, poses reference / data-driven
 loop with a microgrid MPC driven by an embedded mixed-binary conic solver.
 """
 
-from . import behavior, cli, conic, excitation, grid, ipm, microgrid, mip, opf, physics
+from . import behavior, cli, conic, excitation, files, grid, ipm, microgrid, mip, opf, physics
 from .errors import DdopfError
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "cli",
     "conic",
     "excitation",
+    "files",
     "grid",
     "ipm",
     "microgrid",

@@ -7,7 +7,6 @@ or I/O error, 5 dimension mismatch, 1 other failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 from .behavior import DataDrivenLineModel, is_persistently_exciting
 from .errors import DdopfError, DimensionMismatch, NumericalBreakdown, SchemaError
 from .excitation import export_trajectory, generate_excitation, import_trajectory
+from .files import write_csv
 from .grid import load_grid, validate_radial
 from .microgrid import (
     WORK_COLUMNS,
@@ -108,26 +108,21 @@ def cmd_solve_opf(args) -> int:
         print(f"solver did not reach optimality: {sol.status}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "label", "value"])
-        writer.writerow(["objective", "", f"{sol.objective:.17g}"])
-        writer.writerow(["solver_objective", "", f"{sol.solver_objective:.17g}"])
-        writer.writerow(["tightness_max", "", f"{sol.tightness.max_residual:.17g}"])
-        for (i, j), v_fwd, v_rev in zip(sol.layout.edges, sol.p_e[0::2], sol.p_e[1::2]):
-            writer.writerow(["p_e", f"{i}->{j}", f"{v_fwd:.17g}"])
-            writer.writerow(["p_e", f"{j}->{i}", f"{v_rev:.17g}"])
-        for node, v in zip(sol.layout.nodes, sol.p_g):
-            writer.writerow(["p_g", str(node), f"{v:.17g}"])
-        for pair, v in zip(sol.layout.pairs, sol.theta):
-            writer.writerow(["theta", f"{pair[0]}-{pair[1]}", f"{v:.17g}"])
-        for k, v in enumerate(sol.phi):
-            writer.writerow(["phi", str(k), f"{v:.17g}"])
-        if sol.alpha is not None:
-            for k, v in enumerate(sol.alpha):
-                writer.writerow(["alpha", str(k), f"{v:.17g}"])
-        for pair, r in zip(sol.layout.pairs, sol.tightness.residuals):
-            writer.writerow(["tightness", f"{pair[0]}-{pair[1]}", f"{r:.17g}"])
+    rows = [
+        ["objective", "", sol.objective],
+        ["solver_objective", "", sol.solver_objective],
+        ["tightness_max", "", sol.tightness.max_residual],
+    ]
+    for (i, j), v_fwd, v_rev in zip(sol.layout.edges, sol.p_e[0::2], sol.p_e[1::2]):
+        rows += [["p_e", f"{i}->{j}", v_fwd], ["p_e", f"{j}->{i}", v_rev]]
+    rows += [["p_g", str(node), v] for node, v in zip(sol.layout.nodes, sol.p_g)]
+    pairs = [f"{i}-{j}" for i, j in sol.layout.pairs]
+    rows += [["theta", pair, v] for pair, v in zip(pairs, sol.theta)]
+    rows += [["phi", str(k), v] for k, v in enumerate(sol.phi)]
+    if sol.alpha is not None:
+        rows += [["alpha", str(k), v] for k, v in enumerate(sol.alpha)]
+    rows += [["tightness", pair, r] for pair, r in zip(pairs, sol.tightness.residuals)]
+    write_csv(args.out, ["quantity", "label", "value"], rows)
     print(f"status {sol.status}; max tightness residual {sol.tightness.max_residual:.3e}")
     print(f"wrote solution to {args.out}")
     return EXIT_OK
@@ -164,11 +159,8 @@ def cmd_run_mpc(args) -> int:
     save_results(result, out_dir / "results.csv")
     save_solve_times(result, out_dir / "solve_times.csv")
     l_op, l_loss = compute_kpis(result)
-    with open(out_dir / "kpis.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kpi", "value"])
-        writer.writerow(["mean_unit_running_cost", f"{l_op:.17g}"])
-        writer.writerow(["mean_transmission_loss_cost", f"{l_loss:.17g}"])
+    kpis = [["mean_unit_running_cost", l_op], ["mean_transmission_loss_cost", l_loss]]
+    write_csv(out_dir / "kpis.csv", ["kpi", "value"], kpis)
     audit = audit_closed_loop(result, profiles)
     times = result.column("solve_time")
     print(f"completed {result.steps} steps ({args.variant})")
@@ -266,22 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # exception types and their exit code; the first row that matches wins
+    codes = (
+        ((SchemaError, OSError), EXIT_SCHEMA),
+        (DimensionMismatch, EXIT_DIMENSION),
+        (NumericalBreakdown, EXIT_NUMERICAL),
+        (DdopfError, EXIT_FAIL),
+    )
     try:
         return args.func(args)
-    except (SchemaError, OSError) as exc:
+    except (DdopfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except NumericalBreakdown as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DdopfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for types, code in codes if isinstance(exc, types))
 
 
 if __name__ == "__main__":

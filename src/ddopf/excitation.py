@@ -14,13 +14,13 @@ all node pairs otherwise); pe columns come in from/to pairs per grid edge.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 
 from .behavior import Trajectory, is_persistently_exciting, lift_pairs, pair_differences
 from .errors import ExcitationFailed, SchemaError
+from .files import numbers, read_csv, write_csv
 from .grid import Grid, all_node_pairs
 from .physics import grid_line_powers, injection_matrix
 
@@ -95,14 +95,8 @@ def export_trajectory(traj: Trajectory, path) -> None:
     for i, j in traj.edges:
         header += [f"pe_{i}_{j}", f"pe_{j}_{i}"]
     header += [f"pg_{i}" for i in traj.node_ids]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.n_samples):
-            row = [str(k)]
-            for block in (traj.theta[k], traj.phi[k], traj.p_e[k], traj.p_g[k]):
-                row += [f"{v:.17g}" for v in block]
-            writer.writerow(row)
+    data = np.hstack([traj.theta, traj.phi, traj.p_e, traj.p_g]).tolist()
+    write_csv(path, header, ([k, *row] for k, row in enumerate(data)))
 
 
 def _split_header(header: list[str]):
@@ -110,15 +104,19 @@ def _split_header(header: list[str]):
         raise SchemaError("first column must be 'k'", column="k")
     theta_pairs, n_phi, pe_cols, pg_nodes = [], 0, [], []
     for name in header[1:]:
-        parts = name.split("_")
-        if parts[0] == "theta" and len(parts) == 3:
-            theta_pairs.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "phi" and len(parts) == 2:
+        kind, *ids = name.split("_")
+        try:
+            ids = [int(i) for i in ids]
+        except ValueError:
+            raise SchemaError("unrecognized column name", column=name) from None
+        if kind == "theta" and len(ids) == 2:
+            theta_pairs.append(tuple(ids))
+        elif kind == "phi" and len(ids) == 1:
             n_phi += 1
-        elif parts[0] == "pe" and len(parts) == 3:
-            pe_cols.append((int(parts[1]), int(parts[2])))
-        elif parts[0] == "pg" and len(parts) == 2:
-            pg_nodes.append(int(parts[1]))
+        elif kind == "pe" and len(ids) == 2:
+            pe_cols.append(tuple(ids))
+        elif kind == "pg" and len(ids) == 1:
+            pg_nodes.append(ids[0])
         else:
             raise SchemaError("unrecognized column name", column=name)
     for block, cols in (("theta", theta_pairs), ("phi", n_phi), ("pe", pe_cols), ("pg", pg_nodes)):
@@ -141,44 +139,12 @@ def _split_header(header: list[str]):
 
 def import_trajectory(path) -> Trajectory:
     """Read a trajectory CSV written by :func:`export_trajectory`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty trajectory file") from None
-        theta_pairs, n_phi, edges, pg_nodes = _split_header(header)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"row {line_no} has {len(row)} fields, expected {len(header)}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise SchemaError(f"row {line_no}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise SchemaError(f"row {line_no}: values must be finite")
-            rows.append(values)
-    if not rows:
-        raise SchemaError("trajectory file has no samples")
-    data = np.asarray(rows)
-    n_theta = len(theta_pairs)
-    ofs = 0
-    theta = data[:, ofs : ofs + n_theta]
-    ofs += n_theta
-    phi = data[:, ofs : ofs + n_phi]
-    ofs += n_phi
-    p_e = data[:, ofs : ofs + 2 * len(edges)]
-    ofs += 2 * len(edges)
-    p_g = data[:, ofs:]
-    return Trajectory(
-        theta=theta,
-        phi=phi,
-        p_e=p_e,
-        p_g=p_g,
-        theta_pairs=tuple(theta_pairs),
-        edges=tuple(edges),
-        node_ids=tuple(pg_nodes),
-    )
+    header, rows = read_csv(path, "trajectory")
+    theta_pairs, n_phi, edges, pg_nodes = _split_header(header)
+    data = numbers(rows, len(header), "trajectory")[:, 1:]
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise SchemaError(f"trajectory row {rows[np.argmin(finite)][0]}: values must be finite")
+    widths = np.cumsum([len(theta_pairs), n_phi, 2 * len(edges)])
+    theta, phi, p_e, p_g = np.split(data, widths, axis=1)
+    return Trajectory(theta, phi, p_e, p_g, theta_pairs, edges, pg_nodes)

@@ -21,6 +21,7 @@ from .errors import (
     SchemaError,
     UnknownNode,
 )
+from .files import read_mapping, write_mapping
 
 Edge = tuple[int, int]
 
@@ -229,14 +230,7 @@ def _find_cycle(grid: Grid, closing_edge: Edge) -> list[Edge]:
 
 
 def load_grid(path) -> Grid:
-    # imported here: only the four YAML load and save functions need
-    # PyYAML, so `import ddopf` does without it
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError("grid config must be a mapping")
+    raw = read_mapping(path, "grid config")
     if "nodes" not in raw:
         raise SchemaError("grid config missing required key", column="nodes")
     if "lines" not in raw:
@@ -291,7 +285,4 @@ def save_grid(grid: Grid, path) -> None:
             for p in [grid.lines[e]]
         ],
     }
-    import yaml
-
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    write_mapping(path, doc)

@@ -20,7 +20,6 @@ level.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -36,6 +35,7 @@ from .errors import (
     SchemaError,
     StateBoundViolation,
 )
+from .files import numbers, read_csv, read_mapping, write_csv, write_mapping
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
 from .opf import OpfLayout, _recover_theta, pf_template, project_onto_circles, tightness_report
@@ -206,14 +206,7 @@ def default_grid() -> Grid:
 
 
 def load_config(path) -> MicrogridConfig:
-    # imported here: only the four YAML load and save functions need
-    # PyYAML, so `import ddopf` does without it
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise SchemaError("microgrid config must be a mapping")
+    raw = read_mapping(path, "microgrid config")
     missing = [k for k in _CONFIG_KEYS if k not in raw]
     if missing:
         raise SchemaError(f"microgrid config missing required key(s)", column=", ".join(missing))
@@ -232,10 +225,7 @@ def save_config(config: MicrogridConfig, path) -> None:
         elif isinstance(value, tuple):
             value = list(value)
         doc[key] = value
-    import yaml
-
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    write_mapping(path, doc)
 
 
 # --- profiles ------------------------------------------------------------------
@@ -316,39 +306,26 @@ def generate_profiles(
 
 
 def save_profiles(profiles: Profiles, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "wd_1", "wr_1", "wr_2"])
-        for k in range(profiles.length):
-            row = [str(k), f"{profiles.w_d[k]:.17g}"]
-            row += [f"{v:.17g}" for v in profiles.w_r[k]]
-            writer.writerow(row)
+    data = np.column_stack([profiles.w_d, profiles.w_r]).tolist()
+    write_csv(path, ["k", "wd_1", "wr_1", "wr_2"], ([k, *row] for k, row in enumerate(data)))
 
 
 def load_profiles(path) -> Profiles:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty profiles file") from None
-        if header[:2] != ["k", "wd_1"]:
-            raise SchemaError(
-                "profiles header must be k, wd_1, wr_*...", column=header[0] if header else None
-            )
-        renewables = [f"wr_{i + 1}" for i in range(N_RES)]
-        if header[2:] != renewables:
-            raise SchemaError(
-                f"profiles need the renewable columns {', '.join(renewables)}, "
-                f"found {', '.join(header[2:]) or 'none'}"
-            )
-        rows = [row[1:] for row in reader if row]
-    if not rows:
-        raise SchemaError("profiles file has no rows")
+    header, rows = read_csv(path, "profiles")
+    if header[:2] != ["k", "wd_1"]:
+        raise SchemaError(
+            "profiles header must be k, wd_1, wr_*...", column=header[0] if header else None
+        )
+    renewables = [f"wr_{i + 1}" for i in range(N_RES)]
+    if header[2:] != renewables:
+        raise SchemaError(
+            f"profiles need the renewable columns {', '.join(renewables)}, "
+            f"found {', '.join(header[2:]) or 'none'}"
+        )
+    data = numbers(rows, len(header), "profiles")
     try:
-        data = np.asarray([list(map(float, row)) for row in rows])
-        return Profiles(w_r=data[:, 1:], w_d=data[:, 0])
-    except (IndexError, ValueError) as exc:
+        return Profiles(w_r=data[:, 2:], w_d=data[:, 1])
+    except ValueError as exc:
         raise SchemaError(f"invalid profiles: {exc}") from exc
 
 
@@ -808,46 +785,25 @@ def results_header(grid: Grid) -> list[str]:
 
 
 def save_results(result: ClosedLoopResult, path) -> None:
-    cfg = result.config
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(results_header(result.grid))
-        for k, rec in enumerate(result.records):
-            row = [k, f"{k * cfg.ts_hours:.17g}"]
-            row += [f"{val:.17g}" for val in rec.p_t]
-            row += [f"{val:.17g}" for val in rec.p_s]
-            row += [f"{val:.17g}" for val in rec.p_r]
-            row.append(f"{rec.p_d:.17g}")
-            row += [f"{val:.17g}" for val in rec.x]
-            row += [f"{val:.17g}" for val in rec.p_e]
-            row += [
-                f"{rec.cost_sw:.17g}", f"{rec.cost_p:.17g}", f"{rec.cost_x:.17g}",
-                f"{rec.cost_loss:.17g}", f"{rec.solve_time:.17g}",
-                rec.nodes, rec.ipm_iterations, rec.warm_restarts,
-            ]
-            writer.writerow(row)
+    rows = (
+        [
+            k, k * result.config.ts_hours, *rec.p_t.tolist(), *rec.p_s.tolist(),
+            *rec.p_r.tolist(), rec.p_d, *rec.x.tolist(), *rec.p_e.tolist(), rec.cost_sw,
+            rec.cost_p, rec.cost_x, rec.cost_loss, rec.solve_time, rec.nodes,
+            rec.ipm_iterations, rec.warm_restarts,
+        ]
+        for k, rec in enumerate(result.records)
+    )
+    write_csv(path, results_header(result.grid), rows)
 
 
 def save_solve_times(result: ClosedLoopResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "solve_time_s"])
-        for k, rec in enumerate(result.records):
-            writer.writerow([k, f"{rec.solve_time:.17g}"])
+    rows = ([k, rec.solve_time] for k, rec in enumerate(result.records))
+    write_csv(path, ["k", "solve_time_s"], rows)
 
 
 def read_results_csv(path) -> dict[str, np.ndarray]:
     """Results file as named columns, for run-to-run comparisons."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty results file") from None
-        rows = [list(map(float, row)) for row in reader if row]
-    if not rows:
-        raise SchemaError("results file has no rows")
-    data = np.asarray(rows)
-    if data.shape[1] != len(header):
-        raise SchemaError("results file is ragged")
+    header, rows = read_csv(path, "results")
+    data = numbers(rows, len(header), "results")
     return {name: data[:, i] for i, name in enumerate(header)}

@@ -348,7 +348,7 @@ class TestMalformedFiles:
             ("profile-demand", "profiles must be nonnegative"),
             ("grid", "series admittance must be nonzero"),
             ("config-type", "invalid microgrid config: '<' not supported"),
-            ("profile-no-values", "invalid profiles: index 0 is out of bounds"),
+            ("profile-no-values", "profiles row 2 has 1 fields, expected 4"),
             ("profile-blank-header", "profiles header must be k, wd_1, wr_*..."),
             ("grid-line-type", "invalid grid config: argument of type 'int' is not iterable"),
             ("grid-voltages-type", "grid config key 'voltages' must be a mapping"),
@@ -433,6 +433,62 @@ class TestMalformedFiles:
             argv = ["run-mpc", "--config", config_file, "--grid", grid_file,
                     "--profiles", profiles, "--variant", "reference", "--steps", 1,
                     "--out-dir", tmp_path / "run"]
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+class TestUnreadableFiles:
+    RESULTS = "k,time_h,conv1_power\n0,0,0.25\n1,0.5,0.5\n"
+    CASES = {
+        "results-cell": "results row 3: could not convert string to float: 'abc'",
+        "results-short-row": "results row 3 has 2 fields, expected 3",
+        "results-latin-1": "results file is not UTF-8",
+        "grid-syntax": "grid config is not valid YAML",
+        "config-syntax": "microgrid config is not valid YAML",
+        "profiles-latin-1": "profiles file is not UTF-8",
+        "trajectory-latin-1": "trajectory file is not UTF-8",
+        "trajectory-node-id": "unrecognized column name (column: theta_a_2)",
+    }
+
+    @pytest.mark.parametrize("kind, message", CASES.items(), ids=list(CASES))
+    def test_schema_error_exit_code(self, kind, message, grid_file, config_file, tmp_path, capsys):
+        # files that do not parse as UTF-8, YAML or numeric CSV exit with the
+        # schema code and a message naming the file, not a traceback
+        latin_1 = "# café\n".encode("latin-1")
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        bad.mkdir()
+        (good / "results.csv").write_text(self.RESULTS)
+        argv = ["compare", "--runs", good, bad]
+        if kind == "results-cell":
+            (bad / "results.csv").write_text(self.RESULTS.replace("0.5,0.5", "0.5,abc"))
+        elif kind == "results-short-row":
+            (bad / "results.csv").write_text(self.RESULTS.replace("0.5,0.5", "0.5"))
+        elif kind == "results-latin-1":
+            (bad / "results.csv").write_bytes(self.RESULTS.encode() + latin_1)
+        elif kind == "grid-syntax":
+            grid_file.write_text(grid_file.read_text() + "lines: [\n")
+            argv = ["solve-opf", "--grid", grid_file, "--variant", "reference",
+                    "--out", tmp_path / "x.csv"]
+        elif kind in ("config-syntax", "profiles-latin-1"):
+            profiles = "seed:1"
+            if kind == "config-syntax":
+                config_file.write_text(config_file.read_text() + "gamma: [0.5\n")
+            else:
+                profiles = tmp_path / "profiles.csv"
+                profiles.write_bytes(b"k,wd_1,wr_1,wr_2\n0,0.3,0.1,0.1\n" + latin_1)
+            argv = ["run-mpc", "--config", config_file, "--grid", grid_file,
+                    "--profiles", profiles, "--variant", "reference", "--steps", 1,
+                    "--out-dir", tmp_path / "run"]
+        else:
+            traj = make_data(grid_file, tmp_path)
+            if kind == "trajectory-latin-1":
+                traj.write_bytes(traj.read_bytes() + latin_1)
+            else:
+                traj.write_text(traj.read_text().replace("theta_1_2", "theta_a_2", 1))
+            argv = ["solve-opf", "--grid", grid_file, "--data", traj, "--variant", "dd-convex",
+                    "--out", tmp_path / "x.csv"]
         assert run(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

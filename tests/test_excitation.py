@@ -90,6 +90,15 @@ class TestCsvRoundTrip:
             import_trajectory(path)
         assert exc.value.column == "pg"
 
+    def test_non_integer_node_id(self, five_bus_grid, tmp_path):
+        traj = generate_excitation(five_bus_grid, 9, seed=11)
+        path = tmp_path / "traj.csv"
+        export_trajectory(traj, path)
+        path.write_text(path.read_text().replace("theta_1_2", "theta_a_2", 1))
+        with pytest.raises(SchemaError, match="unrecognized column name") as exc:
+            import_trajectory(path)
+        assert exc.value.column == "theta_a_2"
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
