@@ -6,7 +6,8 @@ lifted line power flow from trajectory data, poses reference / data-driven
 loop with a microgrid MPC driven by an embedded mixed-binary conic solver.
 """
 
-from . import behavior, cli, conic, excitation, files, grid, ipm, microgrid, mip, opf, physics
+# cli is in __all__ but not imported here, so `python -m ddopf.cli` runs it once
+from . import behavior, conic, excitation, files, grid, ipm, microgrid, mip, opf, physics
 from .errors import DdopfError
 
 __all__ = [

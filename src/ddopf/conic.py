@@ -45,7 +45,7 @@ class Structure:
     solver its plan (ipm writes `solver`). Its matrices are immutable:
     nothing may write into or reassign the A_eq, A_in or balls of a
     program. It lives as long as its programs, so its memory goes with
-    their owner (an MPC template, a model or a grid).
+    their owner (for a kept program, its model or grid; see opf.kept).
     """
 
     __slots__ = ("A_eq", "A_in", "balls", "ball_members", "reductions", "solver")

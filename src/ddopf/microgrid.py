@@ -1,14 +1,14 @@
 """Microgrid energy management: constraints, costs, MPC variants, closed loop.
 
 The plant has two committable generators, two storage units with integrator
-dynamics, two curtailable renewable units and one fixed load. Each
-closed-loop run builds one mixed-binary conic program over the horizon
-(MpcTemplate): unit constraints and pre-linearized stage costs around a
-per-step power-flow block shared with the single-step OPF builders. Each MPC
-step then writes only the measured state and the forecasts, into copies of
-the three vectors that carry them. The closed loop applies the first move,
-steps the stored energy, and records everything needed to replay the hard
-constraints independently.
+dynamics, two curtailable renewable units and one fixed load. One
+mixed-binary conic program over the horizon (MpcTemplate) is kept per config,
+grid, variant family and model: unit constraints and pre-linearized stage
+costs around a per-step power-flow block shared with the single-step OPF
+builders. Each MPC step then writes only the measured state and the
+forecasts, into copies of the three vectors that carry them. The closed loop
+applies the first move, steps the stored energy, and records everything
+needed to replay the hard constraints independently.
 
 Sign conventions: unit powers enter nodal injections positively and the
 load is a fixed negative injection -w_d. Storage follows x(k+1) = A_s x(k)
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
-from .behavior import DataDrivenLineModel
+from .behavior import DataDrivenLineModel, _read_only
 from .conic import ConicProgram, MixedBinaryProgram
 from .errors import (
     DdopfError,
@@ -38,11 +39,15 @@ from .errors import (
 from .files import numbers, read_csv, read_mapping, write_csv, write_mapping
 from .grid import Grid, LineParams
 from .mip import solve_mixed_binary
-from .opf import OpfLayout, _recover_theta, pf_template, project_onto_circles, tightness_report
+from .opf import OpfLayout, _recover_theta, kept, pf_template, project_onto_circles, tightness_report
 
 # the config fields that may be infinite, meaning no limit; the generator
 # limits pt_min and pt_max scale the commitment binaries, so they stay finite
 _LIMITS = ("ps_min", "ps_max", "pe_min", "pe_max", "x_min", "x_max")
+# the config's array fields by shape; pe_min and pe_max hold one value or one per flow direction
+_SHAPES = dict.fromkeys(("c0", "c1", "c2", "c3", "c4", "c5", "pt_min", "pt_max", "ps_min", "ps_max",
+                         "x_min", "x_max", "x_soft_min", "x_soft_max", "x0", "delta_init"), (2,))
+_SHAPES |= {"pe_min": (-1,), "pe_max": (-1,), "a_s": (2, 2), "b_s": (2, 2)}
 
 N_GEN = 2
 N_STO = 2
@@ -52,9 +57,14 @@ UNIT_BLOCKS = ("p_t", "p_s", "p_r", "delta", "sigma", "ps_pos", "ps_neg", "u_sof
 _SOLVER_TOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MicrogridConfig:
-    """Full parameterization of the microgrid model and its MPC."""
+    """Full parameterization of the microgrid model and its MPC.
+
+    A config is a value: its fields are fixed and its arrays read-only
+    copies, so a template kept for it (build_mpc_step) cannot go stale. A
+    config with other values is a new one (dataclasses.replace), validated.
+    """
 
     c0: np.ndarray
     c1: np.ndarray
@@ -87,17 +97,12 @@ class MicrogridConfig:
     load_node: int
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3", "c4", "c5", "pt_min", "pt_max", "ps_min",
-                     "ps_max", "x_min", "x_max", "x_soft_min", "x_soft_max", "x0", "delta_init"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(2))
-        self.pe_min = np.asarray(self.pe_min, dtype=float).ravel()
-        self.pe_max = np.asarray(self.pe_max, dtype=float).ravel()
-        self.a_s = np.asarray(self.a_s, dtype=float).reshape(2, 2)
-        self.b_s = np.asarray(self.b_s, dtype=float).reshape(2, 2)
-        self.generator_nodes = tuple(int(n) for n in self.generator_nodes)
-        self.storage_nodes = tuple(int(n) for n in self.storage_nodes)
-        self.res_nodes = tuple(int(n) for n in self.res_nodes)
-        self.load_node = int(self.load_node)
+        for name, shape in _SHAPES.items():
+            value = np.array(getattr(self, name), dtype=float).reshape(shape)
+            object.__setattr__(self, name, _read_only(value))
+        for name in ("generator_nodes", "storage_nodes", "res_nodes"):
+            object.__setattr__(self, name, tuple(int(n) for n in getattr(self, name)))
+        object.__setattr__(self, "load_node", int(self.load_node))
         self.validate()
 
     def validate(self) -> None:
@@ -367,7 +372,8 @@ def initial_state(config: MicrogridConfig) -> PlantState:
 
 
 class MpcTemplate:
-    """The receding-horizon program of one closed-loop run, built once.
+    """The receding-horizon program of one (config, grid, variant family,
+    model), built once and kept by build_mpc_step.
 
     Unit constraints, pre-linearized stage costs and the variant's power-flow
     block repeated over the horizon. States x(k+1|k)..x(k+H|k) carry the hard
@@ -381,8 +387,9 @@ class MpcTemplate:
     measured state and the forecasts change between steps, so program()
     copies b_eq, b_in and ub and writes them; every step shares c, A_eq,
     A_in, lb, the balls and the binaries, which no solver layer writes into,
-    and so the base's conic.Structure: the solver's plan and the
-    fix_variables reductions of the run's nodes are built once per run.
+    and so the base's conic.Structure: the solver's plans and the
+    fix_variables reductions of the nodes are built once per template, for
+    every run and every variant of the family.
     """
 
     def __init__(
@@ -516,13 +523,11 @@ def build_mpc_step(
     state: PlantState,
     window: Profiles,
     model: DataDrivenLineModel | None = None,
-    template: MpcTemplate | None = None,
 ) -> tuple[MixedBinaryProgram, MpcLayout]:
-    """One receding-horizon program (see MpcTemplate) at `state` over `window`.
+    """One receding-horizon program at `state` over `window`.
 
-    A closed-loop run passes its MpcTemplate, built once for (config, grid,
-    variant, model), so a step only writes the state and the forecasts;
-    without one, the step builds its own template.
+    The MpcTemplate of (config, grid, variant family, model) is kept with
+    its owner (opf.kept), so a step only writes the state and the forecasts.
     """
     H = config.horizon
     if window.length < H:
@@ -531,8 +536,8 @@ def build_mpc_step(
         raise DimensionMismatch(
             f"window has {window.w_r.shape[1]} renewable columns, the plant has {N_RES}"
         )
-    if template is None:
-        template = MpcTemplate(config, grid, variant, model)
+    key = (weakref.ref(grid), weakref.ref(config))
+    template = kept("mpc", variant, grid, model, key, lambda f: MpcTemplate(config, grid, f, model))
     return template.program(state, window)
 
 
@@ -630,12 +635,11 @@ def run_closed_loop(
     records: list[StepRecord] = []
     hint = None
     H = config.horizon
-    template = MpcTemplate(config, grid, variant, model)
     warm_starts: dict = {}
 
     for k in range(steps):
         window = profiles.window(k, H)
-        prog, layout = build_mpc_step(config, grid, variant, state, window, model, template)
+        prog, layout = build_mpc_step(config, grid, variant, state, window, model)
         t0 = time.perf_counter()
         sol = solve_mixed_binary(
             prog,

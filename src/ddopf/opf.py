@@ -445,19 +445,26 @@ def solve_opf(
     return sol
 
 
-@dataclass
-class _CachedProgram:
-    """One program of solve_opf with the structure of its inputs."""
-
-    grid: weakref.ref  # to the grid: a program kept with its grid must not keep it alive
-    app_structure: tuple  # AppConstraints.structure()
-    program: ConicProgram
-    layout: OpfLayout
-    eq_rhs: np.ndarray  # the right-hand side of the template's rows
+# the last build per (kind, variant family), by owner, for as long as the owner lives
+_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-# solve_opf's last program per variant family, by owner, for as long as the owner lives
-_opf_programs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def kept(kind: str, variant: str, grid: Grid, model: DataDrivenLineModel | None, key, build):
+    """build(family), kept with its owner and built again only when key changes.
+
+    dd and dd-convex pose one program, so dd's family is dd-convex. The owner
+    is the model (data-driven variants) or the grid (reference). Owners and
+    the inputs key refers to weakly are immutable, so a kept build cannot go
+    stale, and key compares them by identity without holding them alive.
+    """
+    family = "dd-convex" if variant == "dd" else variant
+    owner = grid if family == "reference" else model
+    entry = _kept[owner].get((kind, family)) if owner in _kept else None
+    if entry is None or entry[0] != key:
+        # a missing model is never an owner: its build raises ModelNotPE first
+        entry = (key, build(family))
+        _kept.setdefault(owner, {})[kind, family] = entry
+    return entry[1]
 
 
 def _program(
@@ -471,39 +478,29 @@ def _program(
     """The program of solve_opf, built only when its structure changes.
 
     A program's A_eq, A_in and balls depend on the grid, the variant's
-    family (dd and dd-convex pose one program), the model and the app's
-    structure alone (an absent app is an empty one). The last program of a
-    family is kept in _opf_programs with its owner, the model (data-driven
-    variants) or the grid (reference); both are immutable, so it cannot go
-    stale. A call of another structure builds and replaces it, and every
-    call, that one included, writes c, b_eq and b_in into a copy of it.
+    family, the model and the app's structure alone (an absent app is an
+    empty one), so it is kept (see kept) until the grid or that structure
+    changes. Every call writes c, b_eq and b_in into a copy of it.
     solve_convex validates the program it is given, so the copy is not
     validated here.
     """
-    family = "dd-convex" if variant == "dd" else variant
-    owner = grid if family == "reference" else model
     app = app or AppConstraints()
-    key = app.structure()
-    # a missing model is never a key (its build raises ModelNotPE)
-    entry = _opf_programs[owner].get(family) if owner in _opf_programs else None
-    if entry is None or entry.grid() is not grid or entry.app_structure != key:
+
+    def build(family):
         if family == "reference":
             prog, layout = build_reference_opf(grid, app, objective, beta)
         elif family == "dd-convex":
             prog, layout = build_dd_opf(grid, model, app, objective, beta)
         else:
             prog, layout = build_generalized_dd_opf(grid, model, app, objective, beta)
-        entry = _opf_programs.setdefault(owner, {})[family] = _CachedProgram(
-            weakref.ref(grid), key, prog, layout, prog.b_eq[: prog.b_eq.size - len(app.eq_rows)]
-        )
+        eq_rhs = prog.b_eq[: prog.b_eq.size - len(app.eq_rows)]  # of the template's rows
+        return prog, layout, eq_rhs
+
+    key = (weakref.ref(grid), app.structure())
+    base, layout, eq_rhs = kept("opf", variant, grid, model, key, build)
     app_b_eq, b_in = app.rhs()
-    prog = replace(
-        entry.program,
-        c=_objective_vector(grid, entry.layout, objective, beta),
-        b_eq=np.concatenate([entry.eq_rhs, app_b_eq]),
-        b_in=b_in,
-    )
-    return prog, entry.layout
+    c = _objective_vector(grid, layout, objective, beta)
+    return replace(base, c=c, b_eq=np.concatenate([eq_rhs, app_b_eq]), b_in=b_in), layout
 
 
 def _at_point(sol: OpfSolution, phi, p_e, p_g) -> OpfSolution:

@@ -1,4 +1,9 @@
 import argparse
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,9 +173,9 @@ class TestRunMpc:
     def test_trivial_single_step_kpis(self, grid_file, tmp_path):
         import yaml
 
-        cfg = default_config()
-        cfg.x_soft_min = np.array([0.0, 0.0])
-        cfg.delta_init = np.array([0.0, 0.0])
+        cfg = dataclasses.replace(
+            default_config(), x_soft_min=np.array([0.0, 0.0]), delta_init=np.array([0.0, 0.0])
+        )
         cfg_path = tmp_path / "cfg.yaml"
         save_config(cfg, cfg_path)
         profiles_path = tmp_path / "profiles.csv"
@@ -492,3 +497,16 @@ class TestUnreadableFiles:
         assert run(argv) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_module_entry_point_warns_nothing():
+    # the package does not import cli itself, so `-m ddopf.cli` runs it once,
+    # without runpy's RuntimeWarning; the star import still binds cli
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for args in (["-m", "ddopf.cli", "--help"], ["-c", "from ddopf import *; cli.main"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", *args], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr

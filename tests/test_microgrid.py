@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,26 @@ def zero_window(h):
 class TestConfig:
     def test_default_is_valid(self):
         CFG.validate()
+
+    def test_fields_are_read_only(self):
+        cfg = default_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon = 0
+        assert cfg.horizon == 6
+
+    def test_arrays_are_read_only_copies(self):
+        x0 = np.array([1.0, 1.0])
+        cfg = dataclasses.replace(default_config(), x0=x0)
+        x0[0] = 99.0
+        assert cfg.x0[0] == 1.0
+        arrays = [v for v in vars(cfg).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 20 and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.x0[0] = 99.0
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="x0 must respect the hard energy bounds"):
+            dataclasses.replace(CFG, x0=[99, 0.5])
 
     def test_yaml_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -173,9 +195,11 @@ class TestBuildMpcStep:
 
     def test_zero_conditions_all_off(self):
         state = PlantState(x=[1.0, 1.0], delta_prev=[0.0, 0.0])
-        cfg = default_config()
-        cfg.x_soft_min = np.array([0.0, 0.0])  # keep the soft band inactive
-        cfg.x0 = np.array([1.0, 1.0])
+        cfg = dataclasses.replace(
+            default_config(),
+            x_soft_min=np.array([0.0, 0.0]),  # keep the soft band inactive
+            x0=np.array([1.0, 1.0]),
+        )
         prog, layout = build_mpc_step(cfg, GRID, "reference", state, zero_window(6))
         sol = solve_mixed_binary(prog, strategy="branch_and_bound", tol=1e-8)
         assert sol.status == "optimal"
@@ -188,8 +212,7 @@ class TestBuildMpcStep:
 
     def test_res_preferred_over_generators(self):
         # one-step horizon, demand at the load, ample renewables
-        cfg = default_config()
-        cfg.horizon = 1
+        cfg = dataclasses.replace(default_config(), horizon=1)
         window = Profiles(w_r=np.array([[0.8, 0.8]]), w_d=np.array([0.5]))
         prog, layout = build_mpc_step(cfg, GRID, "reference", initial_state(cfg), window)
         sol = solve_mixed_binary(prog, strategy="enumerate", tol=1e-8)
@@ -226,8 +249,7 @@ class TestBuildMpcStep:
 
     def test_commitment_epigraph_cost(self):
         # forcing generator 1 on for one step must pay switch + running cost
-        cfg = default_config()
-        cfg.horizon = 1
+        cfg = dataclasses.replace(default_config(), horizon=1)
         state = PlantState(x=cfg.x0, delta_prev=[0.0, 0.0])
         window = Profiles(w_r=np.zeros((1, 2)), w_d=np.array([0.4]))
         prog, layout = build_mpc_step(cfg, GRID, "reference", state, window)
@@ -279,21 +301,42 @@ class TestBuildMpcStep:
             assert stayed_on
 
     def test_steps_from_one_template_do_not_share_data(self):
-        template = MpcTemplate(CFG, GRID, "reference")
         profiles = generate_profiles(4, 48, CFG)
         first, _ = build_mpc_step(
             CFG, GRID, "reference", PlantState(x=[1.0, 2.0], delta_prev=[1.0, 0.0]),
-            profiles.window(20, 6), None, template,
+            profiles.window(20, 6),
         )
         kept = {name: getattr(first.base, name).copy() for name in ("b_eq", "b_in", "ub")}
         second, _ = build_mpc_step(
             CFG, GRID, "reference", PlantState(x=[3.0, 0.5], delta_prev=[0.0, 1.0]),
-            profiles.window(30, 6), None, template,
+            profiles.window(30, 6),
         )
         for name, before in kept.items():
             np.testing.assert_array_equal(getattr(first.base, name), before)
             assert not np.array_equal(getattr(second.base, name), before)
         assert second.base.A_eq is first.base.A_eq  # the fixed part is shared
+
+
+class TestKeptTemplate:
+    def step(self, variant, config=CFG, grid=GRID, model=EDGE_MODEL):
+        return build_mpc_step(config, grid, variant, initial_state(config), zero_window(6), model)[0]
+
+    def test_dd_and_dd_convex_share_one_structure(self):
+        dd, convex = self.step("dd"), self.step("dd-convex")
+        assert dd.base.structure is convex.base.structure
+        assert self.step("dd-generalized", model=PAIR_MODEL).base.structure is not dd.base.structure
+
+    @pytest.mark.parametrize("other", ["config", "grid"])
+    def test_another_config_or_grid_builds_a_new_template(self, other):
+        first = self.step("dd-convex").base
+        assert self.step("dd-convex").base.structure is first.structure
+        if other == "config":
+            # a replaced config is a new key, so its new values cannot be missed
+            dearer = self.step("dd-convex", config=dataclasses.replace(CFG, c6=2.0)).base
+            assert dearer.structure is not first.structure
+            assert not np.array_equal(dearer.c, first.c)
+        else:
+            assert self.step("dd-convex", grid=default_grid()).base.structure is not first.structure
 
 
 class TestPlantStep:
@@ -319,10 +362,12 @@ class TestPlantStep:
 
 class TestClosedLoop:
     def test_single_zero_step(self):
-        cfg = default_config()
-        cfg.x_soft_min = np.array([0.0, 0.0])
-        cfg.x0 = np.array([1.0, 1.0])
-        cfg.delta_init = np.array([0.0, 0.0])
+        cfg = dataclasses.replace(
+            default_config(),
+            x_soft_min=np.array([0.0, 0.0]),
+            x0=np.array([1.0, 1.0]),
+            delta_init=np.array([0.0, 0.0]),
+        )
         profiles = Profiles(w_r=np.zeros((8, 2)), w_d=np.zeros(8))
         res = run_closed_loop(cfg, GRID, profiles, "reference", steps=1)
         l_op, l_loss = compute_kpis(res)
@@ -340,8 +385,8 @@ class TestClosedLoop:
             return sol
 
         monkeypatch.setattr(mip, "solve_convex", stalling)
-        cfg = default_config()
-        cfg.horizon = 1  # 2 binaries: B&B solves all 7 nodes of the tree
+        # 2 binaries: B&B solves all 7 nodes of the tree
+        cfg = dataclasses.replace(default_config(), horizon=1)
         with pytest.raises(DdopfError, match="step 0: solver status 'tolerance_not_met'"):
             run_closed_loop(cfg, GRID, generate_profiles(7, 4, cfg), "reference", steps=1)
 
@@ -410,10 +455,14 @@ class TestClosedLoop:
             run_closed_loop(CFG, GRID, profiles, variant, steps=12, model=model)
             for variant in ("dd", "dd-convex")
         )
+        # one kept template: dd-convex's step 0 gets dd's cold solves back,
+        # and every later step is warm-started from its own run's solves
+        assert convex.records[0].ipm_iterations == 0 < dd.records[0].ipm_iterations
+        assert dd.column("ipm_iterations")[1:].tobytes() == convex.column("ipm_iterations")[1:].tobytes()
         assert dd.x_final.tobytes() == convex.x_final.tobytes()
         for col in (
             "delta", "p_t", "p_s", "p_r", "x", "cost_sw", "cost_p", "cost_x",
-            "nodes", "ipm_iterations", "warm_restarts",
+            "nodes", "warm_restarts",
         ):
             assert dd.column(col).tobytes() == convex.column(col).tobytes(), col
         for col in ("p_e", "p_g", "theta", "cost_loss"):

@@ -12,7 +12,7 @@ from ddopf.errors import DimensionMismatch, ModelNotPE, ProjectionInfeasible
 from ddopf.excitation import generate_excitation
 from ddopf.grid import Grid, LineParams
 from ddopf.ipm import solve_convex
-from ddopf.microgrid import default_grid
+from ddopf.microgrid import Profiles, build_mpc_step, default_config, default_grid, initial_state
 from ddopf.opf import (
     AppConstraints,
     LinearObjective,
@@ -456,22 +456,30 @@ class TestProgramCache:
         assert solve(grid=five_bus()) == 7
 
     def test_cache_lives_on_the_owner(self):
-        # the last program per family is kept with the grid (reference) or the
-        # model (data-driven families), and goes when its owner does
+        # the last OPF program and MPC template per family are kept with the
+        # grid (reference) or the model (data-driven families); an entry holds
+        # neither its grid nor its config alive, and goes when its owner does
         grid = five_bus()
         model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=8))
+        config = default_config()
         app, obj = demand_instance(grid, {5: 0.4})
-        solve_opf(grid, "reference", None, app, obj)
-        solve_opf(grid, "dd", model, app, obj)
-        solve_opf(grid, "dd-convex", model, app, obj)
-        assert list(opf._opf_programs[grid]) == ["reference"]
-        assert list(opf._opf_programs[model]) == ["dd-convex"]
-        owners = len(opf._opf_programs)
-        grid_ref, model_ref = weakref.ref(grid), weakref.ref(model)
-        del grid, model
+        window = Profiles(w_r=np.zeros((config.horizon, 2)), w_d=np.zeros(config.horizon))
+        for variant, m in (("reference", None), ("dd", model), ("dd-convex", model)):
+            solve_opf(grid, variant, m, app, obj)
+            build_mpc_step(config, grid, variant, initial_state(config), window, m)
+        assert list(opf._kept[grid]) == [("opf", "reference"), ("mpc", "reference")]
+        assert list(opf._kept[model]) == [("opf", "dd-convex"), ("mpc", "dd-convex")]
+        owners = len(opf._kept)
+        grid_ref, model_ref, config_ref = weakref.ref(grid), weakref.ref(model), weakref.ref(config)
+        del config
         gc.collect()
-        assert grid_ref() is None and model_ref() is None
-        assert len(opf._opf_programs) == owners - 2
+        assert config_ref() is None and len(opf._kept) == owners
+        del grid
+        gc.collect()
+        assert grid_ref() is None and len(opf._kept) == owners - 1
+        del model, m
+        gc.collect()
+        assert model_ref() is None and len(opf._kept) == owners - 2
 
     def test_rebuilt_grid_gets_a_fresh_program(self, monkeypatch):
         # a kept program cannot go stale: a line's parameters change only by
