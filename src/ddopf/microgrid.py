@@ -389,7 +389,8 @@ class MpcTemplate:
     A_in, lb, the balls and the binaries, which no solver layer writes into,
     and so the base's conic.Structure: the solver's plans and the
     fix_variables reductions of the nodes are built once per template, for
-    every run and every variant of the family.
+    every run and every variant of the family. last_run keeps the steps of
+    the last closed loop on it (run_closed_loop).
     """
 
     def __init__(
@@ -499,6 +500,7 @@ class MpcTemplate:
         self._storage_rows = n_pf + n_nodes + np.arange(2)
         self._switch_rows = 4 + np.arange(4)
         self._res_cols = horizon(offsets["p_r"] + np.arange(2), stride)
+        self.last_run: list[_KeptStep] = []
 
     def program(
         self, state: PlantState, window: Profiles
@@ -536,9 +538,14 @@ def build_mpc_step(
         raise DimensionMismatch(
             f"window has {window.w_r.shape[1]} renewable columns, the plant has {N_RES}"
         )
+    return _template(config, grid, variant, model).program(state, window)
+
+
+def _template(
+    config: MicrogridConfig, grid: Grid, variant: str, model: DataDrivenLineModel | None
+) -> MpcTemplate:
     key = (weakref.ref(grid), weakref.ref(config))
-    template = kept("mpc", variant, grid, model, key, lambda f: MpcTemplate(config, grid, f, model))
-    return template.program(state, window)
+    return kept("mpc", variant, grid, model, key, lambda f: MpcTemplate(config, grid, f, model))
 
 
 # --- plant and closed loop -------------------------------------------------------
@@ -550,7 +557,8 @@ class StepRecord:
 
     nodes, ipm_iterations and warm_restarts are the solver work of the
     step's branch & bound call: convex solves, IPM iterations run over them,
-    and warm attempts dropped for a cold solve.
+    and warm attempts dropped for a cold solve. A step taken from the kept
+    run (run_closed_loop) solves nothing and reports 0 for all three.
     """
 
     delta: np.ndarray
@@ -611,6 +619,17 @@ def compute_kpis(result: ClosedLoopResult) -> tuple[float, float]:
     return float((sw + p).sum() / k), float(loss.sum() / k)
 
 
+@dataclass(frozen=True)
+class _KeptStep:
+    """One step of the last closed loop on a template: the bytes of its
+    program's b_eq, b_in and ub, its branch & bound point, and the warm
+    starts its solve stored."""
+
+    key: bytes
+    x: np.ndarray
+    warm: dict
+
+
 def run_closed_loop(
     config: MicrogridConfig,
     grid: Grid,
@@ -625,9 +644,19 @@ def run_closed_loop(
     commitments. From step 1 on, each node starts from the last optimal
     solve with the same fixed binaries and values in this run
     (mip.solve_mixed_binary's warm_starts): the hinted assignment from the
-    last step that solved it, the root relaxation from the previous root. The plant is exactly the prediction
-    physics. The circle-equality variant ('dd') projects every first move
-    onto the circles, as opf.solve_opf does.
+    last step that solved it, the root relaxation from the previous root.
+    The plant is exactly the prediction physics. The circle-equality
+    variant ('dd') projects every first move onto the circles, as
+    opf.solve_opf does.
+
+    The template keeps the last run's steps (MpcTemplate.last_run). Up to
+    the first step whose b_eq, b_in or ub differ from the kept step's, a
+    run poses the kept run's programs with the same hints and warm starts,
+    so it takes each kept point and restores the warm starts that step
+    stored instead of solving; such a step reports no solver work. From
+    that step on the run solves, and its steps replace the kept ones. So a
+    dd-convex run after a dd run of the same inputs, or the reverse,
+    solves nothing.
     """
     if profiles.length < steps:
         raise ForecastTooShort(f"profiles cover {profiles.length} steps, run needs {steps}")
@@ -640,18 +669,31 @@ def run_closed_loop(
     for k in range(steps):
         window = profiles.window(k, H)
         prog, layout = build_mpc_step(config, grid, variant, state, window, model)
+        trail = _template(config, grid, variant, model).last_run
+        key = b"".join(a.tobytes() for a in (prog.base.b_eq, prog.base.b_in, prog.base.ub))
         t0 = time.perf_counter()
-        sol = solve_mixed_binary(
-            prog,
-            strategy="branch_and_bound",
-            tol=_SOLVER_TOL,
-            incumbent_hint=hint,
-            warm_starts=warm_starts,
-        )
-        if sol.status != "optimal":
-            raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
+        if k < len(trail) and trail[k].key == key:
+            # a solved step cuts the kept run after itself, so this step's
+            # hint and warm starts are the kept run's too
+            warm_starts.update(trail[k].warm)
+            x_full, nodes, iterations, restarts = trail[k].x, 0, 0, 0
+        else:
+            del trail[k:]
+            before = dict(warm_starts)
+            sol = solve_mixed_binary(
+                prog,
+                strategy="branch_and_bound",
+                tol=_SOLVER_TOL,
+                incumbent_hint=hint,
+                warm_starts=warm_starts,
+            )
+            if sol.status != "optimal":
+                raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
+            x_full, nodes = sol.x, sol.node_count
+            iterations, restarts = sol.stats.iterations, sol.stats.warm_restarts
+            stored = {n: s for n, s in warm_starts.items() if before.get(n) is not s}
+            trail.append(_KeptStep(key, x_full, stored))
 
-        x_full = sol.x
         phi0 = x_full[layout.pf_slice("phi", 0)].copy()
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
         p_g0 = x_full[layout.pf_slice("p_g", 0)].copy()
@@ -695,9 +737,9 @@ def run_closed_loop(
                 cost_loss=cost_loss,
                 solve_time=solve_time,
                 tightness=tight,
-                nodes=sol.node_count,
-                ipm_iterations=sol.stats.iterations,
-                warm_restarts=sol.stats.warm_restarts,
+                nodes=nodes,
+                ipm_iterations=iterations,
+                warm_restarts=restarts,
             )
         )
 

@@ -105,6 +105,24 @@ def test_closed_loop_records_mpc_step(traced):
     assert traced.names.count("mip.solve_mixed_binary") == 1
 
 
+def test_closed_loop_taken_from_the_kept_run_records_no_solve(traced):
+    # dd-convex after dd on the same inputs still builds every step, but
+    # takes each from dd's run: no branch & bound, 0 nodes, so the solve
+    # spans still add up to the nodes the runs report
+    config = microgrid.default_config()
+    model = DataDrivenLineModel.from_trajectory(generate_excitation(GRID, 9, seed=101))
+    profiles = microgrid.generate_profiles(3, 2 + config.horizon, config)
+    runs = [
+        microgrid.run_closed_loop(config, GRID, profiles, variant, 2, model=model)
+        for variant in ("dd", "dd-convex")
+    ]
+    assert traced.names.count("microgrid.build_mpc_step") == 4
+    assert traced.names.count("mip.solve_mixed_binary") == 2
+    assert [rec.nodes for rec in runs[1].records] == [0, 0]
+    nodes = sum(rec.nodes for run in runs for rec in run.records)
+    assert traced.names.count("ipm.solve_convex") == nodes > 0
+
+
 def test_close_restores_the_originals(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers

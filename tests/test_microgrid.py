@@ -47,6 +47,25 @@ PAIR_MODEL = DataDrivenLineModel.from_trajectory(
 )
 
 
+def fit_edge_model():
+    """A model fitted as EDGE_MODEL, but a new owner: it keeps no template,
+    so a closed loop on it solves every step."""
+    return DataDrivenLineModel.from_trajectory(generate_excitation(GRID, 9, seed=11))
+
+
+# every StepRecord column but the solve time and the solver work
+OUTPUTS = tuple(
+    f.name for f in dataclasses.fields(microgrid.StepRecord)
+    if f.name not in ("solve_time", *microgrid.WORK_COLUMNS)
+)
+
+
+def assert_same_outputs(a, b):
+    for col in OUTPUTS:
+        assert a.column(col).tobytes() == b.column(col).tobytes(), col
+    assert a.x_final.tobytes() == b.x_final.tobytes()
+
+
 def model_for(variant):
     if variant == "reference":
         return None
@@ -449,22 +468,28 @@ class TestClosedLoop:
         # dd and dd-convex pose one program per step, and the plant and the
         # hint read only the unprojected solution: the loops are one loop,
         # and only the quantities derived from the projected phi differ
-        model = DataDrivenLineModel.from_trajectory(generate_excitation(GRID, 9, seed=2024))
+        def fit():
+            return DataDrivenLineModel.from_trajectory(generate_excitation(GRID, 9, seed=2024))
+
+        model = fit()
         profiles = generate_profiles(profile_seed, 12 + CFG.horizon, CFG)
         dd, convex = (
             run_closed_loop(CFG, GRID, profiles, variant, steps=12, model=model)
             for variant in ("dd", "dd-convex")
         )
-        # one kept template: dd-convex's step 0 gets dd's cold solves back,
-        # and every later step is warm-started from its own run's solves
-        assert convex.records[0].ipm_iterations == 0 < dd.records[0].ipm_iterations
-        assert dd.column("ipm_iterations")[1:].tobytes() == convex.column("ipm_iterations")[1:].tobytes()
-        assert dd.x_final.tobytes() == convex.x_final.tobytes()
-        for col in (
-            "delta", "p_t", "p_s", "p_r", "x", "cost_sw", "cost_p", "cost_x",
-            "nodes", "warm_restarts",
-        ):
+        # one kept template: dd-convex takes every step from dd's run
+        for col in microgrid.WORK_COLUMNS:
+            assert np.all(convex.column(col) == 0), col
+        # on a model of its own dd-convex solves every step, and solves them as dd did
+        solved = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=12, model=fit())
+        assert np.all(solved.column("nodes") > 0)
+        assert_same_outputs(convex, solved)
+        assert dd.x_final.tobytes() == convex.x_final.tobytes() == solved.x_final.tobytes()
+        unprojected = ("delta", "p_t", "p_s", "p_r", "x", "cost_sw", "cost_p", "cost_x")
+        for col in unprojected:
             assert dd.column(col).tobytes() == convex.column(col).tobytes(), col
+        for col in (*unprojected, *microgrid.WORK_COLUMNS):
+            assert dd.column(col).tobytes() == solved.column(col).tobytes(), col
         for col in ("p_e", "p_g", "theta", "cost_loss"):
             np.testing.assert_allclose(dd.column(col), convex.column(col), rtol=0, atol=1e-8)
 
@@ -480,8 +505,10 @@ class TestClosedLoop:
 
 class TestWarmStartedLoop:
     def test_steps_after_the_first_run_fewer_iterations(self, monkeypatch):
+        # each run gets a model of its own: on a model that keeps a run of
+        # these inputs, both runs would take their steps from it
         profiles = generate_profiles(7, 20, CFG)
-        warm = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=EDGE_MODEL)
+        warm = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=fit_edge_model())
         iters = warm.column("ipm_iterations")
         assert np.all(iters[1:] < iters[0])
         assert np.all(warm.column("nodes") == 2)
@@ -494,11 +521,80 @@ class TestWarmStartedLoop:
             return real(prog, **kwargs)
 
         monkeypatch.setattr(microgrid, "solve_mixed_binary", cold)
-        replay = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=EDGE_MODEL)
+        replay = run_closed_loop(CFG, GRID, profiles, "dd-convex", steps=6, model=fit_edge_model())
         assert np.all(replay.column("warm_restarts") == 0)
         assert replay.column("ipm_iterations").sum() > iters.sum()
         for col in ("delta", "p_t", "p_s", "p_r", "p_g", "p_e", "theta", "x", "cost_p", "cost_loss"):
             np.testing.assert_allclose(warm.column(col), replay.column(col), rtol=0, atol=1e-6)
+
+
+class TestKeptRun:
+    STEPS = 12
+
+    @pytest.mark.parametrize("case", ["forecasts", "one-row"])
+    def test_run_diverging_from_the_kept_one(self, case):
+        # forecasts: the renewable forecasts (ub alone) differ from row 8 on.
+        # one-row: the demand of row 8 alone differs, and with b_s = 0 the
+        # stored energy never moves, so from step 9 on the run poses the
+        # kept run's programs again, after steps the kept run did not take
+        r, H = 8, CFG.horizon
+        cfg = CFG if case == "forecasts" else dataclasses.replace(CFG, b_s=np.zeros((2, 2)))
+        kept_profiles = generate_profiles(7, self.STEPS + H, cfg)
+        w_r, w_d = kept_profiles.w_r.copy(), kept_profiles.w_d.copy()
+        if case == "forecasts":
+            w_r[r:] *= 0.9
+        else:
+            w_d[r] *= 1.01
+        profiles = Profiles(w_r=w_r, w_d=w_d)
+        model = fit_edge_model()
+        kept = run_closed_loop(cfg, GRID, kept_profiles, "dd-convex", self.STEPS, model)
+        diverged = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, model)
+        fresh = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, fit_edge_model())
+
+        assert_same_outputs(diverged, fresh)
+        first = r - H + 1  # the first step whose window holds row r
+        for col in microgrid.WORK_COLUMNS:
+            assert np.all(diverged.column(col)[:first] == 0), col
+            solved = diverged.column(col)[first:]
+            assert solved.tobytes() == fresh.column(col)[first:].tobytes(), col
+        assert np.all(fresh.column("nodes") > 0)
+        if case == "one-row":
+            # steps r + 1 on start from the kept run's state and commitments
+            assert kept.column("x").tobytes() == diverged.column("x").tobytes()
+            assert kept.column("delta").tobytes() == diverged.column("delta").tobytes()
+
+        # the diverged run replaced the kept steps from its first solved one on
+        again = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, model)
+        assert_same_outputs(again, fresh)
+        assert np.all(again.column("nodes") == 0)
+
+    def test_kept_run_shares_no_data(self):
+        # mirrors test_steps_from_one_template_do_not_share_data for whole runs
+        model = fit_edge_model()
+        profiles = generate_profiles(7, self.STEPS + CFG.horizon, CFG)
+        originals = Profiles(w_r=profiles.w_r.copy(), w_d=profiles.w_d.copy())
+        first = run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, model)
+        for rec in first.records:
+            for f in dataclasses.fields(rec):
+                value = getattr(rec, f.name)
+                if isinstance(value, np.ndarray):
+                    value[...] = np.nan
+        first.x_final[...] = np.nan
+        # Profiles.window rejects NaN, so the inputs get other valid values
+        profiles.w_r[...] *= 0.5
+        profiles.w_d[...] *= 0.5
+
+        again = run_closed_loop(CFG, GRID, originals, "dd-convex", self.STEPS, model)
+        assert np.all(again.column("nodes") == 0)
+        fresh = run_closed_loop(CFG, GRID, originals, "dd-convex", self.STEPS, fit_edge_model())
+        assert_same_outputs(again, fresh)
+
+        mutated = run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, model)
+        assert np.all(mutated.column("nodes") > 0)
+        fresh = run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, fit_edge_model())
+        assert_same_outputs(mutated, fresh)
+        for col in microgrid.WORK_COLUMNS:
+            assert mutated.column(col).tobytes() == fresh.column(col).tobytes(), col
 
 
 class TestResultFiles:
