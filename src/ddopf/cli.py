@@ -172,6 +172,7 @@ def cmd_run_mpc(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_flag("tol", args.tol, 0.0 <= args.tol < math.inf, "finite and nonnegative")
+    _check_flag("runs", args.runs, len(args.runs) >= 2, "two or more run directories")
     runs = [read_results_csv(Path(d) / "results.csv") for d in args.runs]
     lengths = {cols["k"].size for cols in runs}
     if len(lengths) != 1:

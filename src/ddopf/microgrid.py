@@ -389,8 +389,9 @@ class MpcTemplate:
     A_in, lb, the balls and the binaries, which no solver layer writes into,
     and so the base's conic.Structure: the solver's plans and the
     fix_variables reductions of the nodes are built once per template, for
-    every run and every variant of the family. last_run keeps the steps of
-    the last closed loop on it (run_closed_loop).
+    every run and every variant of the family. last_run is None or the last
+    closed loop that solved on it, as (key, points): the key of its inputs
+    and one branch & bound point per step (run_closed_loop).
     """
 
     def __init__(
@@ -500,7 +501,7 @@ class MpcTemplate:
         self._storage_rows = n_pf + n_nodes + np.arange(2)
         self._switch_rows = 4 + np.arange(4)
         self._res_cols = horizon(offsets["p_r"] + np.arange(2), stride)
-        self.last_run: list[_KeptStep] = []
+        self.last_run = None
 
     def program(
         self, state: PlantState, window: Profiles
@@ -557,8 +558,9 @@ class StepRecord:
 
     nodes, ipm_iterations and warm_restarts are the solver work of the
     step's branch & bound call: convex solves, IPM iterations run over them,
-    and warm attempts dropped for a cold solve. A step taken from the kept
-    run (run_closed_loop) solves nothing and reports 0 for all three.
+    and warm attempts dropped for a cold solve. Every step of a run taken
+    from the kept run (run_closed_loop) solves nothing and reports 0 for
+    all three.
     """
 
     delta: np.ndarray
@@ -619,17 +621,6 @@ def compute_kpis(result: ClosedLoopResult) -> tuple[float, float]:
     return float((sw + p).sum() / k), float(loss.sum() / k)
 
 
-@dataclass(frozen=True)
-class _KeptStep:
-    """One step of the last closed loop on a template: the bytes of its
-    program's b_eq, b_in and ub, its branch & bound point, and the warm
-    starts its solve stored."""
-
-    key: bytes
-    x: np.ndarray
-    warm: dict
-
-
 def run_closed_loop(
     config: MicrogridConfig,
     grid: Grid,
@@ -649,15 +640,18 @@ def run_closed_loop(
     variant ('dd') projects every first move onto the circles, as
     opf.solve_opf does.
 
-    The template keeps the last run's steps (MpcTemplate.last_run). Up to
-    the first step whose b_eq, b_in or ub differ from the kept step's, a
-    run poses the kept run's programs with the same hints and warm starts,
-    so it takes each kept point and restores the warm starts that step
-    stored instead of solving; such a step reports no solver work. From
-    that step on the run solves, and its steps replace the kept ones. So a
-    dd-convex run after a dd run of the same inputs, or the reverse,
-    solves nothing.
+    The template keeps the last run on it (MpcTemplate.last_run). A run is
+    fixed by its template, which fixes the config, the grid, the variant
+    family and the model, and by steps and the profile rows it reads,
+    profiles.window(0, steps + H - 1). A run whose steps and rows are the
+    kept run's takes every step's branch & bound point from it instead of
+    solving, and reports no solver work; dd still projects each point. Any
+    other run solves every step, as a run on a fresh template does, and
+    replaces the kept run. So a dd-convex run after a dd run of the same
+    inputs, or the reverse, solves nothing.
     """
+    if steps < 1:
+        raise ValueError("steps must be positive")
     if profiles.length < steps:
         raise ForecastTooShort(f"profiles cover {profiles.length} steps, run needs {steps}")
     state = initial_state(config)
@@ -665,21 +659,19 @@ def run_closed_loop(
     hint = None
     H = config.horizon
     warm_starts: dict = {}
+    read = profiles.window(0, steps + H - 1)
+    key = (steps, read.w_r.tobytes(), read.w_d.tobytes())
+    template = _template(config, grid, variant, model)
+    taken = template.last_run[1] if template.last_run and template.last_run[0] == key else None
+    points = []
 
     for k in range(steps):
         window = profiles.window(k, H)
         prog, layout = build_mpc_step(config, grid, variant, state, window, model)
-        trail = _template(config, grid, variant, model).last_run
-        key = b"".join(a.tobytes() for a in (prog.base.b_eq, prog.base.b_in, prog.base.ub))
         t0 = time.perf_counter()
-        if k < len(trail) and trail[k].key == key:
-            # a solved step cuts the kept run after itself, so this step's
-            # hint and warm starts are the kept run's too
-            warm_starts.update(trail[k].warm)
-            x_full, nodes, iterations, restarts = trail[k].x, 0, 0, 0
+        if taken:
+            x_full, nodes, iterations, restarts = taken[k], 0, 0, 0
         else:
-            del trail[k:]
-            before = dict(warm_starts)
             sol = solve_mixed_binary(
                 prog,
                 strategy="branch_and_bound",
@@ -691,8 +683,7 @@ def run_closed_loop(
                 raise DdopfError(f"closed loop failed at step {k}: solver status {sol.status!r}")
             x_full, nodes = sol.x, sol.node_count
             iterations, restarts = sol.stats.iterations, sol.stats.warm_restarts
-            stored = {n: s for n, s in warm_starts.items() if before.get(n) is not s}
-            trail.append(_KeptStep(key, x_full, stored))
+            points.append(x_full)
 
         phi0 = x_full[layout.pf_slice("phi", 0)].copy()
         p_e0 = x_full[layout.pf_slice("p_e", 0)].copy()
@@ -748,6 +739,8 @@ def run_closed_loop(
         hint = tuple(float(v) for d in deltas for v in d)
         state = step_plant(config, state, p_s, delta)
 
+    if not taken:
+        template.last_run = (key, points)
     return ClosedLoopResult(variant=variant, config=config, grid=grid, records=records, x_final=state.x)
 
 

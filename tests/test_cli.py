@@ -270,6 +270,14 @@ class TestCompare:
         assert "PASS" not in captured.out
         assert "columns over tolerance: conv1_power" in captured.err
 
+    def test_one_run_is_rejected(self, grid_file, config_file, tmp_path, capsys):
+        a, _ = self.run_pair(grid_file, config_file, tmp_path)
+        capsys.readouterr()
+        assert run(["compare", "--runs", a]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --runs must be two or more run directories")
+        assert captured.out == ""
+
     def test_file_without_work_columns_compares(self, grid_file, config_file, tmp_path, capsys):
         a, b = self.run_pair(grid_file, config_file, tmp_path)
         old = self.rewrite(a, tmp_path / "old", lambda row, i: row[:-3])

@@ -395,6 +395,12 @@ class TestClosedLoop:
         assert l_loss == pytest.approx(rec.cost_loss, abs=1e-12)
         assert l_op == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_empty_run_rejected(self, steps):
+        # compute_kpis would divide by zero on an empty run
+        with pytest.raises(ValueError, match="steps must be positive"):
+            run_closed_loop(CFG, GRID, generate_profiles(7, 8, CFG), "reference", steps=steps)
+
     def test_uncertified_step_raises_with_its_status(self, monkeypatch):
         real = mip.solve_convex
 
@@ -531,12 +537,26 @@ class TestWarmStartedLoop:
 class TestKeptRun:
     STEPS = 12
 
+    @staticmethod
+    def assert_solved_as_fresh(run, fresh):
+        # run's step 0 poses the step-0 program of the run kept on its
+        # template, whose cold solves the solver plans keep (ipm._solve_cold):
+        # they come back with no IPM iterations, and with the same bytes
+        assert_same_outputs(run, fresh)
+        for col in microgrid.WORK_COLUMNS:
+            ours, theirs = run.column(col), fresh.column(col)
+            if col == "ipm_iterations":
+                assert ours[0] == 0 < theirs[0]
+                ours, theirs = ours[1:], theirs[1:]
+            assert ours.tobytes() == theirs.tobytes(), col
+        assert np.all(fresh.column("nodes") > 0)
+
     @pytest.mark.parametrize("case", ["forecasts", "one-row"])
     def test_run_diverging_from_the_kept_one(self, case):
         # forecasts: the renewable forecasts (ub alone) differ from row 8 on.
         # one-row: the demand of row 8 alone differs, and with b_s = 0 the
         # stored energy never moves, so from step 9 on the run poses the
-        # kept run's programs again, after steps the kept run did not take
+        # kept run's programs again. Either run solves every step.
         r, H = 8, CFG.horizon
         cfg = CFG if case == "forecasts" else dataclasses.replace(CFG, b_s=np.zeros((2, 2)))
         kept_profiles = generate_profiles(7, self.STEPS + H, cfg)
@@ -551,22 +571,56 @@ class TestKeptRun:
         diverged = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, model)
         fresh = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, fit_edge_model())
 
-        assert_same_outputs(diverged, fresh)
-        first = r - H + 1  # the first step whose window holds row r
-        for col in microgrid.WORK_COLUMNS:
-            assert np.all(diverged.column(col)[:first] == 0), col
-            solved = diverged.column(col)[first:]
-            assert solved.tobytes() == fresh.column(col)[first:].tobytes(), col
-        assert np.all(fresh.column("nodes") > 0)
+        self.assert_solved_as_fresh(diverged, fresh)
         if case == "one-row":
             # steps r + 1 on start from the kept run's state and commitments
             assert kept.column("x").tobytes() == diverged.column("x").tobytes()
             assert kept.column("delta").tobytes() == diverged.column("delta").tobytes()
 
-        # the diverged run replaced the kept steps from its first solved one on
+        # the diverged run replaced the kept one
         again = run_closed_loop(cfg, GRID, profiles, "dd-convex", self.STEPS, model)
         assert_same_outputs(again, fresh)
         assert np.all(again.column("nodes") == 0)
+
+    def test_rows_the_run_does_not_read_do_not_matter(self):
+        # the last step's window ends at row STEPS + H - 2
+        last = self.STEPS + CFG.horizon - 2
+        model = fit_edge_model()
+        profiles = generate_profiles(7, last + 1, CFG)
+        kept = run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, model)
+        w_r = np.vstack([profiles.w_r, np.full((4, 2), 0.3)])
+        longer = Profiles(w_r=w_r, w_d=np.concatenate([profiles.w_d, np.full(4, 0.6)]))
+        taken = run_closed_loop(CFG, GRID, longer, "dd-convex", self.STEPS, model)
+        assert np.all(taken.column("nodes") == 0)
+        assert_same_outputs(taken, kept)
+
+        longer.w_d[last] *= 1.01
+        solved = run_closed_loop(CFG, GRID, longer, "dd-convex", self.STEPS, model)
+        assert np.all(solved.column("nodes") > 0)
+
+    def test_shorter_run_solves_every_step(self):
+        model = fit_edge_model()
+        profiles = generate_profiles(7, self.STEPS + CFG.horizon, CFG)
+        run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, model)
+        shorter = run_closed_loop(CFG, GRID, profiles, "dd-convex", 7, model)
+        fresh = run_closed_loop(CFG, GRID, profiles, "dd-convex", 7, fit_edge_model())
+        self.assert_solved_as_fresh(shorter, fresh)
+
+    def test_kept_run_is_its_key_and_points(self):
+        model = fit_edge_model()
+        profiles = generate_profiles(7, self.STEPS + CFG.horizon, CFG)
+        run_closed_loop(CFG, GRID, profiles, "dd-convex", self.STEPS, model)
+        template = microgrid._template(CFG, GRID, "dd-convex", model)
+        key, points = template.last_run
+        rows = self.STEPS + CFG.horizon - 1
+        assert key[0] == self.STEPS
+        assert [type(part) for part in key[1:]] == [bytes, bytes]
+        assert sum(map(len, key[1:])) == rows * 3 * 8
+        assert len(points) == self.STEPS
+        for x in points:
+            # a point of its own, not a view of a Solution's arrays
+            assert type(x) is np.ndarray and x.base is None
+            assert x.shape == (template.base.n,) and x.dtype == float
 
     def test_kept_run_shares_no_data(self):
         # mirrors test_steps_from_one_template_do_not_share_data for whole runs
