@@ -25,6 +25,8 @@ def _as_samples(values) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise DimensionMismatch(f"samples must be 1- or 2-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
     return arr
 
 
@@ -211,7 +213,11 @@ class DataDrivenLineModel:
     def __post_init__(self):
         for name in ("H_phi", "H_pe", "H_pg"):
             if (block := getattr(self, name)) is not None:
-                object.__setattr__(self, name, _read_only(np.array(block, dtype=float)))
+                block = _read_only(np.array(block, dtype=float))
+                # a non-finite fit has no rounding level: _maps would zero all of it
+                if not np.isfinite(block).all():
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, block)
 
     @classmethod
     def from_samples(
@@ -269,32 +275,57 @@ class DataDrivenLineModel:
     def output_map(self) -> np.ndarray:
         """K = [H_pe; H_pg] H_phi^+, so that a lifted input phi has outputs K phi.
 
-        Exact on noiseless data, the least-squares fit on inconsistent wide
-        data. Solved as min ||K H_phi - H_out||: the product with H_phi^+
-        leaves a residual K H_phi - H_out that grows with H_phi's condition.
+        The least-squares fit min ||K H_phi - H_out|| (the product with
+        H_phi^+ leaves a residual that grows with H_phi's condition), with
+        the entries at its rounding level zeroed: exact on noiseless data,
+        with a zero wherever an output does not depend on a lifted entry
+        (see _maps), and the full fit on inconsistent wide data.
         """
         return self._maps[1]
 
     @cached_property
     def _maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H_phi^+, K), read-only, computed on first use."""
+        """(H_phi^+, K), read-only, computed on first use.
+
+        An entry of the least-squares fit at or below eps * cond(H_phi) *
+        max|K|, the rounding error of the fit, cannot be told from zero, and
+        on noiseless data it is one: a line's power does not depend on
+        another line's angle. Each output row with such entries is refitted
+        by least squares on its other lifted entries, with zeros there, so
+        the power-flow rows have the sparsity of the data. On noisy data no
+        entry falls that low, and K is the full fit.
+        """
         outputs = self.H_pe if self.H_pg is None else np.vstack([self.H_pe, self.H_pg])
-        out = np.linalg.lstsq(self.H_phi.T, outputs.T, rcond=None)[0].T
+        fit, _, rank, sigma = np.linalg.lstsq(self.H_phi.T, outputs.T, rcond=None)
+        out = fit.T
+        mag = np.abs(out)
+        # |K_ij| > eps sigma_max / sigma_min max|K|, multiplied out; sigma_min is
+        # the smallest singular value the fit used, so blocks built without
+        # from_samples's rank check keep their minimum-norm fit
+        kept = mag * sigma[rank - 1] > np.finfo(float).eps * sigma[0] * mag.max()
+        for row in np.flatnonzero(~kept.all(axis=1)):
+            cols = kept[row]
+            out[row] = 0.0
+            if cols.any():
+                out[row, cols] = np.linalg.lstsq(self.H_phi[cols].T, outputs[row], rcond=None)[0]
         return _read_only(np.linalg.pinv(self.H_phi)), _read_only(out)
 
 
 def dd_predict(model: DataDrivenLineModel, phi_query: np.ndarray) -> np.ndarray:
     """Line powers for a lifted query: the p_e rows of the model's output map.
 
-    Raises InconsistentQuery when the query is outside the span of the
-    stored lifted inputs (impossible for persistently exciting data), that is
-    when projecting it onto that span moves it by more than 1e-8 (1 + |query|).
+    Raises ValueError for a non-finite query, and InconsistentQuery when the
+    query is outside the span of the stored lifted inputs (impossible for
+    persistently exciting data), that is when projecting it onto that span
+    moves it by more than 1e-8 (1 + |query|).
     """
     phi_query = np.asarray(phi_query, dtype=float)
     if phi_query.shape != (model.lifted_dim,):
         raise DimensionMismatch(
             f"query has shape {phi_query.shape}, expected ({model.lifted_dim},)"
         )
+    if not np.isfinite(phi_query).all():
+        raise ValueError("query must be finite")
     residual = float(np.linalg.norm(model.H_phi @ (model.phi_pinv() @ phi_query) - phi_query))
     if residual > 1e-8 * (1.0 + float(np.linalg.norm(phi_query))):
         raise InconsistentQuery(f"query outside lifted-input span (residual {residual:.3e})")

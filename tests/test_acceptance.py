@@ -305,11 +305,17 @@ def test_criterion_6_closed_loop_case_study(case_study):
 
     assert elapsed < 1800.0
     l_op, l_loss = kpis["dd-convex"]
+    # solver work per variant; a run taken from its family's kept run reads 0
+    work = ", ".join(
+        f"{v} {int(results[v].column('ipm_iterations').sum())} iterations / "
+        f"{int(results[v].column('nodes').sum())} nodes"
+        for v in VARIANTS
+    )
     print(
         f"\n[criterion 6] closed-loop case study: PASS "
         f"(max pairwise deviation {worst:.2e}, KPIs on these synthetic profiles: "
         f"mean unit cost {l_op:.4f}, mean loss cost {l_loss:.4f}, "
-        f"all four variants in {elapsed:.0f}s)"
+        f"all four variants in {elapsed:.0f}s; solver work: {work})"
     )
 
 

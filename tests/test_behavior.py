@@ -227,11 +227,100 @@ class TestDataDrivenModel:
         with pytest.raises(InconsistentQuery):
             dd_predict(padded, np.append(query, 0.9))
 
+    def test_rank_deficient_blocks_predict_inside_the_span(self, rng):
+        # blocks given directly, with a dependent lifted row: the fit's
+        # rounding level comes from the singular values the fit used
+        _, phi, pe = line_samples(rng, 9)
+        model = DataDrivenLineModel.from_samples(phi, pe)
+        padded = DataDrivenLineModel(
+            H_phi=np.vstack([model.H_phi, model.H_phi[1:2] * 0.5]), H_pe=model.H_pe
+        )
+        query = lift_line(0.1)
+        np.testing.assert_allclose(
+            dd_predict(padded, np.append(query, 0.5 * query[1])),
+            dd_predict(model, query),
+            rtol=0,
+            atol=1e-12,
+        )
+
     def test_query_dimension_checked(self, rng):
         _, phi, pe = line_samples(rng, 9)
         model = DataDrivenLineModel.from_samples(phi, pe)
         with pytest.raises(DimensionMismatch):
             dd_predict(model, np.ones(4))
+
+
+def fitted(mode, noise=0.0):
+    """Case-study excitation of the default grid, p_e and p_g perturbed by
+    Gaussian noise of the given scale, fitted with injections."""
+    n, seed = (9, 2024) if mode == "per-edge" else (21, 2025)
+    traj = generate_excitation(default_grid(), n, seed=seed, mode=mode)
+    rng = np.random.default_rng(7)
+    p_e = traj.p_e + noise * rng.standard_normal(traj.p_e.shape)
+    p_g = traj.p_g + noise * rng.standard_normal(traj.p_g.shape)
+    return DataDrivenLineModel.from_samples(traj.phi, p_e, p_g)
+
+
+class TestOutputMapSparsity:
+    @pytest.mark.parametrize("mode", ["per-edge", "all-pairs"])
+    def test_noiseless_fit_zeroes_rounding_entries(self, mode):
+        # each line's power reads only its own lifted entries; the injections
+        # read those of the lines at their node
+        gain = fitted(mode).output_map()
+        assert np.count_nonzero(gain) == 45
+        assert np.abs(gain[gain != 0.0]).min() > 1.0
+
+    @pytest.mark.parametrize("mode", ["per-edge", "all-pairs"])
+    def test_noiseless_fit_residual(self, mode):
+        model = fitted(mode)
+        outputs = np.vstack([model.H_pe, model.H_pg])
+        residual = np.abs(model.output_map() @ model.H_phi - outputs).max()
+        assert residual <= 1e-12 * np.abs(outputs).max()
+
+    @pytest.mark.parametrize("mode", ["per-edge", "all-pairs"])
+    def test_noisy_fit_keeps_every_entry(self, mode):
+        model = fitted(mode, noise=1e-6)
+        gain = model.output_map()
+        assert np.count_nonzero(gain) == gain.size
+        outputs = np.vstack([model.H_pe, model.H_pg])
+        full = np.linalg.lstsq(model.H_phi.T, outputs.T, rcond=None)[0].T
+        np.testing.assert_array_equal(gain, full)
+
+
+class TestNonFiniteInput:
+    def test_nan_output_sample_is_rejected(self, rng):
+        _, phi, pe = line_samples(rng, 9)
+        pe[4, 1] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            DataDrivenLineModel.from_samples(phi, pe)
+
+    def test_inf_lifted_sample_is_rejected(self, rng):
+        _, phi, pe = line_samples(rng, 9)
+        phi[2, 1] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            DataDrivenLineModel.from_samples(phi, pe)
+
+    def test_nan_injection_sample_is_rejected(self):
+        traj = generate_excitation(default_grid(), 21, seed=3, mode="all-pairs")
+        p_g = traj.p_g.copy()
+        p_g[0, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            DataDrivenLineModel.from_samples(traj.phi, traj.p_e, p_g)
+
+    @pytest.mark.parametrize("name", ["H_phi", "H_pe", "H_pg"])
+    def test_non_finite_block_is_rejected(self, name):
+        model = fitted("all-pairs")
+        blocks = {n: getattr(model, n).copy() for n in ("H_phi", "H_pe", "H_pg")}
+        blocks[name][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DataDrivenLineModel(**blocks)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_is_rejected(self, rng, bad):
+        _, phi, pe = line_samples(rng, 9)
+        model = DataDrivenLineModel.from_samples(phi, pe)
+        with pytest.raises(ValueError, match="must be finite"):
+            dd_predict(model, np.array([1.0, bad, 0.0]))
 
 
 class TestModelIsAValue:

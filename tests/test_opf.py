@@ -82,15 +82,25 @@ class TestBuilders:
             build_generalized_dd_opf(GRID, no_pg)
 
     def test_generalized_map_ignores_phantom_pairs(self):
-        # flows honestly depend only on actual edges: the model's output map
-        # has (numerically) zero gain from the six non-edge pair columns
+        # flows depend only on actual edges: the model's output map has
+        # exactly zero gain from the six non-edge pair columns, so the
+        # all-pairs data give the grid's edges
         gain = PAIR_MODEL.output_map()
         pair_cols = {p: k for k, p in enumerate(PAIR_MODEL_PAIRS)}
         phantom = [k for p, k in pair_cols.items() if p not in GRID.edges]
+        assert len(phantom) == 6
         for k in phantom:
-            np.testing.assert_allclose(gain[:, 1 + 2 * k], 0.0, atol=1e-7)
-            np.testing.assert_allclose(gain[:, 2 + 2 * k], 0.0, atol=1e-7)
+            np.testing.assert_array_equal(gain[:, 1 + 2 * k], 0.0)
+            np.testing.assert_array_equal(gain[:, 2 + 2 * k], 0.0)
 
+    def test_dd_template_has_the_reference_pattern(self):
+        # on noiseless data each line's rows of K read only its own lifted
+        # entries, as the line physics does
+        grid = default_grid()
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
+        reference = pf_template(grid, "reference").eq
+        dd = pf_template(grid, "dd-convex", model).eq
+        np.testing.assert_array_equal(dd != 0, reference != 0)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_template_rows_hold_at_consistent_points(self, variant, rng):
