@@ -148,12 +148,6 @@ class Grid:
         return f"Grid(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
 
 
-def adjacent_nodes(grid: Grid, node: int) -> set[int]:
-    """Return the set of nodes sharing an edge with `node`."""
-    grid.node_index(node)
-    return set(grid._adjacency[node])
-
-
 def all_node_pairs(grid: Grid) -> list[Edge]:
     """All unordered node pairs in canonical order; length N_b*(N_b-1)/2."""
     nodes = grid.nodes

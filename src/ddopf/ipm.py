@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -108,15 +108,7 @@ def standard_form(prog: ConicProgram) -> StandardForm:
     plan = prog.structure.solver
     if plan is None or not plan.fits(finite_ub, finite_lb):
         plan = prog.structure.solver = _Plan.of(prog, finite_ub, finite_lb)
-    h = np.concatenate(
-        [
-            prog.b_in,
-            prog.ub[finite_ub],
-            -prog.lb[finite_lb],
-            np.ones(plan.placeholder),
-            np.tile(np.array([1.0, 0.0, 0.0]), plan.dims.n_socs),
-        ]
-    )
+    h = np.concatenate([prog.b_in, prog.ub[finite_ub], -prog.lb[finite_lb], plan.h_tail])
     return StandardForm(c=prog.c.astype(float), b=prog.b_eq.astype(float), h=h, plan=plan)
 
 
@@ -175,27 +167,28 @@ def jmineig(dims: ConeDims, u: np.ndarray) -> float:
     return float(min(u[..., : dims.orthant].min(initial=math.inf), soc.min(initial=math.inf)))
 
 
-def _soc_rates(u: np.ndarray, du: np.ndarray) -> np.ndarray:
-    """1/alpha of each of the stacked (..., 3) SOC blocks, alpha its max step.
+def _soc_rates(u: np.ndarray, du: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """1/alpha of each of the stacked (..., 3) SOC blocks, alpha its max step;
+    s = sqrt(det u) of each block, det u _soc_det's, as in jdiv and NTScaling.
 
-    The hyperbolic rotation that maps u to sqrt(det u) * e maps du to
-    sqrt(det u) * rho, and e + alpha * rho stays in the cone exactly while
-    alpha * (|rho_1| - rho_0) <= 1 (the line search of ECOS: Domahidi, Chu
-    and Boyd 2013). With s = sqrt(det u) and j = u' J du that rate is
-    (|du_1 - c u_1| - j / s) / s, c = (j + s du_0) / (s (u_0 + s)). det u
-    is _soc_det's, as in jdiv and NTScaling.
+    The hyperbolic rotation that maps u to s * e maps du to s * rho, and
+    e + alpha * rho stays in the cone exactly while alpha * (|rho_1| - rho_0)
+    <= 1 (the line search of ECOS: Domahidi, Chu and Boyd 2013). With
+    j = u' J du that rate is (|du_1 - c u_1| - j / s) / s,
+    c = (j + s du_0) / (s (u_0 + s)).
     """
     u0, u1 = u[..., 0], u[..., 1:]
     d0, d1 = du[..., 0], du[..., 1:]
-    s = np.sqrt(_soc_det(u))
     j = u0 * d0 - np.vecdot(u1, d1)
     c = (j + s * d0) / (s * (u0 + s))
     v = d1 - c[..., None] * u1
     return (np.hypot(v[..., 0], v[..., 1]) - j / s) / s
 
 
-def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
-    """Largest alpha with u + alpha*du still in the cone (u interior).
+def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray, roots: np.ndarray) -> float:
+    """Largest alpha with u + alpha*du still in the cone (u interior), roots
+    sqrt(_soc_det) of every SOC block of u, (..., n_socs): the IPM passes
+    its scaling's, NTScaling.roots.
 
     u and du may stack several cone vectors as rows (..., total); the step
     then keeps every row in the cone, and equals the least of the rows'
@@ -204,7 +197,7 @@ def max_step(dims: ConeDims, u: np.ndarray, du: np.ndarray) -> float:
     l = dims.orthant
     rate = max(
         -(du[..., :l] / u[..., :l]).min(initial=0.0),
-        _soc_rates(dims.soc_view(u), dims.soc_view(du)).max(initial=0.0),
+        _soc_rates(dims.soc_view(u), dims.soc_view(du), roots).max(initial=0.0),
     )
     return 1.0 / rate if rate > 0.0 else math.inf
 
@@ -224,32 +217,41 @@ class NTScaling:
     builds its blocks on demand. The scaled point lambda uses the
     cancellation-free closed form, which stays strictly interior even when
     the iterate grazes the cone boundary.
+
+    zs is the (2, total) stack of z and s, the IPM's iterate, read in place.
+    roots, (2, n_socs), is sqrt(_soc_det) of every SOC block of z and of s;
+    the clamp keeps near-boundary iterates' scaling finite, and both step
+    searches at this iterate take these roots.
     """
 
-    def __init__(self, dims: ConeDims, s: np.ndarray, z: np.ndarray):
+    def __init__(self, dims: ConeDims, zs: np.ndarray):
         self.dims = dims
         l = dims.orthant
-        self.w2_orth = s[:l] / z[:l]
+        # rows and components are taken by index: unpacking an array
+        # iterates over it, which costs more than the arithmetic here
+        zl, sl = zs[0, :l], zs[1, :l]
+        self.w2_orth = sl / zl
         self.w_orth = np.sqrt(self.w2_orth)
-        lam = np.empty_like(s)
-        np.sqrt(s[:l] * z[:l], out=lam[:l])
+        lam = np.empty(dims.total)
+        np.sqrt(sl * zl, out=lam[:l])
 
-        # s and z cones as the two rows of one stack, so that one pass takes
-        # both sqrt(det u); its clamp keeps near-boundary iterates' scaling finite
-        u = np.array((dims.soc_view(s), dims.soc_view(z)))
-        root = np.sqrt(_soc_det(u))
-        sbar, zbar = u / root[..., None]
-        a_s, a_z = root
+        # one pass over the stack's cones takes every sqrt(det)
+        u = dims.soc_view(zs)
+        self.roots = root = np.sqrt(_soc_det(u))
+        a_z, a_s = root[0], root[1]
+        ubar = u / root[..., None]
+        zbar, sbar = ubar[0], ubar[1]
+        z0, s0 = zbar[:, 0], sbar[:, 0]
         gamma = np.sqrt((1.0 + np.vecdot(sbar, zbar)) / 2.0)
-        wbar = (sbar + zbar * _J_DIAG) / (2.0 * gamma)[:, None]
+        two_gamma = 2.0 * gamma
+        wbar = (sbar + zbar * _J_DIAG) / two_gamma[:, None]
         eta2 = a_s / a_z
         scale = np.sqrt(a_s * a_z)
         lam_soc = dims.soc_view(lam)
         np.multiply(scale, gamma, out=lam_soc[:, 0])
-        denom = sbar[:, 0] + zbar[:, 0] + 2.0 * gamma
+        denom = s0 + z0 + two_gamma
         lam_soc[:, 1:] = (scale / denom)[:, None] * (
-            (gamma + zbar[:, 0])[:, None] * sbar[:, 1:]
-            + (gamma + sbar[:, 0])[:, None] * zbar[:, 1:]
+            (gamma + z0)[:, None] * sbar[:, 1:] + (gamma + s0)[:, None] * zbar[:, 1:]
         )
         self.lam = lam
 
@@ -306,6 +308,10 @@ class _Plan:
     zeros, iperm is perm's inverse, and reg_sign, the sign of the
     regularization on each diagonal entry, is in the same order.
 
+    `e` is the cone's identity element (cone_e) and `h_tail` the rows of h
+    that standard_form appends after the bounds: the placeholder's 1, then
+    (1, 0, 0) per ball.
+
     `eye` is the factorization at W = I and _REG that every cold start
     begins with: None until the first solver that needs it makes it
     (KktSolver.factor_identity), then (scaling, lu, piv, splu). `last` is
@@ -331,6 +337,11 @@ class _Plan:
         self.dense = dim <= _DENSE_LIMIT
         self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
         self.eye = self.last = None
+        self.e = cone_e(dims)
+        # h's rows past the bounds: the placeholder's 1, then (1, 0, 0) per ball
+        self.h_tail = np.concatenate(
+            [np.ones(placeholder), np.tile(np.array([1.0, 0.0, 0.0]), dims.n_socs)]
+        )
 
         # the variable entries: the regularized x/y diagonals, the orthant's
         # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
@@ -496,8 +507,10 @@ class KktSolver:
 
     def _write(self, reg: float) -> None:
         """Write the variable entries at self.scaling and reg into the
-        solver's own matrix; reg becomes the current regularization."""
+        solver's own matrix; reg becomes the current regularization, and
+        _reg_diag its diagonal reg * sign in the plan's layout."""
         self._current_reg = reg
+        self._reg_diag = reg * self._reg_sign
         self._values[self._plan.w_pos] = self._w_values(self.scaling, reg)
 
     def _factor_at(self, reg: float) -> None:
@@ -520,13 +533,14 @@ class KktSolver:
         self.scaling = scaling
         self._factor_at(_REG)
 
-    def factor_identity(self, e: np.ndarray) -> None:
-        """Factor at W = I, the scaling of a cold start, e the cone's
-        identity: adopt the plan's factors of it, or make them (one factor
-        call, counted in stats) and leave them on the plan."""
+    def factor_identity(self) -> None:
+        """Factor at W = I, the scaling of a cold start: adopt the plan's
+        factors of it, or make them (one factor call, counted in stats) and
+        leave them on the plan."""
         plan = self._plan
         if plan.eye is None:
-            self.factor(NTScaling(self.form.dims, e * 2.0, e * 2.0))
+            two_e = plan.e * 2.0
+            self.factor(NTScaling(self.form.dims, np.array((two_e, two_e))))
             plan.eye = (self.scaling, self._lu, self._piv, self._splu)
             return
         self.scaling, self._lu, self._piv, self._splu = plan.eye
@@ -538,13 +552,16 @@ class KktSolver:
             return self._getrs(self._lu, self._piv, rhs)[0]
         return self._splu.solve(rhs)
 
-    def _exact_matvec(self, sol: np.ndarray) -> np.ndarray:
-        """Unregularized KKT operator times sol, from the matrix just factored,
-        in its layout.
+    def _residual(self, rhs: np.ndarray, sol: np.ndarray) -> tuple[np.ndarray, float]:
+        """rhs - K sol for the unregularized KKT operator K, in the layout of
+        the matrix just factored, and its largest magnitude.
 
         One matvec on the assembled matrix, less its regularization diagonal.
         """
-        return self._mat @ sol - (self._current_reg * self._reg_sign) * sol
+        resid = self._mat @ sol
+        resid -= self._reg_diag * sol
+        np.subtract(rhs, resid, out=resid)
+        return resid, float(np.abs(resid).max())
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """[x | y | z] with K [x | y | z] = rhs for the exact operator K,
@@ -556,7 +573,7 @@ class KktSolver:
         refines in its factored layout, permuted by the plan's order.
         """
         self.stats.kkt_solves += 1
-        scale = max(1.0, float(np.abs(rhs).max()))
+        tol = 1e-12 * max(1.0, float(np.abs(rhs).max()))
         if not self.dense:
             rhs = rhs[self._plan.perm]
         sol = self._raw_solve(rhs)
@@ -568,9 +585,8 @@ class KktSolver:
             sol = self._raw_solve(rhs)
         best_resid = math.inf
         for _ in range(4):
-            resid = rhs - self._exact_matvec(sol)
-            err = float(np.abs(resid).max())
-            if err <= 1e-12 * scale or err >= best_resid:
+            resid, err = self._residual(rhs, sol)
+            if err <= tol or err >= best_resid:
                 break
             best_resid = err
             self.stats.refinements += 1
@@ -586,9 +602,9 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
-    dims = form.dims
-    kkt.factor_identity(e)
+def _initial_point(kkt: KktSolver, form: StandardForm):
+    dims, e = form.dims, form.plan.e
+    kkt.factor_identity()
     n, k = kkt.n, kkt.n + kkt.p
     x_z = kkt.solve(np.concatenate([np.zeros(n), form.b, form.h]))
     y_z = kkt.solve(np.concatenate([-form.c, np.zeros(kkt.dim - n)]))
@@ -601,7 +617,7 @@ def _initial_point(kkt: KktSolver, form: StandardForm, e: np.ndarray):
     return x_z[:n], y_z[n:k], z, s
 
 
-def _warm_point(form: StandardForm, e: np.ndarray, warm: Solution | None):
+def _warm_point(form: StandardForm, warm: Solution | None):
     """Starting point near an earlier optimum, or None when it does not fit.
 
     The warm start of Skajaa, Andersen and Ye 2013 for this embedding:
@@ -619,7 +635,7 @@ def _warm_point(form: StandardForm, e: np.ndarray, warm: Solution | None):
         return None
     if (warm.x.size, warm.y.size, warm.z.size) != (form.c.size, form.b.size, form.h.size):
         return None
-    lam = _WARM_LAMBDA
+    lam, e = _WARM_LAMBDA, form.plan.e
     orth = form.dims.orthant
     slack = warm.s.copy()
     slack[:orth] = np.maximum(form.h[:orth] - (form.G @ warm.x)[:orth], 0.0)
@@ -661,48 +677,57 @@ def solve_convex(
     t0 = time.perf_counter()
     prog.validate()
     form = standard_form(prog)
-    e = cone_e(form.dims)
-    start = _warm_point(form, e, warm_start)
+    start = _warm_point(form, warm_start)
     if start is None:
-        return _solve_cold(form, e, tol, max_iter, t0)
+        return _solve_cold(form, tol, max_iter, t0)
     kkt = KktSolver(form)
     try:
-        sol = _iterate(kkt, form, e, start, tol, min(max_iter, _WARM_MAX_ITER), t0)
+        sol = _iterate(kkt, form, start, tol, min(max_iter, _WARM_MAX_ITER), t0)
         if sol.status != "tolerance_not_met":
             return sol
         ran = sol.stats.iterations
     except NumericalBreakdown as exc:
         ran = exc.iteration
-    warm_work = replace(kkt.stats, iterations=ran, warm_restarts=1)
+    warm_work = _stats(kkt.stats, iterations=ran, warm_restarts=1)
     # a fresh solver, whose stats count the cold solve alone
-    sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
+    sol = _iterate(KktSolver(form), form, None, tol, max_iter, t0)
     sol.iterations += ran
     sol.stats = sol.stats + warm_work
     return sol
 
 
+def _stats(stats: SolveStats, **changes) -> SolveStats:
+    """A copy of stats with the given counts changed."""
+    return SolveStats(**{**vars(stats), **changes})
+
+
 def _copy(sol: Solution, **changes) -> Solution:
     """sol with arrays of its own and the given fields changed."""
-    arrays = {name: getattr(sol, name) for name in ("x", "y", "z", "s")}
-    return replace(sol, **{k: a.copy() for k, a in arrays.items() if a is not None}, **changes)
+    fields = vars(sol).copy()
+    for name in ("x", "y", "z", "s"):
+        if fields[name] is not None:
+            fields[name] = fields[name].copy()
+    fields.update(changes)
+    return Solution(**fields)
 
 
-def _solve_cold(form: StandardForm, e: np.ndarray, tol, max_iter, t0) -> Solution:
+def _solve_cold(form: StandardForm, tol, max_iter, t0) -> Solution:
     """The cold solve of form, iterated, or copied from the plan's last one
     when that had the same c, b and h, bit for bit, and the same limits."""
     plan = form.plan
     key = (form.c.tobytes(), form.b.tobytes(), form.h.tobytes(), tol, max_iter)
     if plan.last is not None and plan.last[0] == key:
         return _copy(plan.last[1], stats=SolveStats(reused=1), solve_time=time.perf_counter() - t0)
-    sol = _iterate(KktSolver(form), form, e, None, tol, max_iter, t0)
+    sol = _iterate(KktSolver(form), form, None, tol, max_iter, t0)
     plan.last = (key, _copy(sol))
     return sol
 
 
-def _step_length(dims, zs, tau, kappa, dzs, dtau, dkappa) -> float:
+def _step_length(dims, zs, roots, tau, kappa, dzs, dtau, dkappa) -> float:
     """Largest step along (dzs, dtau, dkappa) that keeps both rows of zs,
-    z and s, in their cones and tau and kappa nonnegative."""
-    alpha = max_step(dims, zs, dzs)
+    z and s, in their cones and tau and kappa nonnegative; roots are the
+    SOC roots of zs, as max_step takes them."""
+    alpha = max_step(dims, zs, dzs, roots)
     if dtau < 0.0:
         alpha = min(alpha, -tau / dtau)
     if dkappa < 0.0:
@@ -710,19 +735,23 @@ def _step_length(dims, zs, tau, kappa, dzs, dtau, dkappa) -> float:
     return alpha
 
 
-def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_iter, t0):
+def _iterate(kkt: KktSolver, form: StandardForm, start, tol, max_iter, t0):
     """The predictor-corrector loop of solve_convex from start, an
     (x, y, z, s, tau, kappa) tuple, or from _initial_point when it is None.
 
     The iterate is one vector v = [x | y | z | s] and a search direction one
     d = [dx | dy | dz | ds], so that [x | y | z] is the KKT solver's
     unknown and z and s are the rows of one (2, m) stack.
+
+    Each iteration computes every cone quantity once: NTScaling reads the
+    stack in place and keeps the SOC roots both step searches take, and
+    the best iterate is kept as (x, tau), divided only when it is returned.
     """
-    dims = form.dims
+    dims, e = form.dims, form.plan.e
     nu = dims.degree + 1
     if start is None:
         try:
-            x, y, z, s = _initial_point(kkt, form, e)
+            x, y, z, s = _initial_point(kkt, form)
         except (FloatingPointError, RuntimeError) as exc:
             raise NumericalBreakdown(0, f"initial point: {exc}") from exc
         tau, kappa = 1.0, 1.0
@@ -735,6 +764,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
     # residuals: [r1 | r2 | r3] = fixed @ [x | y | z] + tau q, plus s on r3,
     # and r4 = g'[x | y | z] + kappa
     q = np.concatenate([c, -b, -h])
+    minus_q = -q
     g = np.concatenate([c, b, h])
     norm_b = 1.0 + _norm(b)
     norm_h = 1.0 + _norm(h)
@@ -762,7 +792,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
             solve_time=time.perf_counter() - t0,
             iterations=iters,
             dual_objective=dcost,
-            stats=replace(kkt.stats, iterations=ran),
+            stats=_stats(kkt.stats, iterations=ran),
         )
 
     for it in range(max_iter + 1):
@@ -789,7 +819,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         metrics = (pres, dres, relgap, pcost, dcost)
         if score < best_score:
             best_score = score
-            best = (x / tau, metrics, it)
+            best = (x, tau, metrics, it)
 
         if pres <= tol and dres <= tol and relgap <= tol:
             sol = package("optimal", x / tau, metrics, it, it)
@@ -807,21 +837,21 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
                 return package("unbounded", x / -cx, metrics, it, it)
 
         if it == max_iter:
-            xs, met, its = best
-            return package("tolerance_not_met", xs, met, its, it)
+            xb, taub, met, its = best
+            return package("tolerance_not_met", xb / taub, met, its, it)
 
-        scaling = NTScaling(dims, s, z)
-        lam = scaling.lam
+        scaling = NTScaling(dims, zs)
+        lam, roots = scaling.lam, scaling.roots
 
         def fallback(detail: str):
             if best_score <= 1e3 * tol:
-                xs, met, its = best
-                return package("tolerance_not_met", xs, met, its, it)
+                xb, taub, met, its = best
+                return package("tolerance_not_met", xb / taub, met, its, it)
             raise NumericalBreakdown(it, detail)
 
         try:
             kkt.factor(scaling)
-            sol1 = kkt.solve(-q)
+            sol1 = kkt.solve(minus_q)
         except (FloatingPointError, RuntimeError) as exc:
             return fallback(str(exc))
         denom = g @ sol1 - kappa / tau
@@ -845,7 +875,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
             w_lam = scaling.apply_W(lam)
             da, dta, dka = direction(1.0, -w_lam, -tau * kappa)
             dzs_a = da[k:].reshape(2, -1)
-            alpha = min(1.0, _step_length(dims, zs, tau, kappa, dzs_a, dta, dka))
+            alpha = min(1.0, _step_length(dims, zs, roots, tau, kappa, dzs_a, dta, dka))
             zs_a = zs + alpha * dzs_a
             mu_aff = (zs_a[0] @ zs_a[1] + (tau + alpha * dta) * (kappa + alpha * dka)) / nu
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3))
@@ -863,7 +893,7 @@ def _iterate(kkt: KktSolver, form: StandardForm, e: np.ndarray, start, tol, max_
         if not (np.isfinite(d).all() and math.isfinite(dtau) and math.isfinite(dkappa)):
             return fallback("non-finite search direction")
         dzs = d[k:].reshape(2, -1)
-        step = min(1.0, _STEP * _step_length(dims, zs, tau, kappa, dzs, dtau, dkappa))
+        step = min(1.0, _STEP * _step_length(dims, zs, roots, tau, kappa, dzs, dtau, dkappa))
         if step <= 1e-10:
             tiny_steps += 1
             if tiny_steps >= 3:

@@ -132,11 +132,6 @@ def injections_from_flows(grid: Grid, p_e: np.ndarray) -> np.ndarray:
     return p_e @ injection_matrix(grid).T
 
 
-def total_losses(p_g: np.ndarray) -> float:
-    """Transmission losses: the sum of all nodal injections."""
-    return float(np.sum(np.asarray(p_g, dtype=float)))
-
-
 @dataclass
 class RadialPfResult:
     theta: np.ndarray

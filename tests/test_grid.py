@@ -13,12 +13,10 @@ from ddopf.errors import (
     CycleDetected,
     Disconnected,
     EdgeOrderViolation,
-    UnknownNode,
 )
 from ddopf.grid import (
     Grid,
     LineParams,
-    adjacent_nodes,
     all_node_pairs,
     canonical_edge_order,
     load_grid,
@@ -81,22 +79,6 @@ class TestValidateRadial:
         assert five_bus_grid.n_edges == five_bus_grid.n_nodes - 1
 
 
-class TestAdjacency:
-    def test_hub_node(self, five_bus_grid):
-        assert adjacent_nodes(five_bus_grid, 2) == {1, 4, 5}
-
-    def test_leaf_node(self, five_bus_grid):
-        assert adjacent_nodes(five_bus_grid, 1) == {2}
-
-    def test_isolated_single_node(self):
-        g = Grid([1], [], {})
-        assert adjacent_nodes(g, 1) == set()
-
-    def test_unknown_node(self, five_bus_grid):
-        with pytest.raises(UnknownNode):
-            adjacent_nodes(five_bus_grid, 99)
-
-
 class TestAllNodePairs:
     def test_five_bus_count(self, five_bus_grid):
         pairs = all_node_pairs(five_bus_grid)
@@ -140,13 +122,13 @@ def test_random_trees_are_radial(n_nodes, seed):
     g = grid_of(nodes, canonical_edge_order(edges))
     validate_radial(g)
     assert g.n_edges == g.n_nodes - 1
-    # every node reachable from the smallest node id
+    # every node reachable from the smallest node id, walking g.edges
     seen = {min(g.nodes)}
-    frontier = [min(g.nodes)]
-    while frontier:
-        nxt = adjacent_nodes(g, frontier.pop()) - seen
-        seen |= nxt
-        frontier.extend(nxt)
+    grew = True
+    while grew:
+        reached = {b for a, b in g.edges if a in seen} | {a for a, b in g.edges if b in seen}
+        grew = not reached <= seen
+        seen |= reached
     assert seen == set(g.nodes)
     # one extra chord creates a cycle
     chords = [p for p in all_node_pairs(g) if p not in g.edges]

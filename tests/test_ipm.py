@@ -48,6 +48,21 @@ def random_cone_point(rng, dims, margin=0.5):
     return v
 
 
+def nt_scaling(dims, s, z):
+    """NTScaling at separate s and z, stacked as the IPM holds them."""
+    return NTScaling(dims, np.array((z, s)))
+
+
+def soc_roots(dims, u):
+    """sqrt(det) of every SOC block of u (..., total), computed afresh."""
+    return np.sqrt(ipm._soc_det(dims.soc_view(u)))
+
+
+def step_to_boundary(dims, u, du):
+    """max_step from u along du, with u's SOC roots computed afresh."""
+    return max_step(dims, u, du, soc_roots(dims, u))
+
+
 def closed_form_scaling(dims, s, z):
     """W, W^{-1} and W^2 applied blockwise from the closed forms of the NT
     scaling (Vandenberghe 2010, CVXOPT's coneqp): on each cone
@@ -109,7 +124,7 @@ class TestConeAlgebra:
         for _ in range(25):
             s = random_cone_point(rng, self.dims)
             z = random_cone_point(rng, self.dims)
-            sc = NTScaling(self.dims, s, z)
+            sc = nt_scaling(self.dims, s, z)
             # lambda = W z = W^{-T} s, and W^{-1} W = id
             np.testing.assert_allclose(sc.lam, sc.apply_W(z), atol=1e-10)
             np.testing.assert_allclose(sc.lam, sc.apply_Winv(s), atol=1e-10)
@@ -124,7 +139,7 @@ class TestConeAlgebra:
     def test_w2_soc_blocks_match_apply(self, rng):
         s = random_cone_point(rng, self.dims)
         z = random_cone_point(rng, self.dims)
-        sc = NTScaling(self.dims, s, z)
+        sc = nt_scaling(self.dims, s, z)
         for k, blk in enumerate(sc.soc_w2):
             v = rng.normal(size=self.dims.total)
             np.testing.assert_allclose(
@@ -136,7 +151,7 @@ class TestConeAlgebra:
         dims = ConeDims(orthant, n_socs)
         for _ in range(10):
             s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
-            sc = NTScaling(dims, s, z)
+            sc = nt_scaling(dims, s, z)
             applies = (sc.apply_W, sc.apply_Winv, sc.apply_W2)
             for stacked, closed in zip(applies, closed_form_scaling(dims, s, z)):
                 v = rng.normal(size=dims.total)
@@ -153,7 +168,7 @@ class TestConeAlgebra:
                     gap = 10.0 ** rng.uniform(-9.0, -1.0)
                     cone[0] = np.linalg.norm(cone[1:]) / (1.0 - gap)
             du = rng.normal(size=dims.total)
-            alpha = max_step(dims, u, du)
+            alpha = step_to_boundary(dims, u, du)
             if math.isinf(alpha):
                 for t in np.linspace(0.0, 10.0, 25):
                     assert jmineig(dims, u + t * du) >= -1e-9
@@ -176,8 +191,45 @@ class TestConeAlgebra:
             z = random_cone_point(rng, dims)
             ds, dz = rng.normal(size=(2, dims.total))
             zs, dzs = np.array([z, s]), np.array([dz, ds])
-            assert max_step(dims, zs, dzs) == min(max_step(dims, z, dz), max_step(dims, s, ds))
+            assert step_to_boundary(dims, zs, dzs) == min(
+                step_to_boundary(dims, z, dz), step_to_boundary(dims, s, ds)
+            )
             assert jmineig(dims, zs) == min(jmineig(dims, z), jmineig(dims, s))
+
+    def test_max_step_takes_the_scaling_roots(self, rng):
+        # the IPM passes its scaling's roots to both step searches: the same
+        # float as roots computed afresh, near the boundary too, where
+        # _soc_det's clamp is active
+        dims = ConeDims(orthant=6, n_socs=8)
+        for trial in range(60):
+            point = self.near_boundary if trial % 2 else random_cone_point
+            z, s = point(rng, dims), point(rng, dims)
+            if trial % 2:
+                # a cone a roundoff past the boundary, where the clamp holds
+                # det at 1e-15 u0 (u0 + |u1|)
+                cone = dims.soc_view(z)[0]
+                n1 = np.hypot(cone[1], cone[2])
+                cone[0] = np.nextafter(n1, 0.0)
+                assert ipm._soc_det(cone) == 1e-15 * cone[0] * (cone[0] + n1)
+            zs = np.array((z, s))
+            dzs = rng.normal(size=zs.shape)
+            sc = NTScaling(dims, zs)
+            np.testing.assert_array_equal(sc.roots, soc_roots(dims, zs))
+            assert max_step(dims, zs, dzs, sc.roots) == step_to_boundary(dims, zs, dzs)
+
+    def test_scaling_of_the_stack_view_is_that_of_separate_vectors(self, rng):
+        # NTScaling reads the iterate's (z, s) rows in place, as views into
+        # [x | y | z | s]: byte for byte the scaling of separate s and z
+        for dims in (self.dims, self.cones_only, ConeDims(5, 0)):
+            for trial in range(10):
+                point = self.near_boundary if trial % 2 and dims.n_socs else random_cone_point
+                z, s = point(rng, dims), point(rng, dims)
+                v = np.concatenate([rng.normal(size=7), z, s])
+                in_place = NTScaling(dims, v[7:].reshape(2, -1))
+                separate = nt_scaling(dims, s.copy(), z.copy())
+                for name in ("w2_orth", "w_orth", "lam", "roots", "eta", "soc_w", "soc_w2"):
+                    a, b = getattr(in_place, name), getattr(separate, name)
+                    assert a.tobytes() == b.tobytes(), name
 
     def test_predictor_identity(self, rng):
         # -lam solves lam o x = -lam o lam, so the predictor's scaled
@@ -200,7 +252,7 @@ class TestConeAlgebra:
             near = trial % 2 == 1
             point = self.near_boundary if near else random_cone_point
             s, z = point(rng, self.dims), point(rng, self.dims)
-            sc = NTScaling(self.dims, s, z)
+            sc = nt_scaling(self.dims, s, z)
             dz = rng.normal(size=self.dims.total)
             ds = -sc.apply_W(sc.lam) - sc.apply_W2(dz)
             winv_ds = -sc.lam - sc.apply_W(dz)
@@ -234,7 +286,7 @@ def assert_matches_dense_assembly(rng, kkt, s, z):
     with np.linalg.solve on the explicitly assembled KKT matrix."""
     form, dims = kkt.form, kkt.form.dims
     n, p, m = kkt.n, kkt.p, kkt.m
-    sc = NTScaling(dims, s, z)
+    sc = nt_scaling(dims, s, z)
     kkt.factor(sc)
     rhs = np.concatenate([rng.normal(size=n), rng.normal(size=p), rng.normal(size=m)])
     sol = kkt.solve(rhs)
@@ -322,7 +374,7 @@ class TestKktSolver:
         kkt = KktSolver(form)
         assert kkt.dense == (n_rows == 2)
         e = cone_e(form.dims)
-        kkt.factor(NTScaling(form.dims, 2.0 * e, 2.0 * e))
+        kkt.factor(nt_scaling(form.dims, 2.0 * e, 2.0 * e))
         sol = kkt.solve(rng.normal(size=kkt.dim))
         assert np.all(np.isfinite(sol))
         assert kkt.stats.reg_bumps == 0
@@ -340,7 +392,7 @@ class TestKktSolver:
         s, z = random_cone_point(rng, dims), random_cone_point(rng, dims)
         s[-1], z[-1] = -_REG, 1.0
         with np.errstate(invalid="ignore"):
-            scaling = NTScaling(dims, s, z)
+            scaling = nt_scaling(dims, s, z)
         kkt.factor(scaling)
         assert kkt.dense and kkt._getrf(kkt._mat)[2] > 0
         # a right-hand side the exact operator reaches: K v with v = 0 on the
@@ -370,13 +422,38 @@ class TestKktSolver:
 
         monkeypatch.setattr(kkt, "_raw_solve", non_finite)
         dims = kkt.form.dims
-        kkt.factor(NTScaling(dims, random_cone_point(rng, dims), random_cone_point(rng, dims)))
+        kkt.factor(nt_scaling(dims, random_cone_point(rng, dims), random_cone_point(rng, dims)))
         with pytest.raises(FloatingPointError):
             kkt.solve(np.zeros(kkt.dim))
         assert regs == pytest.approx([1e-14, 1e-11, 1e-8, 1e-5, 1e-4], rel=1e-12)
         assert max(regs) == _REG_MAX
         assert kkt.stats.reg_bumps == 4
         assert kkt.stats.factorizations == 5
+
+    @pytest.mark.parametrize("n,p,orth,n_socs", KKT_SHAPES[1:])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_infinite_solve_climbs_the_ladder_quietly(self, rng, monkeypatch, n, p, orth, n_socs, bad):
+        # a raw solve with a +-inf or NaN entry, on either path, bumps the
+        # regularization and is solved again; the suite turns warnings into
+        # errors, so no RuntimeWarning is raised on the way
+        kkt = random_kkt(rng, n, p, orth, n_socs)
+        raw_solve, calls = kkt._raw_solve, []
+
+        def first_non_finite(rhs):
+            calls.append(kkt._current_reg)
+            sol = raw_solve(rhs)
+            if len(calls) == 1:
+                sol[::7] = bad
+            return sol
+
+        monkeypatch.setattr(kkt, "_raw_solve", first_non_finite)
+        dims = kkt.form.dims
+        kkt.factor(nt_scaling(dims, random_cone_point(rng, dims), random_cone_point(rng, dims)))
+        rhs = rng.normal(size=kkt.dim)
+        sol = kkt.solve(rhs)
+        assert np.isfinite(sol).all()
+        assert calls[:2] == pytest.approx([_REG, 1e3 * _REG], rel=1e-12)
+        assert (kkt.stats.reg_bumps, kkt.stats.factorizations) == (1, 2)
 
 
 class TestStandardForm:
@@ -666,7 +743,7 @@ def factor_bytes(kkt, s, z, rhs):
     """Bytes of two factorizations of kkt at NT(s, z) and solves of rhs."""
     out = []
     for _ in range(2):
-        kkt.factor(NTScaling(kkt.form.dims, s, z))
+        kkt.factor(nt_scaling(kkt.form.dims, s, z))
         out += kkt_bytes(kkt, rhs)
     return out
 
@@ -721,7 +798,7 @@ class TestSharedSetup:
         rhs = rng.normal(size=shared_kkt.dim)
         out = []
         for kkt in (shared_kkt, plain_kkt):
-            kkt.factor_identity(cone_e(kkt.form.dims))
+            kkt.factor_identity()
             out.append(kkt_bytes(kkt, rhs))
         assert out[0] == out[1]
         assert (shared_kkt.stats.factorizations, plain_kkt.stats.factorizations) == (0, 1)
@@ -803,7 +880,7 @@ class TestFactorPlan:
         plan = prog.structure.solver
         before = plan_bytes(plan)
         kkt = KktSolver(standard_form(prog))
-        kkt.factor_identity(cone_e(kkt.form.dims))
+        kkt.factor_identity()
         adopted = kkt._values.copy()
         # the first solve at W = I comes out non-finite: one bump, which
         # refactors into the solver's own buffers
@@ -1084,7 +1161,7 @@ class TestWarmStart:
         sol = solve_convex(prog)
         form = standard_form(perturbed(prog, rng))
         e = cone_e(form.dims)
-        x, y, z, s, tau, kappa = ipm._warm_point(form, e, sol)
+        x, y, z, s, tau, kappa = ipm._warm_point(form, sol)
         lam, orth = ipm._WARM_LAMBDA, form.dims.orthant
         # the orthant slack is the one x* leaves in the program being solved,
         # the SOC slack the earlier solve's
@@ -1096,7 +1173,7 @@ class TestWarmStart:
         np.testing.assert_array_equal(s, lam * slack + (1.0 - lam) * e)
         assert tau == 1.0
         assert kappa == pytest.approx((s @ z) / form.dims.degree, rel=1e-15)
-        assert ipm._warm_point(form, e, None) is None
+        assert ipm._warm_point(form, None) is None
 
     def test_moved_rows_start_from_their_new_slack(self, rng):
         # an LP with a known interior point x0; at its optimum x* some rows
@@ -1121,7 +1198,7 @@ class TestWarmStart:
         form = standard_form(moved)
         e = cone_e(form.dims)
         lam, orth = ipm._WARM_LAMBDA, form.dims.orthant
-        s = ipm._warm_point(form, e, first)[3]
+        s = ipm._warm_point(form, first)[3]
         new_slack = form.h[:orth] - (form.G @ first.x)[:orth]
         assert (new_slack[:m][active] < 0).all() and (new_slack[:m][~active] > 0.3).all()
         np.testing.assert_array_equal(s[:orth], lam * np.maximum(new_slack, 0.0) + (1.0 - lam))
@@ -1168,7 +1245,7 @@ class TestWarmStart:
             e = cone_e(form.dims)
             s, z = lam * warm.s + (1.0 - lam) * e, lam * warm.z + (1.0 - lam) * e
             start = (lam * warm.x, lam * warm.y, z, s, 1.0, (s @ z) / form.dims.degree)
-            old = ipm._iterate(KktSolver(form), form, e, start, tol, ipm._WARM_MAX_ITER, 0.0)
+            old = ipm._iterate(KktSolver(form), form, start, tol, ipm._WARM_MAX_ITER, 0.0)
             assert_optimal(old)
             ours += sol.stats.iterations
             earlier += old.stats.iterations
