@@ -268,7 +268,7 @@ class NTScaling:
         out = np.empty_like(v)
         l = self.dims.orthant
         np.multiply(orth, v[:l], out=out[:l])
-        np.matmul(blocks, self.dims.soc_view(v)[:, :, None], out=out[l:].reshape(-1, 3, 1))
+        np.matmul(blocks, v[l:].reshape(-1, 3, 1), out=out[l:].reshape(-1, 3, 1))
         return out
 
     def apply_W(self, v: np.ndarray) -> np.ndarray:
@@ -338,10 +338,7 @@ class _Plan:
         self.reg_sign = np.concatenate([np.ones(n), -np.ones(dim - n)])
         self.eye = self.last = None
         self.e = cone_e(dims)
-        # h's rows past the bounds: the placeholder's 1, then (1, 0, 0) per ball
-        self.h_tail = np.concatenate(
-            [np.ones(placeholder), np.tile(np.array([1.0, 0.0, 0.0]), dims.n_socs)]
-        )
+        self.h_tail = np.concatenate([np.ones(placeholder), np.tile(_E0, dims.n_socs)])
 
         # the variable entries: the regularized x/y diagonals, the orthant's
         # -W^2 diagonal, then the dense 3 x 3 -W^2 blocks, block after block,
