@@ -283,6 +283,17 @@ class DataDrivenLineModel:
         """
         return self._maps[1]
 
+    @property
+    def supported_pairs(self) -> tuple[int, ...]:
+        """Positions k of the lifted pairs whose (cos, sin) columns of the
+        output map, 1 + 2k and 2 + 2k, are not both zero: the pairs the data
+        tie to some output. On noiseless all-pairs data these are the grid's
+        edges, in the order of grid.all_node_pairs; on noisy data no entry
+        of the map is zeroed, and every pair is supported."""
+        k = self.output_map()
+        nonzero = (k[:, 1::2] != 0.0) | (k[:, 2::2] != 0.0)
+        return tuple(np.flatnonzero(nonzero.any(axis=0)).tolist())
+
     @cached_property
     def _maps(self) -> tuple[np.ndarray, np.ndarray]:
         """(H_phi^+, K), read-only, computed on first use.

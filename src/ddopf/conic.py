@@ -56,6 +56,21 @@ class Structure:
         self.reductions: dict[frozenset, tuple[np.ndarray, Structure]] = {}
         self.solver = None
 
+    def validate(self, n: int) -> None:
+        """Check the structure-only data of a program of n variables: the
+        entries of A_eq and A_in finite, and each ball a pair of two
+        distinct variables in [0, n), disjoint from every other ball."""
+        for name in ("A_eq", "A_in"):
+            if not np.isfinite(getattr(self, name).data).all():
+                raise ValueError(f"{name} must be finite")
+        seen: set[int] = set()
+        for i, j in self.balls:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise ValueError(f"bad ball index pair ({i}, {j})")
+            if i in seen or j in seen:
+                raise ValueError(f"ball index pairs must be disjoint; ({i}, {j}) reuses a variable")
+            seen.update((i, j))
+
     def owns(self, prog: "ConicProgram") -> bool:
         return prog.A_eq is self.A_eq and prog.A_in is self.A_in and prog.balls is self.balls
 
@@ -115,7 +130,16 @@ class ConicProgram:
 
     def validate(self) -> None:
         """Check shapes, ball pairs and values: NaN nowhere, and +-inf only
-        in lb and ub, where it means no bound."""
+        in lb and ub, where it means no bound. The program's own vectors
+        (validate_vectors), then its structure's data (Structure.validate)."""
+        self.validate_vectors()
+        self.structure.validate(self.n)
+
+    def validate_vectors(self) -> None:
+        """The checks of validate that read the program's own data: the
+        matrices' widths against n, the lengths of the vectors and their
+        values. solve_convex runs these on every call, and its structure's
+        checks once per solver plan (ipm._Plan.of)."""
         n = self.n
         for name in ("A_eq", "A_in"):
             if (cols := getattr(self, name).shape[1]) != n:
@@ -126,20 +150,12 @@ class ConicProgram:
             raise ValueError("A_in rows != b_in length")
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound vectors must have length n")
-        for name in ("c", "b_eq", "b_in", "A_eq", "A_in"):
-            value = getattr(self, name)
-            if not np.isfinite(value.data if sp.issparse(value) else value).all():
+        for name in ("c", "b_eq", "b_in"):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         # standard_form reads any other value as no bound
         if not ((self.lb < np.inf).all() and (self.ub > -np.inf).all()):
             raise ValueError("lb must be below +inf and ub above -inf, neither NaN")
-        seen: set[int] = set()
-        for i, j in self.balls:
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"bad ball index pair ({i}, {j})")
-            if i in seen or j in seen:
-                raise ValueError(f"ball index pairs must be disjoint; ({i}, {j}) reuses a variable")
-            seen.update((i, j))
 
     def fix_variables(self, fixed: Mapping[int, float]):
         """Substitute fixed variables; returns (reduced, keep_indices, cost_offset).

@@ -102,6 +102,9 @@ def standard_form(prog: ConicProgram) -> StandardForm:
     (1, x_i, x_j). A program with no cone rows gets one empty placeholder
     row with h = 1. G and the rest of the plan are built once per structure
     and finite-bound pattern (_Plan.of); h per call.
+
+    The form leaves out the balls the plan drops (_FreeBalls): their
+    columns, from c and G, and their rows, from G and h.
     """
     finite_ub = np.flatnonzero(np.isfinite(prog.ub))
     finite_lb = np.flatnonzero(np.isfinite(prog.lb))
@@ -109,7 +112,10 @@ def standard_form(prog: ConicProgram) -> StandardForm:
     if plan is None or not plan.fits(finite_ub, finite_lb):
         plan = prog.structure.solver = _Plan.of(prog, finite_ub, finite_lb)
     h = np.concatenate([prog.b_in, prog.ub[finite_ub], -prog.lb[finite_lb], plan.h_tail])
-    return StandardForm(c=prog.c.astype(float), b=prog.b_eq.astype(float), h=h, plan=plan)
+    c = prog.c.astype(float)
+    if plan.free is not None:
+        c = c[plan.free.keep]
+    return StandardForm(c=c, b=prog.b_eq.astype(float), h=h, plan=plan)
 
 
 # --- Jordan-algebra helpers on cone-partitioned vectors ----------------------
@@ -312,6 +318,10 @@ class _Plan:
     that standard_form appends after the bounds: the placeholder's 1, then
     (1, 0, 0) per ball.
 
+    `free` is None, or the balls that sit in no row and have no finite
+    bound, which the plan drops (_FreeBalls): then A, G and h_tail are those
+    of the program without them, and so is every other array here.
+
     `eye` is the factorization at W = I and _REG that every cold start
     begins with: None until the first solver that needs it makes it
     (KktSolver.factor_identity), then (scaling, lu, piv, splu). `last` is
@@ -329,9 +339,11 @@ class _Plan:
         finite_ub: np.ndarray | None = None,
         finite_lb: np.ndarray | None = None,
         placeholder: int = 0,
+        free: _FreeBalls | None = None,
     ):
         self.A, self.G, self.dims = A, G, dims
         self.finite_ub, self.finite_lb, self.placeholder = finite_ub, finite_lb, placeholder
+        self.free = free
         p, n = A.shape
         dim = n + p + G.shape[0]
         self.dense = dim <= _DENSE_LIMIT
@@ -396,10 +408,20 @@ class _Plan:
     @classmethod
     def of(cls, prog: ConicProgram, finite_ub: np.ndarray, finite_lb: np.ndarray) -> _Plan:
         """The plan of prog's structure and finite-bound pattern, its G in
-        the row layout of standard_form."""
-        n = prog.n
-        A_in = prog.A_in.tocsr()
-        n_balls = len(prog.balls)
+        the row layout of standard_form, less the balls it drops. Checks the
+        structure first (conic.Structure.validate)."""
+        prog.structure.validate(prog.n)
+        A_eq, A_in = prog.A_eq.tocsr(), prog.A_in.tocsr()
+        balls = np.asarray(prog.balls, dtype=np.int64).reshape(-1, 2)
+        cols_ub, cols_lb = finite_ub, finite_lb
+        free = _FreeBalls.of(prog.n, A_eq, A_in, balls, finite_ub, finite_lb)
+        if free is not None:
+            A_eq, A_in = A_eq[:, free.keep], A_in[:, free.keep]
+            new = np.empty(prog.n, dtype=np.int64)
+            new[free.keep] = np.arange(free.keep.size)
+            cols_ub, cols_lb, balls = new[finite_ub], new[finite_lb], new[balls[free.kept]]
+        n = A_eq.shape[1]
+        n_balls = len(balls)
         orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
         # keep the cone block nonempty so the embedding stays uniform
         placeholder = int(orthant == 0 and n_balls == 0)
@@ -415,19 +437,103 @@ class _Plan:
             ]
         )
         indptr = np.concatenate([A_in.indptr, A_in.nnz + np.cumsum(row_nnz)])
-        ball_cols = np.asarray(prog.balls, dtype=np.int64).reshape(-1)
-        indices = np.concatenate([A_in.indices, finite_ub, finite_lb, ball_cols])
+        indices = np.concatenate([A_in.indices, cols_ub, cols_lb, balls.reshape(-1)])
         data = np.concatenate(
             [A_in.data, np.ones(finite_ub.size), -np.ones(finite_lb.size), -np.ones(2 * n_balls)]
         )
         G = sp.csr_matrix((data, indices, indptr), shape=(orthant + 3 * n_balls, n))
         dims = ConeDims(orthant=orthant, n_socs=n_balls)
-        return cls(prog.A_eq.tocsr(), G, dims, finite_ub, finite_lb, placeholder)
+        return cls(A_eq, G, dims, finite_ub, finite_lb, placeholder, free)
 
     def fits(self, finite_ub: np.ndarray, finite_lb: np.ndarray) -> bool:
         return np.array_equal(self.finite_ub, finite_ub) and np.array_equal(
             self.finite_lb, finite_lb
         )
+
+
+class _FreeBalls:
+    """The balls of a program whose two columns are in no row and have no
+    finite bound: a presolve drops them (Andersen and Andersen 1995), and
+    the IPM iterates on the rest of the program.
+
+    Such a ball's variables appear in c and in their ball alone, so its
+    part of the program is min c_b'x_b over |x_b| <= 1, with the closed-form
+    optimum x_b = -c_b / |c_b| (0 when c_b = 0, the analytic centre an IPM
+    converges to), the dual z_b = (|c_b|, c_b) and the objective -|c_b|.
+    restore() puts these next to the reduced program's solution, so that
+    the (x, y, z, s) it returns are an optimum of the whole program.
+
+    keep are the kept columns; kept, a mask over the program's balls, the
+    kept balls; cols, (k, 2), the dropped balls' columns. n and m are the
+    whole program's variable and cone-row counts, m_red the reduced one's.
+    The reduced program's cone rows red_rows (all of them but a placeholder
+    row the whole program has no need of) sit at full_rows of the whole
+    program's, and the dropped balls' blocks at drop_rows, (k, 3).
+    """
+
+    __slots__ = ("keep", "kept", "cols", "n", "m", "m_red", "red_rows", "full_rows", "drop_rows")
+
+    @classmethod
+    def of(cls, n, A_eq, A_in, balls, finite_ub, finite_lb) -> _FreeBalls | None:
+        """The free balls of a program of n columns, or None when it has none."""
+        used = np.zeros(n, dtype=bool)
+        for mat in (A_eq, A_in):
+            used[mat.indices[mat.data != 0.0]] = True
+        used[finite_ub] = used[finite_lb] = True
+        drop = ~used[balls].any(axis=1)
+        if not drop.any():
+            return None
+        self = cls()
+        self.kept, self.cols, self.n = ~drop, balls[drop], n
+        keep = np.ones(n, dtype=bool)
+        keep[self.cols] = False
+        self.keep = np.flatnonzero(keep)
+        # the whole program has at least one ball, so no placeholder row;
+        # the reduced one has one when nothing else is left
+        orthant = A_in.shape[0] + finite_ub.size + finite_lb.size
+        n_kept = int(self.kept.sum())
+        placeholder = int(orthant == 0 and n_kept == 0)
+        self.m = orthant + 3 * len(balls)
+        self.m_red = orthant + placeholder + 3 * n_kept
+        blocks = orthant + 3 * np.arange(len(balls))[:, None] + np.arange(3)
+        self.full_rows = np.concatenate([np.arange(orthant), blocks[self.kept].ravel()])
+        self.red_rows = np.concatenate(
+            [np.arange(orthant), orthant + placeholder + np.arange(3 * n_kept)]
+        )
+        self.drop_rows = blocks[drop]
+        return self
+
+    def reduce(self, x, z, s):
+        """The parts of a whole program's x, z and s that the reduced one
+        has; a placeholder row gets z = s = 0."""
+        z_red, s_red = np.zeros(self.m_red), np.zeros(self.m_red)
+        z_red[self.red_rows], s_red[self.red_rows] = z[self.full_rows], s[self.full_rows]
+        return x[self.keep], z_red, s_red
+
+    def restore(self, sol: Solution, c: np.ndarray) -> Solution:
+        """The solution of the whole program of cost c from sol, a solution
+        of the reduced one: an optimum or best iterate gets the dropped
+        balls' closed-form blocks in x, z and s, a certificate zeros in x;
+        objective and dual_objective each gain -sum |c_b|."""
+        c_b = c[self.cols].astype(float)
+        norm = np.hypot(c_b[:, 0], c_b[:, 1])
+        x = np.zeros(self.n)
+        x[self.keep] = sol.x
+        if sol.status in ("optimal", "tolerance_not_met"):
+            x_b = np.zeros_like(c_b)
+            np.divide(-c_b, norm[:, None], out=x_b, where=norm[:, None] > 0.0)
+            # -0.0 entries read 0.0
+            x[self.cols] = x_b + 0.0
+        fields = {**vars(sol), "x": x}
+        if sol.z is not None:
+            z, s = np.empty(self.m), np.empty(self.m)
+            z[self.full_rows], s[self.full_rows] = sol.z[self.red_rows], sol.s[self.red_rows]
+            z[self.drop_rows] = np.column_stack([norm, c_b])
+            s[self.drop_rows] = np.column_stack([np.ones(norm.size), x[self.cols]])
+            fields.update(z=z, s=s)
+        shift = float(norm.sum())
+        fields.update(objective=sol.objective - shift, dual_objective=sol.dual_objective - shift)
+        return Solution(**fields)
 
 
 class KktSolver:
@@ -627,18 +733,27 @@ def _warm_point(form: StandardForm, warm: Solution | None):
     orthant part of s~ is max(h - G x*, 0) with this program's h, and its
     SOC part is s*: a row that x* now violates starts at 1 - lam, and a row
     that x* now leaves slack starts from its new slack. One sparse product.
+
+    When the plan drops balls, warm is a solution of the whole program, as
+    solve_convex returns them, and its sizes are checked against that; the
+    start takes the parts of it the reduced program has (_FreeBalls.reduce).
     """
     if warm is None or warm.y is None:
         return None
-    if (warm.x.size, warm.y.size, warm.z.size) != (form.c.size, form.b.size, form.h.size):
+    x, y, z, s = warm.x, warm.y, warm.z, warm.s
+    free = form.plan.free
+    n, m = (form.c.size, form.h.size) if free is None else (free.n, free.m)
+    if (x.size, y.size, z.size) != (n, form.b.size, m):
         return None
+    if free is not None:
+        x, z, s = free.reduce(x, z, s)
     lam, e = _WARM_LAMBDA, form.plan.e
     orth = form.dims.orthant
-    slack = warm.s.copy()
-    slack[:orth] = np.maximum(form.h[:orth] - (form.G @ warm.x)[:orth], 0.0)
+    slack = s.copy()
+    slack[:orth] = np.maximum(form.h[:orth] - (form.G @ x)[:orth], 0.0)
     s = lam * slack + (1.0 - lam) * e
-    z = lam * warm.z + (1.0 - lam) * e
-    return lam * warm.x, lam * warm.y, z, s, 1.0, (s @ z) / form.dims.degree
+    z = lam * z + (1.0 - lam) * e
+    return lam * x, lam * y, z, s, 1.0, (s @ z) / form.dims.degree
 
 
 def solve_convex(
@@ -670,10 +785,25 @@ def solve_convex(
     residuals and objectives, stats == SolveStats(reused=1) and its own
     solve_time. A warm attempt, and the cold solve after one, neither read
     nor replace it.
+
+    Presolve: a ball whose two columns are in no row and have no finite
+    bound is dropped from the program the IPM iterates on (_FreeBalls), and
+    its closed-form optimum is put back into the result, from this
+    program's c. Every returned array has the whole program's size, and
+    objective and dual_objective are the whole program's; iterations,
+    stats, kkt_residuals and the gap test are those of the reduced program,
+    and the kept cold solve is the reduced one, keyed by its c, b and h.
     """
     t0 = time.perf_counter()
-    prog.validate()
+    prog.validate_vectors()
     form = standard_form(prog)
+    sol = _solve_form(form, tol, max_iter, warm_start, t0)
+    free = form.plan.free
+    return sol if free is None else free.restore(sol, prog.c)
+
+
+def _solve_form(form: StandardForm, tol, max_iter, warm_start, t0) -> Solution:
+    """solve_convex on the program the IPM iterates on."""
     start = _warm_point(form, warm_start)
     if start is None:
         return _solve_cold(form, tol, max_iter, t0)

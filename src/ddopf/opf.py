@@ -363,7 +363,8 @@ class TightnessReport:
 
 
 def tightness_report(phi: np.ndarray) -> TightnessReport:
-    """Circle residuals of the lifted vector phi = [1, cos, sin, ...]."""
+    """Circle residuals of the lifted vector phi = [1, cos, sin, ...]; a
+    pair in no row reads 0 (see OpfSolution)."""
     c, s = phi[1::2], phi[2::2]
     residuals = 1.0 - (c * c + s * s)
     worst = float(np.max(np.abs(residuals), initial=0.0))
@@ -374,6 +375,17 @@ def tightness_report(phi: np.ndarray) -> TightnessReport:
 
 @dataclass
 class OpfSolution:
+    """One solved OPF instance: the point (phi, p_e, p_g), the angles theta
+    of phi's (cos, sin) pairs, alpha = H_phi^+ phi, and its tightness.
+
+    A pair whose (cos, sin) variables are in no row (dd-generalized's
+    non-edge pairs on noiseless data, DataDrivenLineModel.supported_pairs)
+    is solved in closed form by the solver's presolve (ipm.solve_convex):
+    for beta > 0 it sits at (1, 0), the maximizer of its -beta cos term, so
+    it reads angle 0 and circle residual 0 (at beta = 0, the centre (0, 0),
+    angle 0 and residual 1).
+    """
+
     variant: str
     p_e: np.ndarray
     p_g: np.ndarray

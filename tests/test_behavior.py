@@ -22,7 +22,7 @@ from ddopf.behavior import (
 )
 from ddopf.errors import DimensionMismatch, InconsistentQuery, ModelNotPE, OrderTooLarge
 from ddopf.excitation import generate_excitation
-from ddopf.grid import LineParams
+from ddopf.grid import LineParams, all_node_pairs
 from ddopf.microgrid import default_grid
 from ddopf.physics import effective_coeffs, line_power
 
@@ -285,6 +285,18 @@ class TestOutputMapSparsity:
         outputs = np.vstack([model.H_pe, model.H_pg])
         full = np.linalg.lstsq(model.H_phi.T, outputs.T, rcond=None)[0].T
         np.testing.assert_array_equal(gain, full)
+
+    def test_supported_pairs_are_the_edges(self):
+        grid = default_grid()
+        pairs = all_node_pairs(grid)
+        model = fitted("all-pairs")
+        assert [pairs[k] for k in model.supported_pairs] == list(grid.edges)
+        # a per-edge model's pairs are the edges themselves
+        assert fitted("per-edge").supported_pairs == tuple(range(grid.n_edges))
+
+    def test_noisy_fit_supports_every_pair(self):
+        model = fitted("all-pairs", noise=1e-6)
+        assert model.supported_pairs == tuple(range((model.lifted_dim - 1) // 2))
 
 
 class TestNonFiniteInput:

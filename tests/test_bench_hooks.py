@@ -140,3 +140,27 @@ def test_close_restores_the_originals(monkeypatch):
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key[1] for key in before if after[key] is not before[key]] == []
+
+
+def test_presolved_solves_run_through_every_traced_layer(traced):
+    # dd-generalized's non-edge balls are dropped inside solve_convex, not by
+    # fix_variables: a single OPF calls it never, a closed-loop step once per
+    # node as before, and every ipm span still records the reduced solves
+    app, objective = opf.demand_instance(GRID, {5: 0.4})
+    sol = opf.solve_opf(GRID, "dd-generalized", PAIR_MODEL, app, objective)
+    assert sol.status == "optimal" and sol.raw.x.size == sol.layout.n
+    assert traced.names.count("conic.fix_variables") == 0
+    config = microgrid.default_config()
+    profiles = microgrid.generate_profiles(3, 1 + config.horizon, config)
+    run = microgrid.run_closed_loop(config, GRID, profiles, "dd-generalized", 1, model=PAIR_MODEL)
+    nodes = run.records[0].nodes
+    assert traced.names.count("conic.fix_variables") == nodes > 0
+    assert traced.names.count("ipm.solve_convex") == nodes + 1
+    for name in (
+        "ipm.standard_form", "ipm.kkt_init", "ipm.kkt_factor", "ipm.kkt_solve", "ipm.max_step",
+        "ipm.nt_scaling", "mip.solve_mixed_binary", "microgrid.build_mpc_step", "opf.pf_template",
+    ):
+        assert name in traced.names, name
+    # the MPC step's KKT systems have the reference's dimension, 810, not 990
+    dims = [traced.attrs[i]["dim"] for i, name in enumerate(traced.names) if name == "ipm.kkt_init"]
+    assert max(dims) == 810

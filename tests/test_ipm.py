@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings, strategies as st
 import scipy.sparse as sp
 
 from ddopf.behavior import DataDrivenLineModel
@@ -714,10 +715,12 @@ def solution_bytes(sol, adopted=False):
             dataclasses.astuple(stats)]
 
 
-def case_study_step(variant="dd-convex"):
-    """The MPC program of the case study's first step."""
+def case_study_step(variant="dd-convex", model=None):
+    """The MPC program of the case study's first step, of the case study's
+    per-edge model unless another one is given."""
     grid, config = default_grid(), default_config()
-    model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
+    if model is None:
+        model = DataDrivenLineModel.from_trajectory(generate_excitation(grid, 9, seed=2024))
     window = generate_profiles(2024, 12, config).window(0, config.horizon)
     prog, _ = build_mpc_step(config, grid, variant, initial_state(config), window, model)
     return prog
@@ -1253,6 +1256,262 @@ class TestWarmStart:
         assert ours < earlier
 
 
+def with_free_balls(prog, rng, c_balls):
+    """prog with one more ball per row of c_balls, (k, 2), whose columns are
+    in no row and have no bound, placed at random among prog's columns.
+    Returns the program, the positions of prog's columns in it and the new
+    balls' column pairs."""
+    k = len(c_balls)
+    n = prog.n + 2 * k
+    free = np.sort(rng.choice(n, size=2 * k, replace=False)).reshape(k, 2)
+    rng.shuffle(free.reshape(-1))
+    old = np.setdiff1d(np.arange(n), free)
+
+    def widen(vec, fill):
+        out = np.full(n, fill)
+        out[old] = vec
+        return out
+
+    def wide(mat):
+        mat = mat.tocoo()
+        return sp.csr_matrix((mat.data, (mat.row, old[mat.col])), shape=(mat.shape[0], n))
+
+    c = widen(prog.c, 0.0)
+    c[free] = c_balls
+    grown = ConicProgram.build(
+        c=c, A_eq=wide(prog.A_eq), b_eq=prog.b_eq, A_in=wide(prog.A_in), b_in=prog.b_in,
+        lb=widen(prog.lb, -np.inf), ub=widen(prog.ub, np.inf),
+        balls=[(old[i], old[j]) for i, j in prog.balls] + [tuple(pair) for pair in free],
+    )
+    return grown, old, free
+
+
+def whole_form(prog):
+    """G and h of prog's own standard form, every ball included, stacked by
+    hand as standard_form lays them out."""
+    eye = np.eye(prog.n)
+    fu, fl = np.flatnonzero(np.isfinite(prog.ub)), np.flatnonzero(np.isfinite(prog.lb))
+    blocks = [prog.A_in.toarray(), eye[fu], -eye[fl]]
+    h = [prog.b_in, prog.ub[fu], -prog.lb[fl]]
+    for i, j in prog.balls:
+        blocks.append(-np.array([np.zeros(prog.n), eye[i], eye[j]]))
+        h.append([1.0, 0.0, 0.0])
+    return np.vstack(blocks), np.concatenate(h)
+
+
+def full_residuals(prog, sol):
+    """The primal, dual and gap residuals of (x, y, z, s) in prog's own
+    standard form (whole_form), measured as the IPM measures them, and the
+    least eigenvalue of s and z."""
+    G, h = whole_form(prog)
+    A, b, c = prog.A_eq.toarray(), prog.b_eq, prog.c
+    norm = np.linalg.norm
+    pres = max(norm(A @ sol.x - b) / (1 + norm(b)), norm(G @ sol.x + sol.s - h) / (1 + norm(h)))
+    dres = norm(A.T @ sol.y + G.T @ sol.z + c) / (1 + norm(c))
+    gap = (sol.s @ sol.z) / max(1.0, abs(c @ sol.x))
+    dims = ConeDims(G.shape[0] - 3 * len(prog.balls), len(prog.balls))
+    return pres, dres, gap, min(jmineig(dims, sol.s), jmineig(dims, sol.z))
+
+
+class TestPresolve:
+    """Balls in no row and with no finite bound are dropped from the program
+    the IPM iterates on and restored in closed form (ipm._FreeBalls)."""
+
+    def test_free_ball_takes_its_closed_form(self, rng):
+        prog, old, free = with_free_balls(random_known_socp(rng)[0], rng, [[3.0, -4.0]])
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        np.testing.assert_array_equal(prog.structure.solver.free.cols, free)
+        i, j = free[0]
+        assert (sol.x[i], sol.x[j]) == (-0.6, 0.8)
+        assert (sol.z[-3:] == [5.0, 3.0, -4.0]).all()
+        assert (sol.s[-3:] == [1.0, -0.6, 0.8]).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_free=st.integers(1, 3),
+        scale=st.sampled_from([0.0, 1e-6, 1.0, 1e3]),
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_restored_solution_solves_the_whole_program(self, seed, n_free, scale):
+        rng = np.random.default_rng(seed)
+        base, opt = random_known_socp(rng)
+        # the gap test sees the reduced program; a positive optimum would
+        # shrink |c'x| by the dropped balls' sum |c_b| and so loosen the gap
+        assume(opt <= 0.0)
+        prog, old, free = with_free_balls(base, rng, scale * rng.normal(size=(n_free, 2)))
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        pres, dres, gap, mineig = full_residuals(prog, sol)
+        assert max(pres, dres, gap) <= 1e-8 and mineig >= -1e-12
+        assert sol.objective == pytest.approx(prog.c @ sol.x, abs=1e-12, rel=1e-12)
+        dual = -(prog.b_eq @ sol.y) - whole_form(prog)[1] @ sol.z
+        assert sol.dual_objective == pytest.approx(dual, abs=1e-9, rel=1e-9)
+        # the kept columns come out of the IPM run the program without the
+        # free balls gets, bit for bit
+        alone = solve_convex(base)
+        assert sol.x[old].tobytes() == alone.x.tobytes()
+        assert (sol.iterations, sol.stats) == (alone.iterations, alone.stats)
+
+    def test_zero_cost_ball_sits_at_the_centre(self, rng):
+        prog, _, free = with_free_balls(random_known_socp(rng)[0], rng, [[0.0, 0.0], [0.0, 2.0]])
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        (i, j), (k, l) = free
+        assert (sol.x[i], sol.x[j], sol.x[k], sol.x[l]) == (0.0, 0.0, 0.0, -1.0)
+        assert not np.signbit(sol.x[[i, j, k]]).any()
+        assert (sol.z[-6:] == [0.0, 0.0, 0.0, 2.0, 0.0, 2.0]).all()
+        assert (sol.s[-6:] == [1.0, 0.0, 0.0, 1.0, 0.0, -1.0]).all()
+
+    @pytest.mark.parametrize("tie", ["A_eq", "A_in", "lb", "ub"])
+    def test_a_ball_with_a_row_or_a_bound_stays(self, rng, tie):
+        # two free balls; the first gets one column into a row or a bound
+        prog, _, free = with_free_balls(random_lp(rng), rng, [[1.0, 1.0], [1.0, -2.0]])
+        col = free[0, 1]
+        if tie in ("A_eq", "A_in"):
+            mat = getattr(prog, tie).tolil()
+            mat[0, col] = 0.5
+            prog = dataclasses.replace(prog, **{tie: mat.tocsr()})
+        else:
+            bound = getattr(prog, tie).copy()
+            bound[col] = -2.0 if tie == "lb" else 2.0
+            prog = dataclasses.replace(prog, **{tie: bound})
+        sol = solve_convex(prog)
+        assert_optimal(sol)
+        np.testing.assert_array_equal(prog.structure.solver.free.cols, free[1:])
+        pres, dres, gap, mineig = full_residuals(prog, sol)
+        assert max(pres, dres) <= 1e-8 and mineig >= -1e-12
+
+    def test_nothing_to_drop_leaves_no_reduction(self, rng):
+        prog, _ = random_known_socp(rng)
+        solve_convex(prog)
+        assert prog.structure.solver.free is None
+
+    def test_warm_start_of_the_whole_program(self, rng, monkeypatch):
+        prog, _, free = with_free_balls(random_known_socp(rng)[0], rng, [[1.0, 2.0]])
+        first = solve_convex(prog)
+        # the same reduced program, another cost on the dropped ball: the
+        # plan's kept cold solve, restored with this program's c
+        c = prog.c.copy()
+        c[free[0]] = [0.0, -2.0]
+        other = dataclasses.replace(prog, c=c)
+        kept = solve_convex(other)
+        assert kept.stats == SolveStats(reused=1)
+        assert (kept.x[free[0]] == [0.0, 1.0]).all()
+        np.testing.assert_array_equal(np.delete(kept.x, free[0]), np.delete(first.x, free[0]))
+        assert kept.objective == pytest.approx(first.objective + math.sqrt(5.0) - 2.0, rel=1e-12)
+        starts = []
+        warm_point = ipm._warm_point
+        monkeypatch.setattr(
+            ipm, "_warm_point", lambda *a: starts.append(warm_point(*a)) or starts[-1]
+        )
+        for warm in (first, kept):
+            sol = solve_convex(perturbed(other, rng), warm_start=warm)
+            assert_optimal(sol)
+            assert starts[-1] is not None and sol.stats.warm_restarts == 0
+            assert (sol.x[free[0]] == [0.0, 1.0]).all()
+        # a warm start of the reduced program's size does not fit
+        reduced = dataclasses.replace(first, x=np.delete(first.x, free[0]))
+        solve_convex(perturbed(other, rng), warm_start=reduced)
+        assert starts[-1] is None
+
+    def test_case_study_mpc_plan_drops_the_unsupported_pairs(self):
+        # dd-generalized's non-edge pairs have zero output-map columns, so
+        # their balls sit in no row: H of them per pair, and its KKT system
+        # has the reference's dimension
+        grid, config = default_grid(), default_config()
+        model = DataDrivenLineModel.from_trajectory(
+            generate_excitation(grid, 21, seed=2025, mode="all-pairs"), include_injections=True
+        )
+        n_pairs = (model.lifted_dim - 1) // 2
+        dropped = config.horizon * (n_pairs - len(model.supported_pairs))
+        assert dropped == 36
+        dims = {}
+        for variant in ("reference", "dd-convex"):
+            form = standard_form(case_study_step(variant).base)
+            assert form.plan.free is None
+            dims[variant] = KktSolver(form).dim
+        form = standard_form(case_study_step("dd-generalized", model).base)
+        free = form.plan.free
+        assert len(free.cols) == dropped
+        dims["dd-generalized"] = KktSolver(form).dim
+        assert dims == {"reference": 810, "dd-convex": 810, "dd-generalized": 810}
+        # the whole program's would be 990
+        assert free.n + form.b.size + free.m == 990
+
+    @pytest.mark.parametrize(
+        "neighbours, status", [(infeasible_lp, "infeasible"), (unbounded_lp, "unbounded")],
+        ids=["infeasible", "unbounded"],
+    )
+    def test_certificates_keep_their_status(self, rng, neighbours, status):
+        for trial in range(5):
+            feasible, bad = neighbours(rng)
+            c_balls = rng.normal(size=(2, 2))
+            # both neighbours get their free balls at the same columns
+            grown, _, free = with_free_balls(bad, np.random.default_rng(trial), c_balls)
+            warm = solve_convex(with_free_balls(feasible, np.random.default_rng(trial), c_balls)[0])
+            assert_optimal(warm)
+            for sol in (solve_convex(grown), solve_convex(grown, warm_start=warm)):
+                assert sol.status == status
+                assert (sol.x[free] == 0.0).all()
+
+
+class TestValidationAtSolve:
+    """solve_convex checks a program's own vectors on every call and its
+    structure's data when the structure's plan is made."""
+
+    @staticmethod
+    def unchecked(**changes):
+        # built directly, so that nothing but solve_convex checks it
+        fields = dict(
+            c=np.array([1.0, 2.0, -1.0, 1.0]),
+            A_eq=sp.csr_matrix([[1.0, 1.0, 0.0, 0.0]]),
+            b_eq=np.array([1.0]),
+            A_in=sp.csr_matrix((0, 4)),
+            b_in=np.zeros(0),
+            lb=np.array([0.0, 0.0, -np.inf, -np.inf]),
+            ub=np.full(4, np.inf),
+            balls=((2, 3),),
+        )
+        return ConicProgram(**{**fields, **changes})
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"A_eq": sp.csr_matrix([[1.0, np.nan, 0.0, 0.0]])}, "A_eq must be finite"),
+            ({"A_in": sp.csr_matrix([[np.inf, 0.0, 0.0, 0.0]]), "b_in": np.ones(1)},
+             "A_in must be finite"),
+            ({"balls": ((2, 4),)}, "bad ball index pair"),
+            ({"balls": ((2, 2),)}, "bad ball index pair"),
+            ({"balls": ((0, 2), (2, 3))}, "must be disjoint"),
+        ],
+    )
+    def test_structure_checked_at_the_first_solve(self, changes, message):
+        prog = self.unchecked(**changes)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                solve_convex(prog)
+            assert prog.structure.solver is None
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"c": np.array([np.nan, 0.0, -1.0, 1.0])}, "c must be finite"),
+            ({"b_eq": np.array([np.inf])}, "b_eq must be finite"),
+            ({"lb": np.array([np.nan, 0.0, 0.0, 0.0])}, "lb must be below"),
+            ({"ub": np.ones(3)}, "bound vectors"),
+            ({"b_eq": np.ones(2)}, "A_eq rows"),
+            ({"c": np.ones(5)}, "A_eq has 4 columns, n is 5"),
+        ],
+    )
+    def test_vectors_checked_on_every_solve(self, changes, message):
+        # the structure's plan is made and kept by a valid program first
+        prog = self.unchecked()
+        assert_optimal(solve_convex(prog))
+        with pytest.raises(ValueError, match=message):
+            solve_convex(dataclasses.replace(prog, **changes))
+
+
 def test_factor_failure_far_from_certificate_raises(rng, monkeypatch):
     # every factorization after the initial point's fails, at iteration 0,
     # where the residuals are far above 1e3 * tol
@@ -1285,7 +1544,9 @@ def test_initial_point_factor_failure_raises_breakdown():
 
 
 def test_tolerance_not_met_reported():
-    prog = ConicProgram.build(c=[1.0, 0.0], balls=[(0, 1)])
+    # the row keeps the ball in the program the IPM iterates on
+    prog = ConicProgram.build(c=[1.0, 0.0], A_eq=[[1.0, 1.0]], b_eq=[0.0], balls=[(0, 1)])
     sol = solve_convex(prog, max_iter=3)
+    assert prog.structure.solver.free is None
     assert sol.status == "tolerance_not_met"
     assert np.all(np.isfinite(sol.x))

@@ -39,6 +39,13 @@ PAIR_MODEL = DataDrivenLineModel.from_trajectory(
     generate_excitation(GRID, 21, seed=102, mode="all-pairs"), include_injections=True
 )
 
+# the case study's grid and models (tests/test_acceptance.py)
+CASE_GRID = default_grid()
+CASE_EDGE_MODEL = DataDrivenLineModel.from_trajectory(generate_excitation(CASE_GRID, 9, seed=2024))
+CASE_PAIR_MODEL = DataDrivenLineModel.from_trajectory(
+    generate_excitation(CASE_GRID, 21, seed=2025, mode="all-pairs"), include_injections=True
+)
+
 
 def model_for(variant):
     if variant == "reference":
@@ -182,18 +189,34 @@ class TestDemandInstances:
             np.testing.assert_allclose(sols[v].p_e, ref.p_e, atol=1e-4)
             np.testing.assert_allclose(sols[v].p_g, ref.p_g, atol=1e-4)
 
+    def test_losses_only_variants_agree(self):
+        # no source costs: the objective is the losses alone, 7.7e-5 here; with
+        # the balls of its non-edge pairs presolved away, dd-generalized's p_g
+        # sits 5.7e-5 from the reference's (1.498e-3 when the IPM carried them)
+        app, obj = demand_instance(GRID, {5: 0.1755}, source_cap=0.9618)
+        sols = {v: solve_opf(GRID, v, model_for(v), app, obj) for v in ALL_VARIANTS}
+        assert all(sol.status == "optimal" for sol in sols.values())
+        ref = sols["reference"]
+        for v in ("dd", "dd-convex", "dd-generalized"):
+            np.testing.assert_allclose(sols[v].p_g, ref.p_g, atol=1e-4)
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
         reason="the gap test is absolute below |pcost| = 1, so a losses-only optimum "
         "is certified on a nearly flat face (ROADMAP open item 2)",
     )
-    def test_losses_only_variants_agree(self):
-        # no source costs: the objective is the losses alone, 7.7e-5 here, and
-        # every variant ends 'optimal', yet dd-generalized's p_g sits 1.498e-3
-        # from the reference's (1.499e-3 with the acceptance suite's models)
-        app, obj = demand_instance(GRID, {5: 0.1755}, source_cap=0.9618)
-        sols = {v: solve_opf(GRID, v, model_for(v), app, obj) for v in ALL_VARIANTS}
+    def test_losses_only_case_study_models_agree(self):
+        # the 12th draw of np.random.default_rng(7) (demand ~ U(0.1, 0.7), then
+        # cap ~ U(0.6, 1.0)) on the case study's grid and models: every solve
+        # ends 'optimal', yet dd's and dd-convex's p_g sit 1.137e-4 from the
+        # reference's
+        models = {"reference": None, "dd": CASE_EDGE_MODEL, "dd-convex": CASE_EDGE_MODEL,
+                  "dd-generalized": CASE_PAIR_MODEL}
+        app, obj = demand_instance(
+            CASE_GRID, {5: 0.46752376256381845}, source_cap=0.6175768031845533
+        )
+        sols = {v: solve_opf(CASE_GRID, v, models[v], app, obj) for v in ALL_VARIANTS}
         assert all(sol.status == "optimal" for sol in sols.values())
         ref = sols["reference"]
         for v in ("dd", "dd-convex", "dd-generalized"):
